@@ -138,6 +138,9 @@ def parse_scenario(doc, path: str = "scenario") -> Scenario:
     name = _require(doc, "name", path)
     if not isinstance(name, str) or not name:
         raise ScenarioError(f"{path}.name: must be a non-empty string")
+    # Names become artifact file names, which must stay inside the output directory.
+    if "/" in name or "\\" in name or ".." in name:
+        raise ScenarioError(f"{path}.name: must not contain a path separator or '..'")
 
     try:
         coefficients = np.asarray(_require(doc, "coefficients", path), dtype=float)
@@ -170,14 +173,17 @@ def parse_scenario(doc, path: str = "scenario") -> Scenario:
         raise ScenarioError(f"{path}.prior_cov: size does not match coefficient columns")
 
     horizon = _require(doc, "horizon", path)
-    if not isinstance(horizon, int) or horizon < 1:
+    if isinstance(horizon, bool) or not isinstance(horizon, int) or horizon < 1:
         raise ScenarioError(f"{path}.horizon: must be a positive integer")
 
     raw_tb = doc.get("tie_break", "lowest_index")
     if raw_tb == "lowest_index":
         tie_break = TieBreak.lowest_index()
     elif isinstance(raw_tb, dict) and set(raw_tb) == {"random"}:
-        tie_break = TieBreak.random(int(raw_tb["random"]))
+        tb_seed = raw_tb["random"]
+        if isinstance(tb_seed, bool) or not isinstance(tb_seed, int) or tb_seed < 0:
+            raise ScenarioError(f"{path}.tie_break.random: must be a non-negative integer")
+        tie_break = TieBreak.random(tb_seed)
     else:
         raise ScenarioError(f'{path}.tie_break: expected "lowest_index" or {{"random": seed}}')
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
+from scipy.linalg import qr
 
 from .gaussian import (
     Environment,
@@ -46,6 +47,10 @@ __all__ = [
 PHI_TIE_TOL = 1e-9
 
 MAX_SOURCES_ENUMERATION = 20
+
+# The simplex certifies its basis only when every source outside it has
+# |c_j' y| below 1 - ELFVING_DUAL_MARGIN; closer to 1 counts as a near-tie.
+ELFVING_DUAL_MARGIN = 1e-7
 
 
 class SpanError(ValueError):
@@ -160,7 +165,9 @@ def enumerate_minimal_spanning_sets(env: Environment) -> list[SpanningSetReport]
     """All minimal spanning sets, sorted by phi ascending (ties by indices).
 
     Only single-target objectives are supported, and the exhaustive search is
-    capped at 20 sources.
+    capped at 20 sources. ``best_set`` answers the phi-minimal set alone without
+    this cap whenever its LP certificate holds; this full list, and the checks
+    built on it, stay combinatorial.
     """
     return _enumerate(env)
 
@@ -184,8 +191,79 @@ def beta_phi_lambda(env: Environment, indices) -> SpanningSetReport:
     return _report_from(subset, beta, env.num_sources)
 
 
+def _elfving_best(env: Environment) -> SpanningSetReport | None:
+    """The phi-minimal set from Elfving's LP, or None when it is not certified.
+
+    Elfving's program is min sum|beta_i| subject to C' beta = u. Beta is free in
+    sign, so any K independent sources are a feasible basis and no phase 1 is
+    needed: start from the column pivots of a rank-revealing QR of C'. Each
+    pivot solves beta_B from C_B' beta_B = u and the dual y from
+    C_B y = sign(beta_B), enters the outside source with the largest |c_j' y|
+    while that exceeds 1, and leaves at the first zero crossing of beta_B.
+    Every pivot from a non-degenerate basis strictly lowers sum|beta|, so the
+    walk cannot cycle.
+
+    Weak duality gives sum|beta'| >= u'y = sum|beta_B| for every representation
+    beta'; when B is non-degenerate and every outside |c_j' y| < 1, equality
+    holds on B alone, so B is the strict, unique optimum. A degenerate or
+    rank-deficient basis, a near-tie or the pivot cap returns None. The report
+    is rebuilt by ``beta_phi_lambda`` from the sorted basis, with the same
+    checks and arithmetic as enumeration, so its indices and phi are
+    bit-identical to the enumerated entry.
+    """
+    u = _target(env)
+    c = env.coefficients
+    n, k = c.shape
+    if n < k:
+        return None
+    r, pivots = qr(c.T, mode="r", pivoting=True)
+    if not abs(r[k - 1, k - 1]) > SPAN_TOL * abs(r[0, 0]):
+        return None
+    basis = pivots[:k].copy()
+    for _ in range(10 * n + 50):
+        inv = np.linalg.inv(c[basis])
+        beta = inv.T @ u
+        if np.min(np.abs(beta)) <= SPAN_TOL * np.max(np.abs(beta)):
+            return None
+        y = inv @ np.sign(beta)
+        slack = np.abs(c @ y)
+        slack[basis] = 0.0
+        j = int(np.argmax(slack))
+        if slack[j] < 1.0 - ELFVING_DUAL_MARGIN:
+            break
+        if not slack[j] > 1.0:
+            return None
+        # Raising |beta_j| by t moves beta_B by -t * sign(c_j' y) * d.
+        d = np.sign(c[j] @ y) * (inv.T @ c[j])
+        crossing = beta * d > 0
+        if not crossing.any():
+            return None
+        steps = np.where(crossing, beta / np.where(crossing, d, 1.0), np.inf)
+        basis[int(np.argmin(steps))] = j
+    else:
+        return None
+    try:
+        return beta_phi_lambda(env, basis)
+    except SpanError:
+        return None
+
+
 def best_set(env: Environment) -> SpanningSetReport:
-    """The phi-minimal spanning set (first under the tie ordering)."""
+    """The phi-minimal spanning set (first under the tie ordering).
+
+    Solved as Elfving's linear program, min sum|beta_i| subject to
+    sum_i beta_i c_i = u, whose basic optimum is the phi-minimal set. A dual
+    simplex certificate (a non-degenerate, full-rank basis whose dual y has
+    |c_j' y| < 1 - 1e-7 for every outside source) proves that optimum strict
+    and unique; the answer is then the same set and phi that enumeration gives,
+    at any number of sources. Without a certificate (ties, sets smaller than
+    K, rank-deficient coefficients) the answer comes from exhaustive
+    enumeration, which keeps the (phi, indices) tie order and is capped at 20
+    sources.
+    """
+    star = _elfving_best(env)
+    if star is not None:
+        return star
     reports = _enumerate(env)
     if not reports:
         raise SpanError("no spanning set: the target is not identified from the sources")
@@ -195,33 +273,12 @@ def best_set(env: Environment) -> SpanningSetReport:
 def phi_by_l1(env: Environment) -> tuple[float, np.ndarray]:
     """Minimum of sum|beta_i| over all representations of the target.
 
-    Solved exactly over basic solutions: every candidate optimum is carried by a
-    linearly independent subset of coefficient vectors, so scanning independent
-    subsets that span the target is exhaustive at this scale. The value always
-    coincides with the phi-minimum over minimal spanning sets.
+    Every basic optimum of this L1 program is carried by a minimal spanning
+    set, so the value is phi of the best set and the minimizer is its beta;
+    both come from ``best_set``, with its certificate and enumeration fallback.
     """
-    u = _target(env)
-    _check_size(env)
-    c = env.coefficients
-    best_val = math.inf
-    best_beta: np.ndarray | None = None
-    for size in range(1, min(env.num_states, env.num_sources) + 1):
-        for subset in combinations(range(env.num_sources), size):
-            rows = c[list(subset)]
-            if not _independent(rows):
-                continue
-            beta = _solve_representation(rows, u)
-            if beta is None:
-                continue
-            val = float(np.sum(np.abs(beta)))
-            if val < best_val * (1 - 1e-15) or best_beta is None:
-                best_val = val
-                full = np.zeros(env.num_sources)
-                full[list(subset)] = beta
-                best_beta = full
-    if best_beta is None:
-        raise SpanError("infeasible: the sources jointly do not span the target")
-    return best_val, best_beta
+    star = best_set(env)
+    return star.phi, star.beta_vector(env.num_sources)
 
 
 def subspace_closure(env: Environment, indices) -> tuple[int, ...]:

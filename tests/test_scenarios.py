@@ -81,6 +81,46 @@ def test_parse_error_paths():
         parse_scenario(doc)
 
 
+def test_parse_rejects_bool_horizon():
+    doc = scenario_to_dict(bundled_scenario("example2"))
+    doc["horizon"] = True
+    with pytest.raises(ScenarioError, match=r"\.horizon: "):
+        parse_scenario(doc)
+
+
+def test_parse_rejects_bad_random_tie_break_seed():
+    base = scenario_to_dict(bundled_scenario("example2"))
+    for bad in (-1, True, 1.5, "7"):
+        doc = dict(base)
+        doc["tie_break"] = {"random": bad}
+        with pytest.raises(ScenarioError, match=r"\.tie_break\.random: "):
+            parse_scenario(doc)
+
+
+def test_parse_rejects_path_like_names():
+    base = scenario_to_dict(bundled_scenario("example2"))
+    for bad in ("../../x", "..", "sub/x", "sub\\x"):
+        doc = dict(base)
+        doc["name"] = bad
+        with pytest.raises(ScenarioError, match=r"\.name: "):
+            parse_scenario(doc)
+
+
+def test_cli_rejects_name_outside_out(tmp_path):
+    doc = scenario_to_dict(bundled_scenario("example2"))
+    doc["name"] = "../escaped"
+    doc["horizon"] = 10
+    path = tmp_path / "in" / "bad.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "in" / "out"
+    for command in ("simulate", "analyze"):
+        result = CliRunner().invoke(cli_main, [command, str(path), "--out", str(out)])
+        assert result.exit_code != 0
+        assert "name" in result.output
+    assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["bad.json"]
+
+
 def test_parse_interventions():
     base = scenario_to_dict(bundled_scenario("example2"))
     for raw, attr in [

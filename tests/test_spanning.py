@@ -6,6 +6,7 @@ from infotrap import (
     GaussianPrior,
     SpanError,
     asymptotic_variance,
+    best_set,
     beta_phi_lambda,
     check_assumptions,
     construct_trap_prior,
@@ -15,6 +16,8 @@ from infotrap import (
     simulate,
     subspace_closure,
 )
+
+from infotrap import spanning
 
 from conftest import random_environment
 
@@ -121,6 +124,84 @@ def test_phi_by_l1_matches_enumeration_randomized():
             continue
         done += 1
         assert phi_by_l1(env)[0] == pytest.approx(reports[0].phi, rel=1e-10)
+
+
+def _assert_best_set_matches_enumeration(env):
+    reports = enumerate_minimal_spanning_sets(env)
+    if not reports:
+        with pytest.raises(SpanError):
+            best_set(env)
+        return
+    star = best_set(env)
+    assert star.indices == reports[0].indices
+    assert star.phi == reports[0].phi
+
+
+def test_best_set_matches_enumeration_random_float():
+    rng = np.random.default_rng(11)
+    for _ in range(250):
+        _assert_best_set_matches_enumeration(random_environment(rng))
+
+
+def test_best_set_matches_enumeration_integer_coefficients():
+    # Small integer coefficients and targets are full of tied and degenerate sets.
+    rng = np.random.default_rng(12)
+    for _ in range(250):
+        n, k = int(rng.integers(1, 8)), int(rng.integers(1, 5))
+        target = rng.integers(-2, 3, size=k)
+        if not target.any():
+            target[0] = 1
+        env = Environment(rng.integers(-2, 3, size=(n, k)), objective=[(1.0, target)])
+        _assert_best_set_matches_enumeration(env)
+
+
+def test_best_set_matches_enumeration_fixtures(parity_env, precise_info, example2, example3):
+    for env in (parity_env, precise_info, example2, example3):
+        _assert_best_set_matches_enumeration(env)
+
+
+@pytest.fixture
+def enumeration_calls(monkeypatch):
+    calls = []
+    enumerate_all = spanning._enumerate
+
+    def counting(env, allowed=None):
+        calls.append(env)
+        return enumerate_all(env, allowed)
+
+    monkeypatch.setattr(spanning, "_enumerate", counting)
+    return calls
+
+
+def test_best_set_certified_without_enumeration(enumeration_calls):
+    rng = np.random.default_rng(13)
+    for n, k in [(3, 2), (6, 3), (8, 4), (30, 4)]:
+        env = random_environment(rng, n=n, k=k)
+        star = best_set(env)
+        assert len(star.indices) == k
+    assert enumeration_calls == []
+
+
+def test_best_set_falls_back_on_ties(parity_env, enumeration_calls):
+    best_set(parity_env)
+    assert enumeration_calls == [parity_env]
+
+
+def test_best_set_beyond_enumeration_cap():
+    rng = np.random.default_rng(0)
+    env = Environment(rng.standard_normal((30, 4)))
+    trace = simulate(env, GaussianPrior.from_diagonal([1.0] * 4), 200)
+    assert trace.classification.kind in ("efficient", "trap")
+    assert trace.inefficiency_ratio is not None
+
+
+def test_tied_environment_beyond_enumeration_cap_is_undetermined():
+    # Identical sources tie, so only enumeration could order them, and it is capped.
+    env = Environment(np.ones((21, 1)))
+    with pytest.raises(SpanError):
+        best_set(env)
+    trace = simulate(env, GaussianPrior.from_diagonal([1.0]), 100)
+    assert trace.classification.kind == "undetermined"
 
 
 def test_subspace_closure():

@@ -7,7 +7,6 @@ scenario-file execution (`scenarios`, `cli`).
 """
 
 from .gaussian import (
-    BeliefState,
     DimensionError,
     DivisionVector,
     Environment,
@@ -36,6 +35,7 @@ from .spanning import (
     subspace_closure,
 )
 from .dynamics import (
+    AutoFreeSignals,
     BatchAllocate,
     Classification,
     FreeSignals,

@@ -55,10 +55,9 @@ def analyze(file, out: Path, quiet: bool):
         path = out / f"{scenario.name}_analysis.json"
         write_report_json(path, report)
         if not quiet:
-            click.echo(
-                f"{scenario.name}: best set {report['best_set']} "
-                f"phi={report['phi_best']:.6g} -> {path}"
-            )
+            phi = report["phi_best"]
+            phi_txt = "n/a" if phi is None else f"{phi:.6g}"
+            click.echo(f"{scenario.name}: best set {report['best_set']} phi={phi_txt} -> {path}")
 
 
 @main.command()

@@ -8,7 +8,9 @@ sampled, only move the posterior mean and never the choices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import chain, combinations, islice
 from typing import Union
 
 import numpy as np
@@ -19,13 +21,16 @@ from .gaussian import (
     Environment,
     FrequencyVector,
     GaussianPrior,
+    block_variances,
 )
 from .spanning import (
+    PHI_TIE_TOL,
     SpanError,
     SpanningSetReport,
     beta_phi_lambda,
     best_set,
     enumerate_minimal_spanning_sets,
+    phi_tied,
 )
 
 __all__ = [
@@ -35,6 +40,7 @@ __all__ = [
     "PrecisionReplicate",
     "BatchAllocate",
     "FreeSignals",
+    "AutoFreeSignals",
     "Intervention",
     "Classification",
     "SimulationTrace",
@@ -52,6 +58,9 @@ TIE_TOL = 1e-12
 
 MAX_BATCH = 12
 MAX_BATCH_SOURCES = 8
+
+# ``compositions`` yields blocks of at most this many rows.
+COMPOSITION_BLOCK = 131_072
 
 # Classification uses the second half of the run; "efficient" additionally requires
 # the empirical frequencies to be this close (sup-norm) to the optimal ones.
@@ -137,6 +146,19 @@ class FreeSignals:
                     raise ValueError("free-signal vector exceeds the declared norm bound")
 
 
+@dataclass(frozen=True)
+class AutoFreeSignals:
+    """Designed free signals whose norm bound doubles from ``gamma0`` until the run is
+    efficient. Not an ``Intervention`` of one run: ``escalate_gamma`` runs it."""
+
+    gamma0: float
+
+    def __post_init__(self) -> None:
+        # The released signals add gamma^2 to the prior precision.
+        if not (self.gamma0 > 0 and math.isfinite(self.gamma0 * self.gamma0)):
+            raise ValueError("gamma0 must be positive and finite, with a finite square")
+
+
 Intervention = Union[NoIntervention, PrecisionReplicate, BatchAllocate, FreeSignals]
 
 
@@ -177,17 +199,28 @@ class SimulationTrace:
         return out
 
 
-def compositions(total: int, parts: int) -> np.ndarray:
-    """All ways to split ``total`` observations over ``parts`` sources, lexicographic."""
-    if parts == 1:
-        return np.array([[total]], dtype=np.int64)
-    blocks = []
-    for first in range(total + 1):
-        rest = compositions(total - first, parts - 1)
-        blocks.append(
-            np.hstack([np.full((rest.shape[0], 1), first, dtype=np.int64), rest])
-        )
-    return np.vstack(blocks)
+def compositions(total: int, parts: int):
+    """Yield every split of ``total`` observations over ``parts`` sources, in lexicographic
+    order, as (M, parts) blocks of at most ``COMPOSITION_BLOCK`` rows.
+
+    A split is a choice of ``parts - 1`` bar positions among ``total + parts - 1``
+    slots (stars and bars); ``combinations`` yields the bar tuples, and with
+    them the splits, in lexicographic order.
+    """
+    slots = total + parts - 1
+    bars = chain.from_iterable(combinations(range(slots), parts - 1))
+    remaining = math.comb(slots, parts - 1)
+    while remaining:
+        m = min(remaining, COMPOSITION_BLOCK)
+        remaining -= m
+        # No named temporaries: the generator frame holds nothing while the caller
+        # scores the block.
+        yield np.diff(
+            np.fromiter(islice(bars, m * (parts - 1)), np.int64).reshape(m, parts - 1),
+            axis=1,
+            prepend=-1,
+            append=slots,
+        ) - 1
 
 
 def _fold_prior(prior: GaussianPrior, intervention: Intervention) -> GaussianPrior:
@@ -206,6 +239,11 @@ class _Engine:
         intervention: Intervention,
         tie_rng: np.random.Generator | None,
     ):
+        if not isinstance(intervention, Intervention):
+            raise TypeError(
+                f"cannot run {intervention!r} in one greedy run; "
+                "AutoFreeSignals runs through escalate_gamma"
+            )
         self.env = env
         self.intervention = intervention
         self.tie_rng = tie_rng
@@ -220,7 +258,7 @@ class _Engine:
                     f"batch allocation search supports batch <= {MAX_BATCH} "
                     f"and <= {MAX_BATCH_SOURCES} sources"
                 )
-            self._comps = compositions(intervention.batch, env.num_sources)
+            self._comps = np.vstack(list(compositions(intervention.batch, env.num_sources)))
         else:
             self._comps = None
 
@@ -236,14 +274,7 @@ class _Engine:
         """Choose this period's allocation; returns (choice, variance after update)."""
         env = self.env
         if self._comps is not None:
-            outers = env.source_outers
-            precisions = self.precision[None, :, :] + np.einsum(
-                "mn,nij->mij", self._comps.astype(float), outers
-            )
-            dirs = env.directions  # (R, K)
-            rhs = np.broadcast_to(dirs.T, (precisions.shape[0],) + dirs.T.shape)
-            sols = np.linalg.solve(precisions, rhs)  # (M, K, R)
-            values = np.einsum("rk,mkr->mr", dirs, sols) @ env.weights
+            values = block_variances(env, self.precision, self._comps)
             j = self._pick(values)
             choice = self._comps[j]
             self.counts += choice
@@ -312,7 +343,7 @@ def _classify(
         report = beta_phi_lambda(env, observed) if observed else None
     except SpanError:
         report = None
-    if report is not None and report.phi > star.phi * (1 + 1e-9):
+    if report is not None and report.phi > star.phi * (1 + PHI_TIE_TOL):
         return Classification("trap", observed), report.phi / star.phi, freq
     return Classification("undetermined"), None, freq
 
@@ -442,7 +473,7 @@ def _unique_best(env: Environment) -> SpanningSetReport:
     reports = enumerate_minimal_spanning_sets(env)
     if not reports:
         raise SpanError("no spanning set")
-    if len(reports) >= 2 and reports[1].phi - reports[0].phi <= 1e-9 * reports[1].phi:
+    if phi_tied(reports):
         raise SpanError("tied phi-minimal sets: no unique best set to target")
     return reports[0]
 

@@ -35,7 +35,6 @@ __all__ = [
     "GaussianPrior",
     "DivisionVector",
     "FrequencyVector",
-    "BeliefState",
     "posterior_variance",
     "variance_reduction",
     "asymptotic_variance",
@@ -245,29 +244,6 @@ class FrequencyVector:
         return tuple(int(i) for i in np.nonzero(self.weights > tol)[0])
 
 
-@dataclass(eq=False)
-class BeliefState:
-    """Posterior belief, stored as the precision matrix plus (optionally tracked) mean."""
-
-    precision: np.ndarray
-    mean: np.ndarray
-
-    @classmethod
-    def from_counts(
-        cls,
-        env: Environment,
-        prior: GaussianPrior,
-        counts,
-        replication: int = 1,
-    ) -> "BeliefState":
-        q = _as_count_array(env, counts)
-        p = prior.precision + _signal_precision(env, replication * q)
-        return cls(precision=p, mean=np.array(prior.mean))
-
-    def objective_variance(self, env: Environment) -> float:
-        return _objective_variance(env, self.precision)
-
-
 def _as_count_array(env: Environment, counts, allow_real: bool = True) -> np.ndarray:
     if isinstance(counts, DivisionVector):
         q = counts.counts.astype(float)
@@ -347,24 +323,50 @@ def variance_reduction(env: Environment, prior: GaussianPrior, counts, source: i
     return posterior_variance(env, prior, q) - posterior_variance(env, prior, step)
 
 
-def _pseudo_inverse_quadratic(matrix: np.ndarray, direction: np.ndarray) -> float:
-    """d' M^-1 d under the spectral continuous extension of the inverse.
+def block_variances(env: Environment, precision: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Weighted target variance after adding each row of an (M, N) count block to ``precision``.
 
-    Eigenvalues below ``EIGENVALUE_CUTOFF * max(largest, 1)`` count as zero. A zero
-    eigenvalue contributes nothing when the direction is orthogonal to its
-    eigenvector (0/0 := 0) and +inf otherwise (z/0 := +inf for z > 0).
+    One batched solve over all M candidate precisions; the greedy batch step and
+    the exhaustive oracle both score their candidate allocations with it.
     """
-    eigvals, eigvecs = np.linalg.eigh(matrix)
+    precisions = precision[None, :, :] + np.einsum(
+        "mn,nij->mij", block.astype(float), env.source_outers
+    )
+    dirs = env.directions  # (R, K)
+    rhs = np.broadcast_to(dirs.T, (precisions.shape[0],) + dirs.T.shape)
+    sols = np.linalg.solve(precisions, rhs)  # (M, K, R)
+    return np.einsum("rk,mkr->mr", dirs, sols) @ env.weights
+
+
+def spectral_inverse(env: Environment, lam: np.ndarray) -> tuple[float, np.ndarray, bool, bool]:
+    """Vinf at frequencies ``lam``, its gradient, and two rank flags, from one ``eigh``.
+
+    Eigenvalues of the information matrix at or below
+    ``EIGENVALUE_CUTOFF * max(largest, 1)`` are cut; value and gradient go
+    through the pseudo-inverse on the kept eigenspace. Returns
+    ``(value, grad, outside, cut)``: ``outside`` when some target has a
+    component above ``SPAN_TOL`` times its norm on a cut eigenvector (z/0 :=
+    +inf, so Vinf is infinite there; 0/0 := 0 otherwise), and ``cut`` when any
+    eigenvalue was cut (Vinf has a kink there).
+    """
+    c = env.coefficients
+    eigvals, eigvecs = np.linalg.eigh(_signal_precision(env, lam))
     cutoff = EIGENVALUE_CUTOFF * max(float(eigvals[-1]), 1.0)
-    proj = eigvecs.T @ direction
-    zero_tol = SPAN_TOL * max(float(np.linalg.norm(direction)), 1e-300)
-    total = 0.0
-    for d, p in zip(eigvals, proj):
-        if d > cutoff:
-            total += p * p / d
-        elif abs(p) > zero_tol:
-            return math.inf
-    return total
+    keep = eigvals > cutoff
+    inv_vals = np.where(keep, 1.0 / np.where(keep, eigvals, 1.0), 0.0)
+    pinv = (eigvecs * inv_vals) @ eigvecs.T
+    value = 0.0
+    grad = np.zeros(env.num_sources)
+    for w, d in env.objective:
+        x = pinv @ d
+        value += w * float(d @ x)
+        grad -= w * (c @ x) ** 2
+    cut = not keep.all()
+    outside = cut and any(
+        np.any(np.abs((eigvecs.T @ d)[~keep]) > SPAN_TOL * max(float(np.linalg.norm(d)), 1e-300))
+        for _, d in env.objective
+    )
+    return value, grad, bool(outside), cut
 
 
 def asymptotic_variance(env: Environment, frequencies) -> float:
@@ -373,15 +375,8 @@ def asymptotic_variance(env: Environment, frequencies) -> float:
     Returns +inf when some target direction has a component outside the span of
     the positively weighted sources. Homogeneous of degree -1 in ``lam``.
     """
-    lam = _as_frequency_array(env, frequencies)
-    info = _signal_precision(env, lam)
-    total = 0.0
-    for w, d in env.objective:
-        v = _pseudo_inverse_quadratic(info, d)
-        if math.isinf(v):
-            return math.inf
-        total += w * v
-    return total
+    value, _, outside, _ = spectral_inverse(env, _as_frequency_array(env, frequencies))
+    return math.inf if outside else value
 
 
 def grad_posterior_variance(env: Environment, prior: GaussianPrior, counts) -> np.ndarray:
@@ -408,16 +403,10 @@ def grad_asymptotic_variance(env: Environment, frequencies) -> np.ndarray:
     Raises ``NonDifferentiableError`` when the information matrix is singular:
     the asymptotic variance has kinks there and no silent number is returned.
     """
-    lam = _as_frequency_array(env, frequencies)
-    info = _signal_precision(env, lam)
-    eigvals = np.linalg.eigvalsh(info)
-    cutoff = EIGENVALUE_CUTOFF * max(float(eigvals[-1]), 1.0)
-    if eigvals[0] <= cutoff:
+    _, grad, _, cut = spectral_inverse(env, _as_frequency_array(env, frequencies))
+    if cut:
         raise NonDifferentiableError(
             "information matrix is singular at these frequencies; "
             "the asymptotic variance is not differentiable here"
         )
-    factor = cho_factor(info, lower=True)
-    sols = cho_solve(factor, env.directions.T)
-    gammas = env.coefficients @ sols
-    return -(gammas**2) @ env.weights
+    return grad

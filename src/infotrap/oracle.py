@@ -19,10 +19,11 @@ from .gaussian import (
     FrequencyVector,
     GaussianPrior,
     asymptotic_variance,
-    EIGENVALUE_CUTOFF,
+    block_variances,
+    spectral_inverse,
 )
 from .spanning import SpanError, beta_phi_lambda
-from .dynamics import SearchBoundError, simulate, TieBreak
+from .dynamics import SearchBoundError, compositions, simulate, TieBreak
 
 __all__ = [
     "ConvergenceError",
@@ -37,7 +38,6 @@ __all__ = [
 ]
 
 MAX_COMPOSITIONS = 10_000_000
-_BLOCK = 131_072
 
 # Allocations whose variance is within this relative distance of the minimum are
 # reported together as co-optima.
@@ -70,35 +70,6 @@ class ComparisonRow:
     ratio: float
 
 
-def _composition_blocks(total: int, parts: int, prefix: np.ndarray | None = None):
-    """Yield lexicographically ordered composition blocks, bounded in memory."""
-    count = math.comb(total + parts - 1, parts - 1)
-    if count <= _BLOCK or parts == 1:
-        from .dynamics import compositions
-
-        block = compositions(total, parts)
-        if prefix is not None and prefix.size:
-            block = np.hstack([np.tile(prefix, (block.shape[0], 1)), block])
-        yield block
-        return
-    base = prefix if prefix is not None else np.empty(0, dtype=np.int64)
-    for first in range(total + 1):
-        yield from _composition_blocks(
-            total - first, parts - 1, np.append(base, first)
-        )
-
-
-def _evaluate_block(env: Environment, prior: GaussianPrior, block: np.ndarray) -> np.ndarray:
-    outers = env.source_outers  # (N, K, K)
-    precisions = prior.precision[None, :, :] + np.einsum(
-        "mn,nij->mij", block.astype(float), outers
-    )
-    dirs = env.directions
-    rhs = np.broadcast_to(dirs.T, (precisions.shape[0],) + dirs.T.shape)
-    sols = np.linalg.solve(precisions, rhs)
-    return np.einsum("rk,mkr->mr", dirs, sols) @ env.weights
-
-
 def optimal_division(env: Environment, prior: GaussianPrior, t: int) -> OptimalDivisionResult:
     """Exact minimizer of posterior variance over all splits of t observations.
 
@@ -116,8 +87,8 @@ def optimal_division(env: Environment, prior: GaussianPrior, t: int) -> OptimalD
         )
     best = math.inf
     kept: list[tuple[float, np.ndarray]] = []
-    for block in _composition_blocks(t, n):
-        values = _evaluate_block(env, prior, block)
+    for block in compositions(t, n):
+        values = block_variances(env, prior.precision, block)
         best = min(best, float(values.min()))
         cutoff = best * (1 + VALUE_TIE_TOL)
         mask = values <= cutoff
@@ -167,24 +138,6 @@ def round_to_total(weights, total: int) -> np.ndarray:
     return base
 
 
-def _pinv_gradient(env: Environment, lam: np.ndarray) -> tuple[float, np.ndarray]:
-    """Asymptotic variance and its descent direction through the spectral inverse."""
-    c = env.coefficients
-    info = (c.T * lam) @ c
-    eigvals, eigvecs = np.linalg.eigh(info)
-    cutoff = EIGENVALUE_CUTOFF * max(float(eigvals[-1]), 1.0)
-    keep = eigvals > cutoff
-    inv_vals = np.where(keep, 1.0 / np.where(keep, eigvals, 1.0), 0.0)
-    pinv = (eigvecs * inv_vals) @ eigvecs.T
-    value = 0.0
-    grad = np.zeros(env.num_sources)
-    for w, d in env.objective:
-        x = pinv @ d
-        value += w * float(d @ x)
-        grad -= w * (c @ x) ** 2
-    return value, grad
-
-
 def optimal_frequency_numeric(
     env: Environment,
     iterations: int = 100_000,
@@ -210,7 +163,7 @@ def optimal_frequency_numeric(
         residual = math.inf
         value = math.inf
         for s in range(iterations):
-            value, grad = _pinv_gradient(env, lam)
+            value, grad, _, _ = spectral_inverse(env, lam)
             scale = float(np.max(np.abs(grad)))
             if scale == 0.0:
                 residual = 0.0

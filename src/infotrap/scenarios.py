@@ -10,16 +10,20 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .gaussian import Environment, GaussianPrior, NotPositiveDefiniteError
-from .spanning import SpanError, check_assumptions, enumerate_minimal_spanning_sets
+from .spanning import (  # enumerate_minimal_spanning_sets: perfbench/tracing.py wraps it here
+    SpanError,
+    best_set,
+    check_assumptions,
+    enumerate_minimal_spanning_sets,  # noqa: F401
+)
 from .dynamics import (
+    AutoFreeSignals,
     BatchAllocate,
     FreeSignals,
     Intervention,
@@ -46,9 +50,6 @@ __all__ = [
     "bundled_scenario_names",
 ]
 
-THREADS_ENV_VAR = "INFOTRAP_THREADS"
-
-
 class ScenarioError(ValueError):
     """A scenario document is malformed; the message carries the offending path."""
 
@@ -60,7 +61,7 @@ class Scenario:
     prior: GaussianPrior
     horizon: int
     tie_break: TieBreak
-    intervention: Intervention | dict
+    intervention: Intervention | AutoFreeSignals
     sample_realizations: bool
     seed: int
 
@@ -114,12 +115,7 @@ def _parse_intervention(raw, path: str):
         if kind == "free_signals":
             return FreeSignals(tuple(np.asarray(v, dtype=float) for v in value))
         if kind == "free_signals_auto":
-            gamma0 = float(value["gamma0"])
-            if gamma0 <= 0:
-                raise ScenarioError(f"{path}.free_signals_auto.gamma0: must be positive")
-            return {"free_signals_auto": {"gamma0": gamma0}}
-    except ScenarioError:
-        raise
+            return AutoFreeSignals(float(value["gamma0"]))
     except (TypeError, ValueError, KeyError) as exc:
         raise ScenarioError(f"{path}.{kind}: {exc}") from exc
     raise ScenarioError(f"{path}: unknown intervention kind {kind!r}")
@@ -240,8 +236,8 @@ def _intervention_to_json(iv) -> object:
         return {"batch": iv.batch}
     if isinstance(iv, FreeSignals):
         return {"free_signals": [list(v) for v in iv.vectors]}
-    if isinstance(iv, dict):  # free_signals_auto passthrough
-        return iv
+    if isinstance(iv, AutoFreeSignals):
+        return {"free_signals_auto": {"gamma0": iv.gamma0}}
     raise TypeError(f"unknown intervention {iv!r}")
 
 
@@ -278,10 +274,15 @@ def _json_safe(x):
 
 
 def analysis_fields(env: Environment) -> dict:
-    """Best-set statistics for reports; numeric fallback for multi-target objectives."""
-    try:
-        reports = enumerate_minimal_spanning_sets(env)
-    except SpanError:
+    """Best-set statistics for reports.
+
+    Multi-target objectives have no spanning-set characterization and get the
+    numeric frequency optimum. For a single target the best set comes from
+    ``best_set``; every field is null when it cannot be found (the target is
+    not identified, or a tie beyond the enumeration cap), and the assumption
+    report is null beyond that cap.
+    """
+    if len(env.objective) > 1:
         from .oracle import optimal_frequency_numeric
 
         freq, info = optimal_frequency_numeric(env, full_output=True)
@@ -291,14 +292,19 @@ def analysis_fields(env: Environment) -> dict:
             "lambda_star": list(freq.weights),
             "assumption_report": None,
         }
-    if not reports:
-        raise SpanError("no spanning set: the target is not identified from the sources")
-    star = reports[0]
+    try:
+        star = best_set(env)
+    except SpanError:
+        return dict.fromkeys(("phi_best", "best_set", "lambda_star", "assumption_report"))
+    try:
+        assumptions = check_assumptions(env).to_dict()
+    except SpanError:
+        assumptions = None
     return {
         "phi_best": star.phi,
         "best_set": [i + 1 for i in star.indices],
         "lambda_star": list(star.lambda_star.weights),
-        "assumption_report": check_assumptions(env).to_dict(),
+        "assumption_report": assumptions,
     }
 
 
@@ -320,13 +326,12 @@ def build_report(scenario: Scenario, trace: SimulationTrace, gamma_final: float 
 def run_scenario(scenario: Scenario) -> tuple[SimulationTrace, dict]:
     """Execute one scenario and build its report dictionary."""
     gamma_final = None
-    if isinstance(scenario.intervention, dict):  # free_signals_auto
-        gamma0 = scenario.intervention["free_signals_auto"]["gamma0"]
+    if isinstance(scenario.intervention, AutoFreeSignals):
         gamma_final, trace = escalate_gamma(
             scenario.environment,
             scenario.prior,
             scenario.horizon,
-            gamma0,
+            scenario.intervention.gamma0,
             rule=scenario.tie_break,
             sample_realizations=scenario.sample_realizations,
             seed=scenario.seed,
@@ -368,35 +373,20 @@ def write_report_json(path, report: dict) -> None:
     Path(path).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
 
 
-def _max_workers() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
 def run_batch(scenarios: list[Scenario], out_dir, quiet: bool = False) -> list[dict]:
-    """Run scenarios (in parallel) and write trace CSV plus report JSON for each.
+    """Run scenarios in order, writing trace CSV plus report JSON for each as it finishes.
 
     Classification outcomes never affect success; only execution failures
-    propagate. Parallelism is capped by the INFOTRAP_THREADS environment
-    variable.
+    propagate.
     """
     names = [s.name for s in scenarios]
     if len(set(names)) != len(names):
         raise ScenarioError("batch: scenario names must be unique")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if not scenarios:
-        return []
-    workers = min(_max_workers(), len(scenarios))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(run_scenario, scenarios))
     reports = []
-    for scenario, (trace, report) in zip(scenarios, results):
+    for scenario in scenarios:
+        trace, report = run_scenario(scenario)
         write_trace_csv(out / f"{scenario.name}_trace.csv", scenario, trace)
         write_report_json(out / f"{scenario.name}_report.json", report)
         reports.append(report)

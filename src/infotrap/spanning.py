@@ -139,26 +139,36 @@ def _report_from(indices: tuple[int, ...], beta: np.ndarray, num_sources: int) -
     )
 
 
-def _enumerate(env: Environment, allowed: tuple[int, ...] | None = None) -> list[SpanningSetReport]:
-    u = _target(env)
-    _check_size(env)
-    pool = tuple(range(env.num_sources)) if allowed is None else tuple(sorted(allowed))
+def _spanning_subsets(env: Environment, u: np.ndarray, pool: tuple[int, ...]):
+    """Yield (subset, beta) for every independent subset of ``pool`` that spans ``u``."""
     c = env.coefficients
-    reports = []
     for size in range(1, min(env.num_states, len(pool)) + 1):
         for subset in combinations(pool, size):
             rows = c[list(subset)]
             if not _independent(rows):
                 continue
             beta = _solve_representation(rows, u)
-            if beta is None:
-                continue
-            # A zero coefficient means a proper subset already spans the target.
-            if np.min(np.abs(beta)) <= SPAN_TOL * np.max(np.abs(beta)):
-                continue
-            reports.append(_report_from(subset, beta, env.num_sources))
+            if beta is not None:
+                yield subset, beta
+
+
+def _enumerate(env: Environment, allowed: tuple[int, ...] | None = None) -> list[SpanningSetReport]:
+    u = _target(env)
+    _check_size(env)
+    pool = tuple(range(env.num_sources)) if allowed is None else tuple(sorted(allowed))
+    reports = [
+        _report_from(subset, beta, env.num_sources)
+        for subset, beta in _spanning_subsets(env, u, pool)
+        # A zero coefficient means a proper subset already spans the target.
+        if np.min(np.abs(beta)) > SPAN_TOL * np.max(np.abs(beta))
+    ]
     reports.sort(key=lambda r: (r.phi, r.indices))
     return reports
+
+
+def phi_tied(reports: list[SpanningSetReport]) -> bool:
+    """Whether the two phi-smallest of phi-sorted reports tie within ``PHI_TIE_TOL``."""
+    return len(reports) >= 2 and reports[1].phi - reports[0].phi <= PHI_TIE_TOL * reports[1].phi
 
 
 def enumerate_minimal_spanning_sets(env: Environment) -> list[SpanningSetReport]:
@@ -313,24 +323,20 @@ def is_subspace_optimal(env: Environment, indices) -> bool:
 
 def check_assumptions(env: Environment) -> AssumptionReport:
     """Evaluate the genericity conditions by exhaustive enumeration."""
-    u = _target(env)
-    _check_size(env)
     reports = _enumerate(env)
     witnesses: list[tuple[int, ...]] = []
 
     if not reports:
         raise SpanError("no spanning set: the target is not identified from the sources")
 
-    phis = [r.phi for r in reports]
+    unique_minimizer = not phi_tied(reports)
     if len(reports) == 1:
-        unique_minimizer = True
         gap = math.inf
+    elif unique_minimizer:
+        gap = reports[1].phi - reports[0].phi
     else:
-        gap = phis[1] - phis[0]
-        unique_minimizer = gap > PHI_TIE_TOL * max(phis[1], phis[0])
-        if not unique_minimizer:
-            witnesses.extend(r.indices for r in reports if r.phi <= phis[0] * (1 + PHI_TIE_TOL))
-            gap = 0.0
+        witnesses.extend(r.indices for r in reports if r.phi <= reports[0].phi * (1 + PHI_TIE_TOL))
+        gap = 0.0
 
     n, k = env.num_sources, env.num_states
     sli = n >= k
@@ -344,24 +350,20 @@ def check_assumptions(env: Environment) -> AssumptionReport:
 
     all_size_k = all(len(r.indices) == k for r in reports)
 
+    # Subspaces that do not identify the target are vacuous; the others are the
+    # closures of independent spanning subsets, minimal or not.
     unique_everywhere = True
     seen: set[tuple[int, ...]] = set()
-    for size in range(1, k + 1):
-        for subset in combinations(range(n), size):
-            rows = env.coefficients[list(subset)]
-            if not _independent(rows):
-                continue
-            if _solve_representation(rows, u) is None:
-                continue  # subspace does not identify the target: vacuous
-            closure = subspace_closure(env, subset)
-            if closure in seen:
-                continue
-            seen.add(closure)
-            local = _enumerate(env, allowed=closure)
-            if len(local) >= 2 and local[1].phi - local[0].phi <= PHI_TIE_TOL * local[1].phi:
-                unique_everywhere = False
-                witnesses.append(local[0].indices)
-                witnesses.append(local[1].indices)
+    for subset, _ in _spanning_subsets(env, _target(env), tuple(range(n))):
+        closure = subspace_closure(env, subset)
+        if closure in seen:
+            continue
+        seen.add(closure)
+        local = _enumerate(env, allowed=closure)
+        if phi_tied(local):
+            unique_everywhere = False
+            witnesses.append(local[0].indices)
+            witnesses.append(local[1].indices)
 
     dedup = sorted(set(witnesses))
     return AssumptionReport(
@@ -422,7 +424,7 @@ def fit_perturbation_eta(env: Environment) -> float:
     if not reports:
         raise SpanError("no spanning set")
     star = reports[0]
-    if len(reports) >= 2 and reports[1].phi - star.phi <= PHI_TIE_TOL * reports[1].phi:
+    if phi_tied(reports):
         raise SpanError("perturbation bound requires a unique phi-minimal set")
     inside = set(star.indices)
     h_cap = 10.0

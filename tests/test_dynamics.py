@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from infotrap import (
+    AutoFreeSignals,
     BatchAllocate,
     DivisionVector,
     Environment,
@@ -18,9 +21,12 @@ from infotrap import (
     escalate_gamma,
     grad_posterior_variance,
     greedy_step,
+    optimal_division,
     posterior_variance,
     simulate,
 )
+from infotrap import dynamics
+from infotrap.dynamics import compositions
 
 from conftest import random_environment, random_pd_prior
 
@@ -282,3 +288,29 @@ def test_undetermined_for_multi_direction_objective():
     trace = simulate(env, GaussianPrior.from_diagonal([1, 1]), 50)
     assert trace.classification.kind == "undetermined"
     assert trace.inefficiency_ratio is None
+
+
+
+def test_compositions_small_blocks_match_one_block(monkeypatch, precise_info, precise_info_prior):
+    whole = {(t, n): np.vstack(list(compositions(t, n))) for t, n in [(9, 4), (6, 5), (12, 3)]}
+    expected = optimal_division(precise_info, precise_info_prior, 9)
+    monkeypatch.setattr(dynamics, "COMPOSITION_BLOCK", 7)
+    for (t, n), rows in whole.items():
+        blocks = list(compositions(t, n))
+        assert len(blocks) > 1 and max(len(b) for b in blocks) <= 7
+        assert np.array_equal(np.vstack(blocks), rows)
+        assert len(rows) == math.comb(t + n - 1, n - 1)
+        assert np.all(rows.sum(axis=1) == t)
+        assert np.array_equal(np.lexsort(rows.T[::-1]), np.arange(len(rows)))
+    # the oracle keeps its answer and its tie order when the blocks shrink
+    result = optimal_division(precise_info, precise_info_prior, 9)
+    assert np.array_equal(result.counts.counts, expected.counts.counts)
+    assert result.value == expected.value
+    assert result.num_optima == expected.num_optima
+
+
+def test_auto_free_signals_is_not_a_single_run_intervention(example2, example2_trap_prior):
+    with pytest.raises(TypeError, match="escalate_gamma"):
+        simulate(example2, example2_trap_prior, 10, intervention=AutoFreeSignals(1.0))
+    with pytest.raises(TypeError, match="escalate_gamma"):
+        greedy_step(example2, example2_trap_prior, [0, 0, 0], intervention=AutoFreeSignals(1.0))

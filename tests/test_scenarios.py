@@ -1,13 +1,21 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import infotrap
 from infotrap import (
+    AutoFreeSignals,
+    Environment,
     Scenario,
     ScenarioError,
     SweepSpec,
+    best_set,
     bundled_scenario,
     bundled_scenario_names,
     emit_scenario,
@@ -18,7 +26,7 @@ from infotrap import (
     sweep,
 )
 from infotrap.cli import main as cli_main
-from infotrap.scenarios import scenario_to_dict
+from infotrap.scenarios import analysis_fields, scenario_to_dict
 
 
 def test_bundled_names():
@@ -134,7 +142,8 @@ def test_parse_interventions():
     doc = dict(base)
     doc["intervention"] = {"free_signals_auto": {"gamma0": 1.0}}
     s = parse_scenario(doc)
-    assert s.intervention == {"free_signals_auto": {"gamma0": 1.0}}
+    assert s.intervention == AutoFreeSignals(1.0)
+    assert scenario_to_dict(s)["intervention"] == {"free_signals_auto": {"gamma0": 1.0}}
 
 
 def test_duplicate_names_rejected(tmp_path):
@@ -354,3 +363,46 @@ def test_run_scenario_multi_direction_report(tmp_path):
     assert report["assumption_report"] is None  # numeric-only path
     assert report["classification"] == "undetermined"
     assert report["inefficiency_ratio"] is None
+
+
+@pytest.mark.parametrize("gamma0", [float("nan"), float("inf"), 1e308, 0, -1])
+def test_parse_rejects_bad_free_signals_auto_gamma0(gamma0):
+    doc = scenario_to_dict(bundled_scenario("example2"))
+    doc["intervention"] = {"free_signals_auto": {"gamma0": gamma0}}
+    with pytest.raises(ScenarioError, match="gamma0"):
+        parse_scenario(doc)
+
+
+def test_analysis_fields_beyond_enumeration_cap():
+    env = Environment(np.random.default_rng(0).standard_normal((30, 4)))
+    fields = analysis_fields(env)
+    star = best_set(env)
+    assert fields["phi_best"] == star.phi
+    assert fields["best_set"] == [i + 1 for i in star.indices]
+    assert fields["assumption_report"] is None
+
+
+def test_unidentified_target_reports_nulls(tmp_path):
+    doc = scenario_to_dict(bundled_scenario("example2"))
+    doc["name"] = "unidentified"
+    doc["coefficients"] = [[0, 1], [0, 2], [0, 1.5]]
+    doc["horizon"] = 20
+    s = parse_scenario(doc)
+    report = run_batch([s], tmp_path, quiet=True)[0]
+    assert report["classification"] == "undetermined"
+    for key in ("phi_best", "best_set", "lambda_star", "assumption_report"):
+        assert report[key] is None
+    assert (tmp_path / "unidentified_trace.csv").exists()
+    assert json.loads((tmp_path / "unidentified_report.json").read_text()) == report
+    path = tmp_path / "unidentified.json"
+    path.write_text(json.dumps(doc))
+    result = CliRunner().invoke(cli_main, ["analyze", str(path), "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    assert "phi=n/a" in result.output
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    src = str(Path(infotrap.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, infotrap.cli; sys.exit('scipy.optimize' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

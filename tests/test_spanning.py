@@ -10,7 +10,9 @@ from infotrap import (
     beta_phi_lambda,
     check_assumptions,
     construct_trap_prior,
+    design_free_signals,
     enumerate_minimal_spanning_sets,
+    fit_perturbation_eta,
     is_subspace_optimal,
     phi_by_l1,
     simulate,
@@ -298,3 +300,35 @@ def test_lambda_star_attains_squared_phi(example2, precise_info):
         for _ in range(1000):
             lam = rng.dirichlet(np.ones(env.num_sources))
             assert asymptotic_variance(env, lam) >= star.phi**2 - 1e-10
+
+
+def _near_tie_env(rel_gap):
+    # Source 1 alone has phi 1; the pair {2, 3} has phi 2 / x = 1 + rel_gap.
+    x = 2.0 / (1.0 + rel_gap)
+    return Environment([[1, 0], [x, 1], [0, 1]])
+
+
+@pytest.mark.parametrize("factor, tied", [(0.99, True), (1.01, False)])
+def test_unique_best_decisions_at_phi_tie_tolerance(factor, tied):
+    env = _near_tie_env(spanning.PHI_TIE_TOL * factor)
+    assert check_assumptions(env).unique_minimizer is not tied
+    if tied:
+        with pytest.raises(SpanError):
+            fit_perturbation_eta(env)
+        with pytest.raises(SpanError):
+            design_free_signals(env, gamma=1.0)
+    else:
+        assert fit_perturbation_eta(env) > 0
+        assert design_free_signals(env, gamma=1.0) == []  # the best set is one source
+
+
+def test_check_assumptions_tie_in_subspace_of_non_minimal_sets():
+    # {1,2} and {3,4} tie at phi 2 in different planes; no minimal spanning set
+    # has closure {1,2,3,4}, only non-minimal triples do. {5,6} is best overall.
+    env = Environment(
+        [[1, 1, 0, 0], [0, 1, 0, 0], [1, 0, 1, 0], [0, 0, 1, 0], [1, 0, 0, 1], [0, 0, 0, 10]]
+    )
+    report = check_assumptions(env)
+    assert report.unique_minimizer
+    assert not report.unique_minimizer_every_subspace
+    assert {(0, 1), (2, 3)} <= set(report.witnesses)

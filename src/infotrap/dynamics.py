@@ -21,6 +21,8 @@ from .gaussian import (
     Environment,
     FrequencyVector,
     GaussianPrior,
+    _cholesky,
+    _potrs,
     block_variances,
 )
 from .spanning import (
@@ -223,12 +225,6 @@ def compositions(total: int, parts: int):
         ) - 1
 
 
-def _fold_prior(prior: GaussianPrior, intervention: Intervention) -> GaussianPrior:
-    if isinstance(intervention, FreeSignals) and intervention.vectors:
-        return apply_free_signals(prior, intervention.vectors)
-    return prior
-
-
 class _Engine:
     """Shared per-run state: posterior precision, counts, candidate evaluation."""
 
@@ -247,11 +243,18 @@ class _Engine:
         self.env = env
         self.intervention = intervention
         self.tie_rng = tie_rng
-        self.precision = np.array(_fold_prior(prior, intervention).precision)
+        vectors = intervention.vectors if isinstance(intervention, FreeSignals) else ()
+        self.precision = _add_free_signals(prior.precision, vectors)
         self.counts = np.zeros(env.num_sources, dtype=np.int64)
         self.replication = (
             intervention.batch if isinstance(intervention, PrecisionReplicate) else 1
         )
+        # Per-run invariants of the single-source step.
+        self._dirs = env.directions  # (R, K)
+        self._dirs_t = self._dirs.T
+        self._weights = env.weights
+        self._coefficients_t = env.coefficients.T
+        self._m = float(self.replication)
         if isinstance(intervention, BatchAllocate):
             if intervention.batch > MAX_BATCH or env.num_sources > MAX_BATCH_SOURCES:
                 raise SearchBoundError(
@@ -281,16 +284,16 @@ class _Engine:
             self.precision += np.einsum("n,nij->ij", choice.astype(float), env.source_outers)
             return np.array(choice), float(values[j])
 
-        factor = cho_factor(self.precision, lower=True)
-        dirs = env.directions
-        sols = cho_solve(factor, dirs.T)  # (K, R)
-        current = float(np.dot(env.weights, np.einsum("rk,kr->r", dirs, sols)))
+        # The LAPACK calls of cho_factor/cho_solve, made directly (same bits).
+        factor = _cholesky(self.precision)
+        sols = _potrs(factor, self._dirs_t, lower=True)[0]  # (K, R)
+        current = float(np.dot(self._weights, np.einsum("rk,kr->r", self._dirs, sols)))
         gammas = env.coefficients @ sols  # (N, R): u_r' Sigma c_i
         quad = np.einsum(
-            "nk,kn->n", env.coefficients, cho_solve(factor, env.coefficients.T)
+            "nk,kn->n", env.coefficients, _potrs(factor, self._coefficients_t, lower=True)[0]
         )
-        m = float(self.replication)
-        reductions = ((gammas**2) @ env.weights) * m / (1.0 + m * quad)
+        m = self._m
+        reductions = ((gammas**2) @ self._weights) * m / (1.0 + m * quad)
         i = self._pick(-reductions)
         self.counts[i] += 1
         self.precision += m * env.source_outers[i]
@@ -424,17 +427,23 @@ def apply_free_signals(prior: GaussianPrior, vectors) -> GaussianPrior:
     vecs = [np.asarray(v, dtype=float) for v in vectors]
     if not vecs:
         return prior
-    k = prior.num_states
+    factor = cho_factor(_add_free_signals(prior.precision, vecs), lower=True)
+    cov = cho_solve(factor, np.eye(prior.num_states))
+    cov = 0.5 * (cov + cov.T)
+    return GaussianPrior(mean=np.array(prior.mean), covariance=cov)
+
+
+def _add_free_signals(precision: np.ndarray, vectors) -> np.ndarray:
+    """A copy of ``precision`` plus ``v v'`` for each free-signal vector."""
+    vecs = [np.asarray(v, dtype=float) for v in vectors]
+    k = precision.shape[0]
     for v in vecs:
         if v.shape != (k,):
             raise ValueError("free-signal vector dimension must match the state count")
-    precision = np.array(prior.precision)
+    out = np.array(precision)
     for v in vecs:
-        precision += np.outer(v, v)
-    factor = cho_factor(precision, lower=True)
-    cov = cho_solve(factor, np.eye(k))
-    cov = 0.5 * (cov + cov.T)
-    return GaussianPrior(mean=np.array(prior.mean), covariance=cov)
+        out += np.outer(v, v)
+    return out
 
 
 def design_free_signals(env: Environment, gamma: float) -> list[np.ndarray]:

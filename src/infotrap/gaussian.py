@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, get_lapack_funcs
 
 __all__ = [
     "DimensionError",
@@ -48,6 +48,10 @@ EIGENVALUE_CUTOFF = 1e-10
 
 # Relative tolerance for "this vector component is exactly zero" span decisions.
 SPAN_TOL = 1e-9
+
+# The LAPACK routines behind scipy's ``cho_factor``/``cho_solve``, called directly on
+# hot paths: the same floating-point work without the wrappers' per-call checks.
+_potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 
 class DimensionError(ValueError):
@@ -287,13 +291,22 @@ def _check_prior(env: Environment, prior: GaussianPrior) -> None:
         )
 
 
+def _cholesky(precision: np.ndarray) -> np.ndarray:
+    """``cho_factor(precision, lower=True)[0]``, bit for bit, without the wrapper.
+
+    Solve with ``_potrs(factor, b, lower=True)``."""
+    if not np.isfinite(precision).all():
+        raise NotPositiveDefiniteError("posterior precision has non-finite entries")
+    factor, info = _potrf(precision, lower=True, clean=False)
+    if info > 0:
+        raise NotPositiveDefiniteError(f"posterior precision: leading minor {info} is not positive")
+    return factor
+
+
 def _objective_variance(env: Environment, precision: np.ndarray) -> float:
-    try:
-        factor = cho_factor(precision, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError("posterior precision is not positive definite") from exc
+    factor = _cholesky(precision)
     dirs = env.directions  # (R, K)
-    sols = cho_solve(factor, dirs.T)  # (K, R)
+    sols = _potrs(factor, dirs.T, lower=True)[0]  # (K, R)
     return float(np.dot(env.weights, np.einsum("rk,kr->r", dirs, sols)))
 
 
@@ -388,11 +401,7 @@ def grad_posterior_variance(env: Environment, prior: GaussianPrior, counts) -> n
     _check_prior(env, prior)
     q = _as_count_array(env, counts)
     precision = prior.precision + _signal_precision(env, q)
-    try:
-        factor = cho_factor(precision, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError("posterior precision is not positive definite") from exc
-    sols = cho_solve(factor, env.directions.T)  # (K, R)
+    sols = _potrs(_cholesky(precision), env.directions.T, lower=True)[0]  # (K, R)
     gammas = env.coefficients @ sols  # (N, R), entry (j, r) = u_r' P^-1 c_j
     return -(gammas**2) @ env.weights
 

@@ -108,15 +108,19 @@ def _parse_intervention(raw, path: str):
         )
     (kind, value), = raw.items()
     try:
-        if kind == "precision":
-            return PrecisionReplicate(int(value))
-        if kind == "batch":
-            return BatchAllocate(int(value))
+        if kind in ("precision", "batch"):
+            # The same rule as horizon: no rounding, no booleans, no strings.
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError("must be a positive integer")
+            return (PrecisionReplicate if kind == "precision" else BatchAllocate)(value)
         if kind == "free_signals":
             return FreeSignals(tuple(np.asarray(v, dtype=float) for v in value))
         if kind == "free_signals_auto":
-            return AutoFreeSignals(float(value["gamma0"]))
-    except (TypeError, ValueError, KeyError) as exc:
+            gamma0 = value["gamma0"]
+            if isinstance(gamma0, bool) or not isinstance(gamma0, (int, float)):
+                raise TypeError("gamma0 must be a number, not a string or boolean")
+            return AutoFreeSignals(float(gamma0))
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
         raise ScenarioError(f"{path}.{kind}: {exc}") from exc
     raise ScenarioError(f"{path}: unknown intervention kind {kind!r}")
 

@@ -144,6 +144,17 @@ def test_parse_interventions():
     s = parse_scenario(doc)
     assert s.intervention == AutoFreeSignals(1.0)
     assert scenario_to_dict(s)["intervention"] == {"free_signals_auto": {"gamma0": 1.0}}
+    # Valid documents emit unchanged JSON; an integer gamma0 emits as a float.
+    for raw, emitted in [
+        ({"precision": 3}, {"precision": 3}),
+        ({"batch": 2}, {"batch": 2}),
+        ({"free_signals_auto": {"gamma0": 1000}}, {"free_signals_auto": {"gamma0": 1000.0}}),
+        ({"free_signals_auto": {"gamma0": 2.5}}, {"free_signals_auto": {"gamma0": 2.5}}),
+    ]:
+        doc = dict(base, intervention=raw)
+        text = emit_scenario(parse_scenario(doc))
+        assert json.loads(text)["intervention"] == emitted
+        assert emit_scenario(parse_scenario(text)) == text
 
 
 def test_duplicate_names_rejected(tmp_path):
@@ -370,6 +381,27 @@ def test_parse_rejects_bad_free_signals_auto_gamma0(gamma0):
     doc = scenario_to_dict(bundled_scenario("example2"))
     doc["intervention"] = {"free_signals_auto": {"gamma0": gamma0}}
     with pytest.raises(ScenarioError, match="gamma0"):
+        parse_scenario(doc)
+
+
+@pytest.mark.parametrize(
+    "raw, field",
+    [
+        ({"precision": 2.7}, "precision"),
+        ({"precision": "3"}, "precision"),
+        ({"precision": True}, "precision"),
+        ({"batch": True}, "batch"),
+        ({"batch": 2.0}, "batch"),
+        ({"free_signals_auto": {"gamma0": True}}, "free_signals_auto"),
+        ({"free_signals_auto": {"gamma0": "3"}}, "free_signals_auto"),
+        ({"free_signals_auto": {"gamma0": None}}, "free_signals_auto"),
+        ({"free_signals_auto": {"gamma0": 10**400}}, "free_signals_auto"),
+    ],
+)
+def test_parse_rejects_coerced_intervention_values(raw, field):
+    doc = scenario_to_dict(bundled_scenario("example2"))
+    doc["intervention"] = raw
+    with pytest.raises(ScenarioError, match=rf"\.intervention\.{field}: "):
         parse_scenario(doc)
 
 

@@ -71,7 +71,7 @@ def simulate(file, out: Path, quiet: bool):
 
 @main.command()
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--t", "budget", type=int, required=True, help="Observation budget.")
+@click.option("--t", "budget", type=click.IntRange(1), required=True, help="Observation budget.")
 @out_option
 @quiet_option
 def oracle(file, budget: int, out: Path, quiet: bool):
@@ -115,10 +115,9 @@ def sweep(file, state: int, grid: str, out: Path, quiet: bool):
         raise click.ClickException(f"--grid: {exc}") from exc
     for scenario in _load(file):
         try:
-            spec = SweepSpec(base=scenario, state_index=state - 1, grid=values)
+            report = run_sweep(SweepSpec(base=scenario, state_index=state - 1, grid=values))
         except ScenarioError as exc:
             raise click.ClickException(str(exc)) from exc
-        report = run_sweep(spec)
         path = out / f"{scenario.name}_sweep.json"
         write_report_json(path, report)
         if not quiet:
@@ -127,7 +126,7 @@ def sweep(file, state: int, grid: str, out: Path, quiet: bool):
 
 @main.command()
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--t", "budget", type=int, required=True, help="Comparison horizon.")
+@click.option("--t", "budget", type=click.IntRange(1), required=True, help="Comparison horizon.")
 @out_option
 @quiet_option
 def compare(file, budget: int, out: Path, quiet: bool):

@@ -130,22 +130,11 @@ class FreeSignals:
     """One-shot public signals ``<p_j, theta> + N(0,1)`` released before period 1."""
 
     vectors: tuple[np.ndarray, ...]
-    gamma: float | None = None
 
     def __post_init__(self) -> None:
-        vecs = []
-        for v in self.vectors:
-            arr = np.asarray(v, dtype=float)
-            if arr.ndim != 1 or not np.all(np.isfinite(arr)):
-                raise ValueError("free-signal vectors must be finite 1-d arrays")
-            vecs.append(arr)
-        self.vectors = tuple(vecs)
-        if self.gamma is None and vecs:
-            self.gamma = max(float(np.linalg.norm(v)) for v in vecs)
-        if self.gamma is not None:
-            for v in vecs:
-                if np.linalg.norm(v) > self.gamma * (1 + 1e-12):
-                    raise ValueError("free-signal vector exceeds the declared norm bound")
+        self.vectors = tuple(np.asarray(v, dtype=float) for v in self.vectors)
+        if any(v.ndim != 1 or not np.all(np.isfinite(v)) for v in self.vectors):
+            raise ValueError("free-signal vectors must be finite 1-d arrays")
 
 
 @dataclass(frozen=True)
@@ -513,7 +502,7 @@ def escalate_gamma(
             prior,
             horizon,
             rule=rule,
-            intervention=FreeSignals(tuple(vectors), gamma=gamma),
+            intervention=FreeSignals(tuple(vectors)),
             sample_realizations=sample_realizations,
             seed=seed,
         )

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import numbers
+import sys
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +52,9 @@ __all__ = [
     "bundled_scenario_names",
 ]
 
+_FLOAT_MAX = sys.float_info.max
+
+
 class ScenarioError(ValueError):
     """A scenario document is malformed; the message carries the offending path."""
 
@@ -83,8 +88,8 @@ class SweepSpec:
         grid = np.asarray(self.grid, dtype=float)
         if grid.ndim != 1 or grid.size == 0:
             raise ScenarioError("grid: must be a non-empty list")
-        if np.any(grid <= 0):
-            raise ScenarioError("grid: variances must be positive")
+        if not np.all((grid > 0) & np.isfinite(grid)):
+            raise ScenarioError("grid: variances must be positive and finite")
         if np.any(np.diff(grid) <= 0):
             raise ScenarioError("grid: must be strictly increasing")
         if not 0 <= self.state_index < self.base.prior.num_states:
@@ -98,6 +103,28 @@ def _require(doc: dict, key: str, path: str):
     return doc[key]
 
 
+def _numbers(doc: dict, key: str, path: str, ndim: int) -> np.ndarray:
+    """``doc[key]`` as a float array of finite numbers nested ``ndim`` lists deep; a boolean,
+    a string or a number beyond float range raises a ScenarioError naming the field."""
+    field = f"{path}.{key}"
+
+    def read(x, depth: int):
+        if depth:
+            if not isinstance(x, (list, tuple, np.ndarray)):
+                raise ScenarioError(f"{field}: expected a list, got {x!r}")
+            return [read(v, depth - 1) for v in x]
+        # An int compares exactly with a float, so float(x) cannot overflow below.
+        if isinstance(x, bool) or not isinstance(x, numbers.Real) or not abs(x) <= _FLOAT_MAX:
+            raise ScenarioError(f"{field}: expected a finite number, got {x!r}")
+        return float(x)
+
+    nested = read(_require(doc, key, path), ndim)
+    try:
+        return np.array(nested, dtype=float)
+    except ValueError as exc:  # rows of different lengths
+        raise ScenarioError(f"{field}: {exc}") from exc
+
+
 def _parse_intervention(raw, path: str):
     if raw == "none" or raw is None:
         return NoIntervention()
@@ -107,14 +134,14 @@ def _parse_intervention(raw, path: str):
             'precision/batch/free_signals/free_signals_auto'
         )
     (kind, value), = raw.items()
+    if kind == "free_signals":
+        return FreeSignals(tuple(_numbers(raw, kind, path, 2)))
     try:
         if kind in ("precision", "batch"):
             # The same rule as horizon: no rounding, no booleans, no strings.
             if isinstance(value, bool) or not isinstance(value, int):
                 raise TypeError("must be a positive integer")
             return (PrecisionReplicate if kind == "precision" else BatchAllocate)(value)
-        if kind == "free_signals":
-            return FreeSignals(tuple(np.asarray(v, dtype=float) for v in value))
         if kind == "free_signals_auto":
             gamma0 = value["gamma0"]
             if isinstance(gamma0, bool) or not isinstance(gamma0, (int, float)):
@@ -142,29 +169,26 @@ def parse_scenario(doc, path: str = "scenario") -> Scenario:
     if "/" in name or "\\" in name or ".." in name:
         raise ScenarioError(f"{path}.name: must not contain a path separator or '..'")
 
-    try:
-        coefficients = np.asarray(_require(doc, "coefficients", path), dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{path}.coefficients: {exc}") from exc
+    coefficients = _numbers(doc, "coefficients", path, 2)
     objective = None
     if "objective" in doc and doc["objective"] is not None:
+        objective = []
         try:
-            objective = tuple(
-                (float(item["weight"]), np.asarray(item["direction"], dtype=float))
-                for item in doc["objective"]
-            )
-        except (TypeError, KeyError, ValueError) as exc:
+            for i, item in enumerate(doc["objective"]):
+                at = f"{path}.objective[{i}]"
+                weight = _numbers(item, "weight", at, 0)
+                objective.append((weight, _numbers(item, "direction", at, 1)))
+        except TypeError as exc:
             raise ScenarioError(f"{path}.objective: {exc}") from exc
     try:
         environment = Environment(coefficients, objective)
     except ValueError as exc:
         raise ScenarioError(f"{path}.coefficients/objective: {exc}") from exc
 
+    mean = _numbers(doc, "prior_mean", path, 1)
+    covariance = _numbers(doc, "prior_cov", path, 2)
     try:
-        prior = GaussianPrior(
-            mean=np.asarray(_require(doc, "prior_mean", path), dtype=float),
-            covariance=np.asarray(_require(doc, "prior_cov", path), dtype=float),
-        )
+        prior = GaussianPrior(mean=mean, covariance=covariance)
     except NotPositiveDefiniteError as exc:
         raise ScenarioError(f"{path}.prior_cov: {exc}") from exc
     except ValueError as exc:
@@ -188,18 +212,15 @@ def parse_scenario(doc, path: str = "scenario") -> Scenario:
         raise ScenarioError(f'{path}.tie_break: expected "lowest_index" or {{"random": seed}}')
 
     intervention = _parse_intervention(doc.get("intervention", "none"), f"{path}.intervention")
-    if isinstance(intervention, FreeSignals):
-        for v in intervention.vectors:
-            if v.shape != (environment.num_states,):
-                raise ScenarioError(
-                    f"{path}.intervention.free_signals: vector length must be {environment.num_states}"
-                )
+    k = environment.num_states
+    if isinstance(intervention, FreeSignals) and any(v.shape != (k,) for v in intervention.vectors):
+        raise ScenarioError(f"{path}.intervention.free_signals: vector length must be {k}")
 
     sample_realizations = doc.get("sample_realizations", False)
     if not isinstance(sample_realizations, bool):
         raise ScenarioError(f"{path}.sample_realizations: must be a boolean")
     seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0 or seed >= 2**64:
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
         raise ScenarioError(f"{path}.seed: must be an unsigned 64-bit integer")
 
     return Scenario(
@@ -410,16 +431,11 @@ def run_batch(scenarios: list[Scenario], out_dir, quiet: bool = False) -> list[d
 def _with_prior_variance(scenario: Scenario, state: int, value: float) -> Scenario:
     cov = np.array(scenario.prior.covariance)
     cov[state, state] = value
-    return Scenario(
-        name=f"{scenario.name}_v{state + 1}_{value:g}",
-        environment=scenario.environment,
-        prior=GaussianPrior(mean=np.array(scenario.prior.mean), covariance=cov),
-        horizon=scenario.horizon,
-        tie_break=scenario.tie_break,
-        intervention=scenario.intervention,
-        sample_realizations=scenario.sample_realizations,
-        seed=scenario.seed,
-    )
+    try:
+        prior = GaussianPrior(mean=np.array(scenario.prior.mean), covariance=cov)
+    except ValueError as exc:
+        raise ScenarioError(f"grid: variance {value:g} gives an invalid prior ({exc})") from exc
+    return replace(scenario, name=f"{scenario.name}_v{state + 1}_{value:g}", prior=prior)
 
 
 def sweep(spec: SweepSpec) -> dict:

@@ -105,13 +105,6 @@ def _target(env: Environment) -> np.ndarray:
         ) from exc
 
 
-def _check_size(env: Environment) -> None:
-    if env.num_sources > MAX_SOURCES_ENUMERATION:
-        raise SpanError(
-            f"exhaustive subset search supports at most {MAX_SOURCES_ENUMERATION} sources"
-        )
-
-
 def _independent(rows: np.ndarray) -> bool:
     sv = np.linalg.svd(rows, compute_uv=False)
     return sv.size > 0 and sv[-1] > SPAN_TOL * sv[0]
@@ -139,11 +132,16 @@ def _report_from(indices: tuple[int, ...], beta: np.ndarray, num_sources: int) -
     )
 
 
-def _spanning_subsets(env: Environment, u: np.ndarray, pool: tuple[int, ...]):
-    """Yield (subset, beta) for every independent subset of ``pool`` that spans ``u``."""
+def _spanning_subsets(env: Environment):
+    """Yield (subset, beta) for every independent subset of sources that spans the target."""
+    u = _target(env)
+    if env.num_sources > MAX_SOURCES_ENUMERATION:
+        raise SpanError(
+            f"exhaustive subset search supports at most {MAX_SOURCES_ENUMERATION} sources"
+        )
     c = env.coefficients
-    for size in range(1, min(env.num_states, len(pool)) + 1):
-        for subset in combinations(pool, size):
+    for size in range(1, min(env.num_states, env.num_sources) + 1):
+        for subset in combinations(range(env.num_sources), size):
             rows = c[list(subset)]
             if not _independent(rows):
                 continue
@@ -152,18 +150,20 @@ def _spanning_subsets(env: Environment, u: np.ndarray, pool: tuple[int, ...]):
                 yield subset, beta
 
 
-def _enumerate(env: Environment, allowed: tuple[int, ...] | None = None) -> list[SpanningSetReport]:
-    u = _target(env)
-    _check_size(env)
-    pool = tuple(range(env.num_sources)) if allowed is None else tuple(sorted(allowed))
+def _minimal_reports(env: Environment, scanned) -> list[SpanningSetReport]:
+    """Reports of the minimal sets among scanned (subset, beta), sorted by (phi, indices)."""
     reports = [
         _report_from(subset, beta, env.num_sources)
-        for subset, beta in _spanning_subsets(env, u, pool)
+        for subset, beta in scanned
         # A zero coefficient means a proper subset already spans the target.
         if np.min(np.abs(beta)) > SPAN_TOL * np.max(np.abs(beta))
     ]
     reports.sort(key=lambda r: (r.phi, r.indices))
     return reports
+
+
+def _enumerate(env: Environment) -> list[SpanningSetReport]:
+    return _minimal_reports(env, _spanning_subsets(env))
 
 
 def phi_tied(reports: list[SpanningSetReport]) -> bool:
@@ -298,23 +298,20 @@ def subspace_closure(env: Environment, indices) -> tuple[int, ...]:
         raise SpanError("source indices out of range")
     if not subset:
         return ()
-    rows = env.coefficients[subset]  # (s, K)
-    closure = []
-    for j in range(env.num_sources):
-        cj = env.coefficients[j]
-        coef, *_ = np.linalg.lstsq(rows.T, cj, rcond=None)
-        residual = np.linalg.norm(rows.T @ coef - cj)
-        if residual <= SPAN_TOL * max(float(np.linalg.norm(cj)), 1e-300):
-            closure.append(j)
-    return tuple(closure)
+    c = env.coefficients
+    rows = c[subset]  # (s, K)
+    coef, *_ = np.linalg.lstsq(rows.T, c.T, rcond=None)
+    residual = np.linalg.norm(rows.T @ coef - c.T, axis=0)
+    scale = np.maximum(np.linalg.norm(c, axis=1), 1e-300)
+    return tuple(int(j) for j in np.flatnonzero(residual <= SPAN_TOL * scale))
 
 
 def is_subspace_optimal(env: Environment, indices) -> bool:
     """Whether the set strictly minimizes phi among minimal spanning sets in its own span."""
     report = beta_phi_lambda(env, indices)
-    closure = subspace_closure(env, report.indices)
-    for rival in _enumerate(env, allowed=closure):
-        if rival.indices == report.indices:
+    closure = set(subspace_closure(env, report.indices))
+    for rival in _enumerate(env):
+        if rival.indices == report.indices or not closure.issuperset(rival.indices):
             continue
         if rival.phi <= report.phi * (1 + PHI_TIE_TOL):
             return False
@@ -323,7 +320,8 @@ def is_subspace_optimal(env: Environment, indices) -> bool:
 
 def check_assumptions(env: Environment) -> AssumptionReport:
     """Evaluate the genericity conditions by exhaustive enumeration."""
-    reports = _enumerate(env)
+    scanned = list(_spanning_subsets(env))
+    reports = _minimal_reports(env, scanned)
     witnesses: list[tuple[int, ...]] = []
 
     if not reports:
@@ -340,26 +338,24 @@ def check_assumptions(env: Environment) -> AssumptionReport:
 
     n, k = env.num_sources, env.num_states
     sli = n >= k
-    if sli:
-        for subset in combinations(range(n), k):
-            sub = env.coefficients[list(subset)]
-            sv = np.linalg.svd(sub, compute_uv=False)
-            if sv[-1] <= SPAN_TOL * max(sv[0], 1e-300):
-                sli = False
-                witnesses.append(subset)
+    for subset in combinations(range(n), k):
+        if not _independent(env.coefficients[list(subset)]):
+            sli = False
+            witnesses.append(subset)
 
     all_size_k = all(len(r.indices) == k for r in reports)
 
     # Subspaces that do not identify the target are vacuous; the others are the
-    # closures of independent spanning subsets, minimal or not.
+    # closures of independent spanning subsets, minimal or not. A subspace's
+    # minimal sets are those inside its closure, still sorted by (phi, indices).
     unique_everywhere = True
-    seen: set[tuple[int, ...]] = set()
-    for subset, _ in _spanning_subsets(env, _target(env), tuple(range(n))):
-        closure = subspace_closure(env, subset)
+    seen: set[frozenset[int]] = set()
+    for subset, _ in scanned:
+        closure = frozenset(subspace_closure(env, subset))
         if closure in seen:
             continue
         seen.add(closure)
-        local = _enumerate(env, allowed=closure)
+        local = [r for r in reports if closure.issuperset(r.indices)]
         if phi_tied(local):
             unique_everywhere = False
             witnesses.append(local[0].indices)

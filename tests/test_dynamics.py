@@ -8,7 +8,6 @@ from infotrap import (
     BatchAllocate,
     DivisionVector,
     Environment,
-    FreeSignals,
     GaussianPrior,
     NoIntervention,
     PrecisionReplicate,
@@ -138,11 +137,6 @@ def test_apply_free_signals(example2, example2_trap_prior):
     assert apply_free_signals(example2_trap_prior, []) is example2_trap_prior
     half = apply_free_signals(GaussianPrior.from_diagonal([1, 1]), [np.array([1.0, 0.0])])
     assert half.covariance[0, 0] == pytest.approx(0.5, rel=1e-12)
-
-
-def test_free_signal_norm_bound_checked():
-    with pytest.raises(ValueError):
-        FreeSignals((np.array([0.0, 3.0]),), gamma=2.0)
 
 
 def test_design_free_signals_example2(example2):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -361,6 +362,25 @@ def test_cli_rejects_malformed(tmp_path):
     assert result.exit_code != 0
 
 
+@pytest.mark.parametrize(
+    "args, option",
+    [
+        (["oracle", "--t", "0"], "--t"),
+        (["compare", "--t", "0"], "--t"),
+        (["sweep", "--state", "2", "--grid", "nan"], "grid"),
+        (["sweep", "--state", "2", "--grid", "1,inf"], "grid"),
+        (["sweep", "--state", "2", "--grid", "1e-300"], "1e-300"),
+    ],
+)
+def test_cli_rejects_bad_options_without_traceback(tmp_path, args, option):
+    path = _write_scenario(tmp_path, horizon=20)
+    result = CliRunner().invoke(cli_main, [args[0], str(path), *args[1:], "--out", str(tmp_path)])
+    assert result.exit_code != 0
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert option in result.output
+    assert "Traceback" not in result.output
+
+
 def test_run_scenario_multi_direction_report(tmp_path):
     doc = scenario_to_dict(bundled_scenario("example2"))
     doc["name"] = "weighted"
@@ -438,3 +458,51 @@ def test_cli_import_leaves_out_scipy_optimize():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = "import sys, infotrap.cli; sys.exit('scipy.optimize' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+_NUMBER_CASES = [
+    ({"coefficients": [["1", 0], [3, 1], [0, 1]]}, "coefficients"),
+    ({"coefficients": [[True, 0], [3, 1], [0, 1]]}, "coefficients"),
+    ({"coefficients": [[10**400, 0], [3, 1], [0, 1]]}, "coefficients"),
+    ({"coefficients": [[1, 0], [3], [0, 1]]}, "coefficients"),
+    ({"coefficients": [1, 0]}, "coefficients"),
+    ({"objective": [{"weight": True, "direction": [1, 0]}]}, "objective[0].weight"),
+    ({"objective": [{"weight": "1", "direction": [1, 0]}]}, "objective[0].weight"),
+    ({"objective": [{"weight": [1.0], "direction": [1, 0]}]}, "objective[0].weight"),
+    ({"objective": [{"weight": 1.0, "direction": [True, 0]}]}, "objective[0].direction"),
+    ({"objective": [{"weight": 1.0, "direction": ["1", 0]}]}, "objective[0].direction"),
+    ({"prior_mean": [0, False]}, "prior_mean"),
+    ({"prior_mean": ["0", 0]}, "prior_mean"),
+    ({"prior_mean": [10**400, 0]}, "prior_mean"),
+    ({"prior_cov": [[1, 0], [0, "10"]]}, "prior_cov"),
+    ({"prior_cov": [[True, 0], [0, 10]]}, "prior_cov"),
+    ({"prior_cov": [[10**400, 0], [0, 10]]}, "prior_cov"),
+    ({"intervention": {"free_signals": [[0, True]]}}, "intervention.free_signals"),
+    ({"intervention": {"free_signals": [["0", 1]]}}, "intervention.free_signals"),
+    ({"intervention": {"free_signals": [[0, 10**400]]}}, "intervention.free_signals"),
+    ({"seed": True}, "seed"),
+]
+
+
+@pytest.mark.parametrize("changes, field", _NUMBER_CASES)
+def test_parse_rejects_coerced_numbers(changes, field):
+    doc = dict(scenario_to_dict(bundled_scenario("example2")), **changes)
+    with pytest.raises(ScenarioError, match="^" + re.escape(f"scenario.{field}: ")):
+        parse_scenario(doc)
+    # The same document as JSON text, where such values arrive from files.
+    with pytest.raises(ScenarioError, match="^" + re.escape(f"scenario.{field}: ")):
+        parse_scenario(json.dumps(doc))
+
+
+def test_parse_reads_integers_as_floats():
+    doc = scenario_to_dict(bundled_scenario("example2"))
+    ints = dict(
+        doc,
+        coefficients=[[1, 0], [3, 1], [0, 1]],
+        objective=[{"weight": 1, "direction": [1, 0]}],
+        prior_mean=[0, 0],
+        prior_cov=[[1, 0], [0, 10]],
+        intervention={"free_signals": [[0, 2]]},
+    )
+    floats = dict(doc, intervention={"free_signals": [[0.0, 2.0]]})
+    assert emit_scenario(parse_scenario(ints)) == emit_scenario(parse_scenario(floats))

@@ -167,9 +167,9 @@ def enumeration_calls(monkeypatch):
     calls = []
     enumerate_all = spanning._enumerate
 
-    def counting(env, allowed=None):
+    def counting(env):
         calls.append(env)
-        return enumerate_all(env, allowed)
+        return enumerate_all(env)
 
     monkeypatch.setattr(spanning, "_enumerate", counting)
     return calls

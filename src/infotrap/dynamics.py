@@ -177,17 +177,15 @@ class SimulationTrace:
     final_mean: np.ndarray | None = None
 
     def counts_matrix(self) -> np.ndarray:
-        """(horizon, N) cumulative counts after each period."""
-        n = len(self.final_counts.counts)
-        out = np.zeros((len(self.choices), n), dtype=np.int64)
-        running = np.zeros(n, dtype=np.int64)
-        for t, choice in enumerate(self.choices):
-            if isinstance(choice, (int, np.integer)):
-                running[choice] += 1
-            else:
-                running += np.asarray(choice, dtype=np.int64)
-            out[t] = running
-        return out
+        """(horizon, N) cumulative counts after each period.
+
+        A run's choices are all source indices or all per-source count vectors."""
+        picks = np.asarray(self.choices, dtype=np.int64)
+        if picks.ndim == 1:
+            steps = np.zeros((picks.size, len(self.final_counts.counts)), dtype=np.int64)
+            steps[np.arange(picks.size), picks] = 1
+            picks = steps
+        return np.cumsum(picks, axis=0)
 
 
 def compositions(total: int, parts: int):

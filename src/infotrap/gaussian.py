@@ -49,6 +49,8 @@ EIGENVALUE_CUTOFF = 1e-10
 # Relative tolerance for "this vector component is exactly zero" span decisions.
 SPAN_TOL = 1e-9
 
+_LARGEST_ROOT = math.sqrt(np.finfo(float).max)  # the largest float with a finite square
+
 # The LAPACK routines behind scipy's ``cho_factor``/``cho_solve``, called directly on
 # hot paths: the same floating-point work without the wrappers' per-call checks.
 _potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
@@ -92,8 +94,8 @@ class Environment:
         c = np.asarray(self.coefficients, dtype=float)
         if c.ndim != 2 or c.shape[0] < 1 or c.shape[1] < 1:
             raise DimensionError("coefficients must be a non-empty N x K matrix")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("coefficients must be finite")
+        if not np.all(np.abs(c) <= _LARGEST_ROOT):
+            raise ValueError("coefficients must be finite, with finite squares")
         self.coefficients = _readonly(c)
         k = c.shape[1]
         if self.objective is None:

@@ -18,9 +18,11 @@ from .gaussian import (
     Environment,
     FrequencyVector,
     GaussianPrior,
+    SPAN_TOL,
+    _cholesky,
+    _potrs,
     asymptotic_variance,
     block_variances,
-    spectral_inverse,
 )
 from .spanning import SpanError, beta_phi_lambda
 from .dynamics import SearchBoundError, compositions, simulate, TieBreak
@@ -43,9 +45,16 @@ MAX_COMPOSITIONS = 10_000_000
 # reported together as co-optima.
 VALUE_TIE_TOL = 1e-12
 
+# The frequency optimizer stops once sqrt(Vinf) is certified within GAP_TOL
+# (relative) of the optimum; it raises ConvergenceError after MAX_ITERATIONS
+# without a certificate. Frequencies at or below SUPPORT_TOL leave the support.
+GAP_TOL = 1e-10
+MAX_ITERATIONS = 100_000
+SUPPORT_TOL = 1e-6
+
 
 class ConvergenceError(RuntimeError):
-    """The simplex descent failed to certify an optimum."""
+    """The frequency optimizer hit ``MAX_ITERATIONS`` without an optimality certificate."""
 
 
 @dataclass(eq=False)
@@ -138,58 +147,53 @@ def round_to_total(weights, total: int) -> np.ndarray:
     return base
 
 
-def optimal_frequency_numeric(
-    env: Environment,
-    iterations: int = 100_000,
-    step0: float = 0.5,
-    support_tol: float = 1e-6,
-    full_output: bool = False,
-):
-    """Minimize the asymptotic variance over the frequency simplex numerically.
+def _certified_iteration(c: np.ndarray, u: np.ndarray, lam: np.ndarray):
+    """Multiplicative iteration on full-column-rank ``c``; returns ``(lam, V, gap)``.
 
-    Projected multiplicative-weights descent from the uniform point with step
-    decaying as 1/sqrt(iter), followed by support thresholding and an exact
-    re-solve on the surviving support when it forms a minimally spanning set.
-    A second descent from an asymmetric start detects non-unique optima. With
-    ``full_output`` returns ``(frequencies, info dict)``.
+    With Y = M(lam)^-1 u and g_i = |Y' c_i|^2, V = lam'g and every lam on the simplex
+    gives sqrt(V*) >= V / sqrt(max g) (general equivalence theorem). The update
+    lam_i <- lam_i sqrt(g_i) never raises V. Its floor keeps M positive definite in
+    floating point when some g_i is 0, and moves V by far less than ``GAP_TOL``.
+    """
+    floor = 1e-2 * GAP_TOL / lam.size
+    for _ in range(MAX_ITERATIONS):
+        y = _potrs(_cholesky((c.T * lam) @ c), u, lower=True)[0]
+        g = np.sum((c @ y) ** 2, axis=1)
+        value = float(lam @ g)
+        gap = 1.0 - math.sqrt(value / float(g.max()))
+        if gap <= GAP_TOL:
+            return lam, value, gap
+        lam = np.maximum(lam * np.sqrt(g), floor)
+        lam /= lam.sum()
+    raise ConvergenceError(f"no certificate after {MAX_ITERATIONS} iterations (gap {gap:.3e})")
+
+
+def optimal_frequency_numeric(env: Environment, full_output: bool = False):
+    """Minimize the asymptotic variance over the frequency simplex, with a certificate.
+
+    Reduces the coefficients once to their row space (rank at ``SPAN_TOL``) and
+    iterates from the uniform point until sqrt(Vinf) is certified within
+    ``GAP_TOL`` (relative) of the optimum. Frequencies at or below ``SUPPORT_TOL``
+    are dropped, with an exact re-solve when the rest is a minimally spanning set.
+    A second run from an asymmetric start detects non-unique optima. With
+    ``full_output`` returns ``(frequencies, info dict)``; ``info["gap"]`` is the
+    certified gap. Raises ``SpanError`` when the sources do not span the targets.
     """
     n = env.num_sources
     uniform = np.full(n, 1.0 / n)
     if math.isinf(asymptotic_variance(env, uniform)):
         raise SpanError("the sources jointly do not span the target direction(s)")
+    _, sv, vt = np.linalg.svd(env.coefficients, full_matrices=False)
+    basis = vt[: int(np.sum(sv > SPAN_TOL * sv[0]))]
+    c = env.coefficients @ basis.T
+    u = basis @ (env.directions.T * np.sqrt(env.weights))
 
-    def descend(start: np.ndarray) -> tuple[np.ndarray, float, float]:
-        lam = np.array(start)
-        residual = math.inf
-        value = math.inf
-        for s in range(iterations):
-            value, grad, _, _ = spectral_inverse(env, lam)
-            scale = float(np.max(np.abs(grad)))
-            if scale == 0.0:
-                residual = 0.0
-                break
-            if s % 50 == 0:
-                gbar = float(lam @ grad)
-                on = lam > 1e-9
-                residual = max(
-                    float(np.max(gbar - grad)),
-                    float(np.max(np.abs(grad[on] - gbar))),
-                )
-                if residual <= 1e-10 * abs(gbar):
-                    break
-            step = step0 / math.sqrt(s + 1)
-            lam = lam * np.exp(-step * grad / scale)
-            lam = np.maximum(lam, 1e-300)
-            lam /= lam.sum()
-        return lam, value, residual
-
-    lam, value, residual = descend(uniform)
-
-    support = np.nonzero(lam > support_tol)[0]
-    refined = FrequencyVector(np.where(lam > support_tol, lam, 0.0) / lam[lam > support_tol].sum())
+    lam, value, gap = _certified_iteration(c, u, uniform)
+    on = lam > SUPPORT_TOL
+    refined = FrequencyVector(np.where(on, lam, 0.0) / lam[on].sum())
     exact = False
     try:
-        report = beta_phi_lambda(env, tuple(int(i) for i in support))
+        report = beta_phi_lambda(env, tuple(int(i) for i in np.nonzero(on)[0]))
         exact_value = asymptotic_variance(env, report.lambda_star)
         if exact_value <= value * (1 + 1e-9):
             refined = report.lambda_star
@@ -198,14 +202,8 @@ def optimal_frequency_numeric(
     except (SpanError, ValueError):
         pass
 
-    if not exact and residual > 1e-4 * max(abs(value), 1e-12):
-        raise ConvergenceError(
-            f"simplex descent stalled with optimality residual {residual:.3e}"
-        )
-
     alt_start = 0.7 ** np.arange(n)
-    alt_start /= alt_start.sum()
-    alt, alt_value, _ = descend(alt_start)
+    alt, alt_value, _ = _certified_iteration(c, u, alt_start / alt_start.sum())
     values_match = abs(alt_value - value) <= 1e-6 * max(abs(value), 1e-12)
     points_match = float(np.max(np.abs(alt - refined.weights))) <= 1e-3
     unique = bool(points_match or not values_match)
@@ -217,7 +215,7 @@ def optimal_frequency_numeric(
             "exact": exact,
             "alternate": FrequencyVector(alt),
             "alternate_value": alt_value,
-            "residual": residual,
+            "gap": gap,
         }
     return refined
 

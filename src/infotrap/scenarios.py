@@ -381,16 +381,15 @@ def write_trace_csv(path, scenario: Scenario, trace: SimulationTrace) -> None:
     semicolon-joined per-source counts. Floats carry 17 significant digits.
     """
     n = scenario.environment.num_sources
-    counts = trace.counts_matrix()
+    picks = np.asarray(trace.choices, dtype=np.int64)
+    if picks.ndim == 2:
+        labels = [";".join(map(str, row)) for row in picks.tolist()]
+    else:
+        labels = (picks + 1).tolist()
+    row = "%d,%s,%.17g" + ",%d" * n
     lines = ["t,choice,posterior_variance," + ",".join(f"count_{i+1}" for i in range(n))]
-    for t, choice in enumerate(trace.choices):
-        if isinstance(choice, (int, np.integer)):
-            choice_txt = str(int(choice) + 1)
-        else:
-            choice_txt = ";".join(str(int(b)) for b in choice)
-        row = [str(t + 1), choice_txt, format(trace.variance_path[t], ".17g")]
-        row.extend(str(int(c)) for c in counts[t])
-        lines.append(",".join(row))
+    columns = zip(labels, trace.variance_path.tolist(), trace.counts_matrix().tolist())
+    lines += [row % (t, label, v, *counts) for t, (label, v, counts) in enumerate(columns, 1)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

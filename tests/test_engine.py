@@ -161,12 +161,13 @@ def test_cholesky_factor_is_bitwise_cho_factor():
 
 # Precisions that must be refused: one holding inf, one holding NaN (inf - inf off the
 # diagonal), and one that is exactly singular in floating point (1e8 + 1e-15 == 1e8).
+# Coefficients must have finite squares, so the counts carry the overflow.
 BAD_PRECISIONS = {
-    "inf": (Environment([[1e200, 0.0]]), GaussianPrior.from_diagonal([1.0, 1.0]), [1]),
+    "inf": (Environment([[1e154, 0.0]]), GaussianPrior.from_diagonal([1.0, 1.0]), [1e10]),
     "nan": (
-        Environment([[1e200, 1e200], [1e200, -1e200]]),
+        Environment([[1e154, 1e154], [1e154, -1e154]]),
         GaussianPrior.from_diagonal([1.0, 1.0]),
-        [1, 1],
+        [1e10, 1e10],
     ),
     "singular": (Environment([[1.0, 1.0]]), GaussianPrior.from_diagonal([1e15, 1e15]), [1e8]),
 }

@@ -57,7 +57,7 @@ def numeric_digests() -> dict[str, str]:
         record = [
             [float(x).hex() for x in freq.weights],
             [float(x).hex() for x in info["alternate"].weights],
-            [float(info[k]).hex() for k in ("value", "alternate_value", "residual")],
+            [float(info[k]).hex() for k in ("value", "alternate_value", "gap")],
             [info["unique"], info["exact"]],
         ]
         out[name] = _sha(json.dumps(record).encode())

@@ -1,9 +1,13 @@
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from infotrap import (
+    ConvergenceError,
     Environment,
     GaussianPrior,
     SearchBoundError,
@@ -15,6 +19,8 @@ from infotrap import (
     optimal_division,
     optimal_frequency_numeric,
     optimal_trajectory,
+    oracle,
+    parse_scenario,
     posterior_variance,
     round_to_total,
     simulate,
@@ -173,8 +179,91 @@ def test_optimal_frequency_numeric_agrees_with_exact_randomized():
         except Exception:
             continue
         done += 1
-        freq = optimal_frequency_numeric(env)
+        freq, info = optimal_frequency_numeric(env, full_output=True)
         assert np.max(np.abs(freq.weights - star.lambda_star.weights)) < 1e-4
+        assert info["value"] == pytest.approx(star.phi**2, rel=1e-9)
+        assert info["exact"]
+
+
+def _two_target_environments(count, seed):
+    """Seeded two-target environments; every other one has rank K - 1, targets in the row space."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        k = int(rng.integers(2, 5))
+        n = int(rng.integers(k + 1, k + 3))
+        rank = k - i % 2
+        c = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, k))
+        directions = rng.standard_normal((2, n)) @ c
+        yield Environment(c, list(zip(rng.uniform(0.2, 2.0, 2), directions)))
+
+
+def _equivalence_terms(env, lam):
+    """V and g_i = |Y' c_i|^2 at lam, where Y = M(lam)^+ [sqrt(w_r) u_r] by the pseudo-inverse."""
+    c = env.coefficients
+    y = np.linalg.pinv((c.T * lam) @ c) @ (env.directions.T * np.sqrt(env.weights))
+    g = np.sum((c @ y) ** 2, axis=1)
+    return float(lam @ g), g
+
+
+def test_optimal_frequency_numeric_satisfies_equivalence_theorem():
+    deficient = 0
+    for env in _two_target_environments(30, seed=2010):
+        deficient += np.linalg.matrix_rank(env.coefficients) < env.num_states
+        freq, info = optimal_frequency_numeric(env, full_output=True)
+        assert info["gap"] <= 1e-10
+        value, g = _equivalence_terms(env, freq.weights)
+        assert value == pytest.approx(info["value"], rel=1e-9)
+        assert g.max() <= value * (1 + 1e-8)
+        # A source with a small frequency may sit further below max g than the gap.
+        on = freq.weights > 0
+        assert g[on] == pytest.approx(np.full(on.sum(), value), rel=1e-6)
+    assert deficient == 15
+
+
+_ROTATION = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 3)))[0]
+
+
+@pytest.mark.parametrize(
+    "coefficients, objective",
+    [
+        ([[1, 0], [0, 1]], None),
+        (np.eye(3), [(1.0, [1, 0, 0]), (1.0, [0, 1, 0])]),
+        (_ROTATION, [(1.0, _ROTATION.T @ [1, 0, 0])]),
+    ],
+)
+def test_optimal_frequency_numeric_drops_an_unneeded_source(coefficients, objective):
+    # The last source has g = 0 (up to rounding), so the iteration drives its
+    # frequency to the floor while the information matrix stays factorizable.
+    freq, info = optimal_frequency_numeric(Environment(coefficients, objective), full_output=True)
+    assert info["gap"] <= 1e-10
+    assert freq.weights[-1] == 0.0
+
+
+@pytest.fixture(scope="module")
+def multi_target_pool():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up while loading
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    return {item.name: item.doc for item in workloads.BUILDERS["multi_target"]().items()}
+
+
+@pytest.mark.parametrize("name", ["mt-k2-n4-11", "mt-k3-n5-00", "mt-k3-n5-04", "mt-k3-n5-16"])
+def test_optimal_frequency_numeric_certifies_slow_pool_inputs(multi_target_pool, name):
+    env = parse_scenario(multi_target_pool[name]).environment
+    freq, info = optimal_frequency_numeric(env, full_output=True)
+    assert info["gap"] <= 1e-10
+    assert freq.simplex_normalized
+
+
+def test_optimal_frequency_numeric_raises_at_iteration_cap(monkeypatch, example2):
+    monkeypatch.setattr(oracle, "MAX_ITERATIONS", 1)
+    with pytest.raises(ConvergenceError):
+        optimal_frequency_numeric(example2)
 
 
 def test_greedy_vs_optimal_trap_ratio(example2, example2_trap_prior):

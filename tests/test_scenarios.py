@@ -396,6 +396,22 @@ def test_run_scenario_multi_direction_report(tmp_path):
     assert report["inefficiency_ratio"] is None
 
 
+@pytest.mark.parametrize("c", [1e155, 1e160, 1e200])
+def test_parse_rejects_coefficients_with_overflowing_squares(c):
+    doc = dict(scenario_to_dict(bundled_scenario("example2")), coefficients=[[c, 0], [3, 1], [0, 1]])
+    with pytest.raises(ScenarioError, match="coefficients"):
+        parse_scenario(doc)
+
+
+def test_cli_simulate_rejects_overflowing_coefficients(tmp_path):
+    path = _write_scenario(tmp_path, coefficients=[[1e200, 0], [3, 1], [0, 1]], horizon=5)
+    result = CliRunner().invoke(cli_main, ["simulate", str(path), "--out", str(tmp_path)])
+    assert result.exit_code != 0
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert "coefficients" in result.output
+    assert "Traceback" not in result.output
+
+
 @pytest.mark.parametrize("gamma0", [float("nan"), float("inf"), 1e308, 0, -1])
 def test_parse_rejects_bad_free_signals_auto_gamma0(gamma0):
     doc = scenario_to_dict(bundled_scenario("example2"))

@@ -25,13 +25,12 @@ from .gaussian import (
     _potrs,
     block_variances,
 )
-from .spanning import (
-    PHI_TIE_TOL,
+from .spanning import (  # enumerate_minimal_spanning_sets: perfbench/tracing.py wraps it here
     SpanError,
-    SpanningSetReport,
+    _unique_best,
     beta_phi_lambda,
     best_set,
-    enumerate_minimal_spanning_sets,
+    enumerate_minimal_spanning_sets,  # noqa: F401
     phi_tied,
 )
 
@@ -67,6 +66,9 @@ COMPOSITION_BLOCK = 131_072
 # Classification uses the second half of the run; "efficient" additionally requires
 # the empirical frequencies to be this close (sup-norm) to the optimal ones.
 EFFICIENT_FREQ_TOL = 0.05
+
+# ``escalate_gamma`` doubles gamma at most this many times.
+MAX_DOUBLINGS = 20
 
 
 class SearchBoundError(ValueError):
@@ -333,7 +335,7 @@ def _classify(
         report = beta_phi_lambda(env, observed) if observed else None
     except SpanError:
         report = None
-    if report is not None and report.phi > star.phi * (1 + PHI_TIE_TOL):
+    if report is not None and not phi_tied([star, report]):
         return Classification("trap", observed), report.phi / star.phi, freq
     return Classification("undetermined"), None, freq
 
@@ -443,7 +445,7 @@ def design_free_signals(env: Environment, gamma: float) -> list[np.ndarray]:
     """
     if not (gamma > 0):
         raise ValueError("gamma must be positive")
-    star = _unique_best(env)
+    star = _unique_best(env)[0]
     k = len(star.indices)
     if k == 1:
         return []
@@ -456,22 +458,8 @@ def design_free_signals(env: Environment, gamma: float) -> list[np.ndarray]:
     # Orthonormal complement of the target inside the subspace.
     _, _, inner = np.linalg.svd(u_coords[None, :])
     directions = inner[1:] @ basis  # (k-1, K)
-    out = []
-    for d in directions:
-        lead = np.argmax(np.abs(d))
-        if d[lead] < 0:
-            d = -d
-        out.append(gamma * d)
-    return out
-
-
-def _unique_best(env: Environment) -> SpanningSetReport:
-    reports = enumerate_minimal_spanning_sets(env)
-    if not reports:
-        raise SpanError("no spanning set")
-    if phi_tied(reports):
-        raise SpanError("tied phi-minimal sets: no unique best set to target")
-    return reports[0]
+    # Each direction's largest entry is made positive.
+    return [gamma * d * np.sign(d[np.argmax(np.abs(d))]) for d in directions]
 
 
 def escalate_gamma(
@@ -482,18 +470,17 @@ def escalate_gamma(
     rule: TieBreak = TieBreak.lowest_index(),
     sample_realizations: bool = False,
     seed: int = 0,
-    max_doublings: int = 20,
 ) -> tuple[float, SimulationTrace]:
     """Double the free-signal precision bound until the run classifies efficient.
 
     Returns the first successful (gamma, trace), or the last failing pair after
-    ``max_doublings`` doublings.
+    ``MAX_DOUBLINGS`` doublings.
     """
     if not (gamma0 > 0):
         raise ValueError("gamma0 must be positive")
     gamma = float(gamma0)
     result = None
-    for _ in range(max_doublings + 1):
+    for _ in range(MAX_DOUBLINGS + 1):
         vectors = design_free_signals(env, gamma)
         trace = simulate(
             env,

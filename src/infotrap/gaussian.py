@@ -250,7 +250,7 @@ class FrequencyVector:
         return tuple(int(i) for i in np.nonzero(self.weights > tol)[0])
 
 
-def _as_count_array(env: Environment, counts, allow_real: bool = True) -> np.ndarray:
+def _as_count_array(env: Environment, counts) -> np.ndarray:
     if isinstance(counts, DivisionVector):
         q = counts.counts.astype(float)
     else:
@@ -261,8 +261,6 @@ def _as_count_array(env: Environment, counts, allow_real: bool = True) -> np.nda
         )
     if not np.all(np.isfinite(q)) or np.any(q < 0):
         raise ValueError("counts must be finite and non-negative")
-    if not allow_real and np.any(np.mod(q, 1) != 0):
-        raise ValueError("counts must be integers")
     return q
 
 

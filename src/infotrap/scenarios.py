@@ -125,6 +125,15 @@ def _numbers(doc: dict, key: str, path: str, ndim: int) -> np.ndarray:
         raise ScenarioError(f"{field}: {exc}") from exc
 
 
+def _integer(doc: dict, key: str, path: str, low: int, high: float = math.inf) -> int:
+    """``doc[key]`` as an int in [low, high); a boolean, a float or a string raises a
+    ScenarioError naming the field, since nothing is rounded or coerced."""
+    value = _require(doc, key, path)
+    if isinstance(value, bool) or not isinstance(value, int) or not low <= value < high:
+        raise ScenarioError(f"{path}.{key}: expected an integer in [{low}, {high}), got {value!r}")
+    return value
+
+
 def _parse_intervention(raw, path: str):
     if raw == "none" or raw is None:
         return NoIntervention()
@@ -136,20 +145,16 @@ def _parse_intervention(raw, path: str):
     (kind, value), = raw.items()
     if kind == "free_signals":
         return FreeSignals(tuple(_numbers(raw, kind, path, 2)))
+    if kind in ("precision", "batch"):
+        return (PrecisionReplicate if kind == "precision" else BatchAllocate)(
+            _integer(raw, kind, path, 1)
+        )
+    if kind != "free_signals_auto":
+        raise ScenarioError(f"{path}: unknown intervention kind {kind!r}")
     try:
-        if kind in ("precision", "batch"):
-            # The same rule as horizon: no rounding, no booleans, no strings.
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise TypeError("must be a positive integer")
-            return (PrecisionReplicate if kind == "precision" else BatchAllocate)(value)
-        if kind == "free_signals_auto":
-            gamma0 = value["gamma0"]
-            if isinstance(gamma0, bool) or not isinstance(gamma0, (int, float)):
-                raise TypeError("gamma0 must be a number, not a string or boolean")
-            return AutoFreeSignals(float(gamma0))
-    except (TypeError, ValueError, KeyError, OverflowError) as exc:
+        return AutoFreeSignals(float(_numbers(value, "gamma0", f"{path}.{kind}", 0)))
+    except (TypeError, ValueError) as exc:
         raise ScenarioError(f"{path}.{kind}: {exc}") from exc
-    raise ScenarioError(f"{path}: unknown intervention kind {kind!r}")
 
 
 def parse_scenario(doc, path: str = "scenario") -> Scenario:
@@ -196,18 +201,13 @@ def parse_scenario(doc, path: str = "scenario") -> Scenario:
     if prior.num_states != environment.num_states:
         raise ScenarioError(f"{path}.prior_cov: size does not match coefficient columns")
 
-    horizon = _require(doc, "horizon", path)
-    if isinstance(horizon, bool) or not isinstance(horizon, int) or horizon < 1:
-        raise ScenarioError(f"{path}.horizon: must be a positive integer")
+    horizon = _integer(doc, "horizon", path, 1)
 
     raw_tb = doc.get("tie_break", "lowest_index")
     if raw_tb == "lowest_index":
         tie_break = TieBreak.lowest_index()
     elif isinstance(raw_tb, dict) and set(raw_tb) == {"random"}:
-        tb_seed = raw_tb["random"]
-        if isinstance(tb_seed, bool) or not isinstance(tb_seed, int) or tb_seed < 0:
-            raise ScenarioError(f"{path}.tie_break.random: must be a non-negative integer")
-        tie_break = TieBreak.random(tb_seed)
+        tie_break = TieBreak.random(_integer(raw_tb, "random", f"{path}.tie_break", 0))
     else:
         raise ScenarioError(f'{path}.tie_break: expected "lowest_index" or {{"random": seed}}')
 
@@ -219,9 +219,7 @@ def parse_scenario(doc, path: str = "scenario") -> Scenario:
     sample_realizations = doc.get("sample_realizations", False)
     if not isinstance(sample_realizations, bool):
         raise ScenarioError(f"{path}.sample_realizations: must be a boolean")
-    seed = doc.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
-        raise ScenarioError(f"{path}.seed: must be an unsigned 64-bit integer")
+    seed = _integer(doc, "seed", path, 0, 2**64) if "seed" in doc else 0
 
     return Scenario(
         name=name,

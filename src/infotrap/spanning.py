@@ -133,21 +133,29 @@ def _report_from(indices: tuple[int, ...], beta: np.ndarray, num_sources: int) -
 
 
 def _spanning_subsets(env: Environment):
-    """Yield (subset, beta) for every independent subset of sources that spans the target."""
+    """One scan of every subset of at most min(K, N) sources, one SVD each.
+
+    Returns (spanning, dependent): (subset, beta) for each independent subset
+    that spans the target, beta its unique representation, and the linearly
+    dependent subsets; independent subsets that miss the target are in neither.
+    """
     u = _target(env)
     if env.num_sources > MAX_SOURCES_ENUMERATION:
         raise SpanError(
             f"exhaustive subset search supports at most {MAX_SOURCES_ENUMERATION} sources"
         )
     c = env.coefficients
+    spanning, dependent = [], []
     for size in range(1, min(env.num_states, env.num_sources) + 1):
         for subset in combinations(range(env.num_sources), size):
             rows = c[list(subset)]
             if not _independent(rows):
+                dependent.append(subset)
                 continue
             beta = _solve_representation(rows, u)
             if beta is not None:
-                yield subset, beta
+                spanning.append((subset, beta))
+    return spanning, dependent
 
 
 def _minimal_reports(env: Environment, scanned) -> list[SpanningSetReport]:
@@ -163,11 +171,13 @@ def _minimal_reports(env: Environment, scanned) -> list[SpanningSetReport]:
 
 
 def _enumerate(env: Environment) -> list[SpanningSetReport]:
-    return _minimal_reports(env, _spanning_subsets(env))
+    return _minimal_reports(env, _spanning_subsets(env)[0])
 
 
 def phi_tied(reports: list[SpanningSetReport]) -> bool:
-    """Whether the two phi-smallest of phi-sorted reports tie within ``PHI_TIE_TOL``."""
+    """Whether phi of the second report exceeds the first's by at most ``PHI_TIE_TOL``
+    of its own value. Every phi tie is decided here: on phi-sorted reports, whether the
+    best set ties; on a pair [set, rival], whether the rival is at least as fast."""
     return len(reports) >= 2 and reports[1].phi - reports[0].phi <= PHI_TIE_TOL * reports[1].phi
 
 
@@ -180,6 +190,17 @@ def enumerate_minimal_spanning_sets(env: Environment) -> list[SpanningSetReport]
     built on it, stay combinatorial.
     """
     return _enumerate(env)
+
+
+def _unique_best(env: Environment) -> list[SpanningSetReport]:
+    """``enumerate_minimal_spanning_sets``, or SpanError unless its first set is a strict
+    phi-minimum."""
+    reports = _enumerate(env)
+    if not reports:
+        raise SpanError("no spanning set: the target is not identified from the sources")
+    if phi_tied(reports):
+        raise SpanError("tied phi-minimal sets: no unique best set")
+    return reports
 
 
 def beta_phi_lambda(env: Environment, indices) -> SpanningSetReport:
@@ -310,17 +331,23 @@ def is_subspace_optimal(env: Environment, indices) -> bool:
     """Whether the set strictly minimizes phi among minimal spanning sets in its own span."""
     report = beta_phi_lambda(env, indices)
     closure = set(subspace_closure(env, report.indices))
-    for rival in _enumerate(env):
-        if rival.indices == report.indices or not closure.issuperset(rival.indices):
-            continue
-        if rival.phi <= report.phi * (1 + PHI_TIE_TOL):
-            return False
-    return True
+    return not any(
+        rival.indices != report.indices
+        and closure.issuperset(rival.indices)
+        and phi_tied([report, rival])
+        for rival in _enumerate(env)
+    )
 
 
 def check_assumptions(env: Environment) -> AssumptionReport:
-    """Evaluate the genericity conditions by exhaustive enumeration."""
-    scanned = list(_spanning_subsets(env))
+    """Evaluate the genericity conditions from one ``_spanning_subsets`` scan.
+
+    Its minimal sets give the unique minimizer and gap, its dependent K-subsets
+    refute strong linear independence (as does N < K), and the closures of its
+    spanning subsets are the subspaces checked for ties, each by ``phi_tied``.
+    ``witnesses`` holds the tied sets and the dependent K-subsets.
+    """
+    scanned, dependent = _spanning_subsets(env)
     reports = _minimal_reports(env, scanned)
     witnesses: list[tuple[int, ...]] = []
 
@@ -333,17 +360,12 @@ def check_assumptions(env: Environment) -> AssumptionReport:
     elif unique_minimizer:
         gap = reports[1].phi - reports[0].phi
     else:
-        witnesses.extend(r.indices for r in reports if r.phi <= reports[0].phi * (1 + PHI_TIE_TOL))
+        witnesses.extend(r.indices for r in reports if phi_tied([reports[0], r]))
         gap = 0.0
 
-    n, k = env.num_sources, env.num_states
-    sli = n >= k
-    for subset in combinations(range(n), k):
-        if not _independent(env.coefficients[list(subset)]):
-            sli = False
-            witnesses.append(subset)
-
-    all_size_k = all(len(r.indices) == k for r in reports)
+    k = env.num_states
+    dependent_k = [subset for subset in dependent if len(subset) == k]
+    witnesses.extend(dependent_k)
 
     # Subspaces that do not identify the target are vacuous; the others are the
     # closures of independent spanning subsets, minimal or not. A subspace's
@@ -358,17 +380,15 @@ def check_assumptions(env: Environment) -> AssumptionReport:
         local = [r for r in reports if closure.issuperset(r.indices)]
         if phi_tied(local):
             unique_everywhere = False
-            witnesses.append(local[0].indices)
-            witnesses.append(local[1].indices)
+            witnesses += [local[0].indices, local[1].indices]
 
-    dedup = sorted(set(witnesses))
     return AssumptionReport(
         unique_minimizer=unique_minimizer,
         gap=float(gap),
-        strong_linear_independence=sli,
+        strong_linear_independence=env.num_sources >= k and not dependent_k,
         unique_minimizer_every_subspace=unique_everywhere,
-        all_minimal_sets_size_K=all_size_k,
-        witnesses=dedup,
+        all_minimal_sets_size_K=all(len(r.indices) == k for r in reports),
+        witnesses=sorted(set(witnesses)),
     )
 
 
@@ -416,15 +436,10 @@ def fit_perturbation_eta(env: Environment) -> float:
     outside sources up by (1 + h) with the largest h that keeps the best set
     strictly best, then eta = (2h + h^2) / (1 + h)^2.
     """
-    reports = _enumerate(env)
-    if not reports:
-        raise SpanError("no spanning set")
-    star = reports[0]
-    if phi_tied(reports):
-        raise SpanError("perturbation bound requires a unique phi-minimal set")
+    star, *rivals = _unique_best(env)
     inside = set(star.indices)
     h_cap = 10.0
-    for rival in reports[1:]:
+    for rival in rivals:
         a = sum(abs(b) for i, b in rival.beta.items() if i in inside)
         b = sum(abs(b) for i, b in rival.beta.items() if i not in inside)
         if a >= star.phi or b <= 0:

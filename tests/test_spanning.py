@@ -19,7 +19,7 @@ from infotrap import (
     subspace_closure,
 )
 
-from infotrap import spanning
+from infotrap import dynamics, spanning
 
 from conftest import random_environment
 
@@ -312,6 +312,8 @@ def _near_tie_env(rel_gap):
 def test_unique_best_decisions_at_phi_tie_tolerance(factor, tied):
     env = _near_tie_env(spanning.PHI_TIE_TOL * factor)
     assert check_assumptions(env).unique_minimizer is not tied
+    # Both tied sets are witnesses; every pair of sources is independent.
+    assert check_assumptions(env).witnesses == ([(0,), (1, 2)] if tied else [])
     if tied:
         with pytest.raises(SpanError):
             fit_perturbation_eta(env)
@@ -320,6 +322,20 @@ def test_unique_best_decisions_at_phi_tie_tolerance(factor, tied):
     else:
         assert fit_perturbation_eta(env) > 0
         assert design_free_signals(env, gamma=1.0) == []  # the best set is one source
+
+
+@pytest.mark.parametrize("factor, kind", [(0.99, "undetermined"), (1.01, "trap")])
+def test_classify_trap_at_phi_tie_tolerance(factor, kind):
+    gap = spanning.PHI_TIE_TOL * factor
+    env = _near_tie_env(gap)
+    # The second half of the run sampled only the pair {1, 2}, whose phi is 1 + gap.
+    label, ratio, _ = dynamics._classify(env, np.array([0, 5, 5]), np.zeros(3, dtype=int))
+    assert label.kind == kind
+    if kind == "trap":
+        assert label.trapped == (1, 2)
+        assert ratio == pytest.approx(1 + gap, rel=1e-15)
+    else:
+        assert ratio is None
 
 
 def test_check_assumptions_tie_in_subspace_of_non_minimal_sets():

@@ -195,3 +195,24 @@ def test_check_assumptions_scans_subsets_once(name, request, monkeypatch):
     monkeypatch.setattr(spanning, "_spanning_subsets", counting)
     check_assumptions(env)
     assert len(scans) == 1
+
+
+@pytest.mark.parametrize("name", ["example3", "parity_env"])
+def test_check_assumptions_tests_each_subset_once(name, request, monkeypatch):
+    env = request.getfixturevalue(name)
+    calls = []
+    independent = spanning._independent
+
+    def counting(rows):
+        calls.append(rows.tobytes())
+        return independent(rows)
+
+    monkeypatch.setattr(spanning, "_independent", counting)
+    check_assumptions(env)
+    n, k = env.num_sources, env.num_states
+    expected = [
+        env.coefficients[list(subset)].tobytes()
+        for size in range(1, min(n, k) + 1)
+        for subset in combinations(range(n), size)
+    ]
+    assert sorted(calls) == sorted(expected)

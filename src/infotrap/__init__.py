@@ -44,7 +44,6 @@ from .dynamics import (
     SearchBoundError,
     SimulationTrace,
     TieBreak,
-    apply_free_signals,
     design_free_signals,
     escalate_gamma,
     greedy_step,

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
 
 from .dynamics import SearchBoundError
+from .gaussian import NotPositiveDefiniteError
 from .oracle import greedy_vs_optimal, optimal_division
 from .scenarios import (
     ScenarioError,
@@ -18,6 +19,7 @@ from .scenarios import (
     sweep as run_sweep,
     write_report_json,
 )
+from .spanning import SpanError
 
 
 @click.group()
@@ -30,6 +32,17 @@ def _load(file) -> list:
         return parse_scenario_file(file)
     except ScenarioError as exc:
         raise click.ClickException(str(exc)) from exc
+
+
+@contextmanager
+def _running(scenario):
+    """Report what a parsed scenario can still raise when it runs (a search beyond its
+    bound, a posterior precision that is not positive definite, no unique best set to
+    design free signals for, a bad sweep grid) as an error naming the scenario."""
+    try:
+        yield
+    except (SearchBoundError, NotPositiveDefiniteError, SpanError, ScenarioError) as exc:
+        raise click.ClickException(f"{scenario.name}: {exc}") from exc
 
 
 out_option = click.option(
@@ -66,7 +79,9 @@ def analyze(file, out: Path, quiet: bool):
 @quiet_option
 def simulate(file, out: Path, quiet: bool):
     """Run each scenario, writing a trace CSV and a report JSON."""
-    run_batch(_load(file), out, quiet=quiet)
+    for scenario in _load(file):
+        with _running(scenario):
+            run_batch([scenario], out, quiet=quiet)
 
 
 @main.command()
@@ -78,10 +93,8 @@ def oracle(file, budget: int, out: Path, quiet: bool):
     """Exact optimal allocation of an observation budget for each scenario."""
     out.mkdir(parents=True, exist_ok=True)
     for scenario in _load(file):
-        try:
+        with _running(scenario):
             result = optimal_division(scenario.environment, scenario.prior, budget)
-        except SearchBoundError as exc:
-            raise click.ClickException(str(exc)) from exc
         report = {
             "name": scenario.name,
             "t": budget,
@@ -114,10 +127,8 @@ def sweep(file, state: int, grid: str, out: Path, quiet: bool):
     except ValueError as exc:
         raise click.ClickException(f"--grid: {exc}") from exc
     for scenario in _load(file):
-        try:
+        with _running(scenario):
             report = run_sweep(SweepSpec(base=scenario, state_index=state - 1, grid=values))
-        except ScenarioError as exc:
-            raise click.ClickException(str(exc)) from exc
         path = out / f"{scenario.name}_sweep.json"
         write_report_json(path, report)
         if not quiet:
@@ -133,10 +144,8 @@ def compare(file, budget: int, out: Path, quiet: bool):
     """Greedy-versus-optimal variance table up to the given horizon."""
     out.mkdir(parents=True, exist_ok=True)
     for scenario in _load(file):
-        try:
+        with _running(scenario):
             rows = greedy_vs_optimal(scenario.environment, scenario.prior, budget)
-        except SearchBoundError as exc:
-            raise click.ClickException(str(exc)) from exc
         path = out / f"{scenario.name}_compare.csv"
         lines = ["t,greedy_variance,optimal_variance,ratio"]
         for r in rows:

@@ -14,7 +14,8 @@ from itertools import chain, combinations, islice
 from typing import Union
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+# cho_factor/cho_solve: perfbench/tracing.py and tests/test_engine.py wrap them here.
+from scipy.linalg import cho_factor, cho_solve  # noqa: F401
 
 from .gaussian import (
     DivisionVector,
@@ -22,7 +23,9 @@ from .gaussian import (
     FrequencyVector,
     GaussianPrior,
     _cholesky,
+    _per_source,
     _potrs,
+    _signal_precision,
     block_variances,
 )
 from .spanning import (  # enumerate_minimal_spanning_sets: perfbench/tracing.py wraps it here
@@ -47,7 +50,6 @@ __all__ = [
     "SimulationTrace",
     "greedy_step",
     "simulate",
-    "apply_free_signals",
     "design_free_signals",
     "escalate_gamma",
     "compositions",
@@ -106,9 +108,7 @@ class NoIntervention:
 
 
 @dataclass(frozen=True)
-class PrecisionReplicate:
-    """Each acquisition yields ``batch`` independent draws of the chosen source."""
-
+class _Batched:
     batch: int
 
     def __post_init__(self) -> None:
@@ -117,14 +117,13 @@ class PrecisionReplicate:
 
 
 @dataclass(frozen=True)
-class BatchAllocate:
+class PrecisionReplicate(_Batched):
+    """Each acquisition yields ``batch`` independent draws of the chosen source."""
+
+
+@dataclass(frozen=True)
+class BatchAllocate(_Batched):
     """Each agent spreads ``batch`` observations across sources to minimize variance."""
-
-    batch: int
-
-    def __post_init__(self) -> None:
-        if self.batch < 1:
-            raise ValueError("batch size must be >= 1")
 
 
 @dataclass(eq=False)
@@ -215,7 +214,11 @@ def compositions(total: int, parts: int):
 
 
 class _Engine:
-    """Shared per-run state: posterior precision, counts, candidate evaluation."""
+    """Shared per-run state: posterior precision, counts, candidate evaluation.
+
+    The prior precision gains ``v v'`` for each free signal ``v`` once, here; the
+    signals are kept for drawing their realizations.
+    """
 
     def __init__(
         self,
@@ -230,20 +233,17 @@ class _Engine:
                 "AutoFreeSignals runs through escalate_gamma"
             )
         self.env = env
-        self.intervention = intervention
         self.tie_rng = tie_rng
-        vectors = intervention.vectors if isinstance(intervention, FreeSignals) else ()
-        self.precision = _add_free_signals(prior.precision, vectors)
+        self.free_signals = intervention.vectors if isinstance(intervention, FreeSignals) else ()
+        if any(v.shape != (env.num_states,) for v in self.free_signals):
+            raise ValueError("free-signal vector dimension must match the state count")
+        self.precision = np.array(prior.precision)
+        for v in self.free_signals:
+            self.precision += np.outer(v, v)
         self.counts = np.zeros(env.num_sources, dtype=np.int64)
         self.replication = (
             intervention.batch if isinstance(intervention, PrecisionReplicate) else 1
         )
-        # Per-run invariants of the single-source step.
-        self._dirs = env.directions  # (R, K)
-        self._dirs_t = self._dirs.T
-        self._weights = env.weights
-        self._coefficients_t = env.coefficients.T
-        self._m = float(self.replication)
         if isinstance(intervention, BatchAllocate):
             if intervention.batch > MAX_BATCH or env.num_sources > MAX_BATCH_SOURCES:
                 raise SearchBoundError(
@@ -275,14 +275,14 @@ class _Engine:
 
         # The LAPACK calls of cho_factor/cho_solve, made directly (same bits).
         factor = _cholesky(self.precision)
-        sols = _potrs(factor, self._dirs_t, lower=True)[0]  # (K, R)
-        current = float(np.dot(self._weights, np.einsum("rk,kr->r", self._dirs, sols)))
+        sols = _potrs(factor, env.directions.T, lower=True)[0]  # (K, R)
+        current = float(np.dot(env.weights, np.einsum("rk,kr->r", env.directions, sols)))
         gammas = env.coefficients @ sols  # (N, R): u_r' Sigma c_i
         quad = np.einsum(
-            "nk,kn->n", env.coefficients, _potrs(factor, self._coefficients_t, lower=True)[0]
+            "nk,kn->n", env.coefficients, _potrs(factor, env.coefficients.T, lower=True)[0]
         )
-        m = self._m
-        reductions = ((gammas**2) @ self._weights) * m / (1.0 + m * quad)
+        m = float(self.replication)
+        reductions = ((gammas**2) @ env.weights) * m / (1.0 + m * quad)
         i = self._pick(-reductions)
         self.counts[i] += 1
         self.precision += m * env.source_outers[i]
@@ -302,9 +302,9 @@ def greedy_step(
     batch allocation.
     """
     engine = _Engine(env, prior, intervention, rule.make_rng())
-    q = counts.counts if isinstance(counts, DivisionVector) else np.asarray(counts)
-    base = np.asarray(q, dtype=float) * engine.replication
-    engine.precision += (env.coefficients.T * base) @ env.coefficients
+    engine.precision += _signal_precision(
+        env, _per_source(env, counts, "count") * engine.replication
+    )
     choice, _ = engine.step()
     return choice
 
@@ -359,16 +359,6 @@ def simulate(
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     engine = _Engine(env, prior, intervention, rule.make_rng())
-
-    theta = None
-    info_vec = None
-    real_rng = None
-    if sample_realizations:
-        real_rng = np.random.default_rng(seed)
-        chol = np.linalg.cholesky(prior.covariance)
-        theta = prior.mean + chol @ real_rng.standard_normal(env.num_states)
-        info_vec = engine.precision @ prior.mean
-
     choices: list = []
     variance_path = np.empty(horizon)
     half_mark = horizon // 2
@@ -378,23 +368,25 @@ def simulate(
         choice, value = engine.step()
         choices.append(choice)
         variance_path[t] = value
-        if sample_realizations:
-            per_source = (
-                {int(choice): engine.replication}
-                if isinstance(choice, int)
-                else {i: int(b) for i, b in enumerate(choice) if b > 0}
-            )
-            for i, n_obs in per_source.items():
-                c = env.coefficients[i]
-                draws = float(c @ theta) * n_obs + real_rng.standard_normal(n_obs).sum()
-                info_vec = info_vec + c * draws
         if t + 1 == half_mark:
             counts_half = engine.counts.copy()
 
     classification, ratio, freq = _classify(env, engine.counts, counts_half)
     final_mean = None
     if sample_realizations:
-        final_mean = np.linalg.solve(engine.precision, info_vec)
+        # Realizations never steer a choice, so they are drawn once from the final counts:
+        # n observations of row c sum to n <c, theta> + sqrt(n) z, and each free signal
+        # is one observation of its vector.
+        rng = np.random.default_rng(seed)
+        chol = np.linalg.cholesky(prior.covariance)
+        theta = prior.mean + chol @ rng.standard_normal(env.num_states)
+        rows = np.vstack([env.coefficients, *engine.free_signals])
+        n = np.concatenate(
+            [engine.counts * float(engine.replication), np.ones(len(engine.free_signals))]
+        )
+        sums = n * (rows @ theta) + np.sqrt(n) * rng.standard_normal(n.size)
+        info = prior.precision @ prior.mean + rows.T @ sums
+        final_mean = np.linalg.solve(engine.precision, info)
 
     return SimulationTrace(
         choices=choices,
@@ -405,34 +397,6 @@ def simulate(
         frequency_estimate=freq,
         final_mean=final_mean,
     )
-
-
-def apply_free_signals(prior: GaussianPrior, vectors) -> GaussianPrior:
-    """Prior updated by one public observation of each direction vector.
-
-    Precision gains ``p p'`` per vector; the mean is left at its prior value
-    since realizations never influence acquisition choices.
-    """
-    vecs = [np.asarray(v, dtype=float) for v in vectors]
-    if not vecs:
-        return prior
-    factor = cho_factor(_add_free_signals(prior.precision, vecs), lower=True)
-    cov = cho_solve(factor, np.eye(prior.num_states))
-    cov = 0.5 * (cov + cov.T)
-    return GaussianPrior(mean=np.array(prior.mean), covariance=cov)
-
-
-def _add_free_signals(precision: np.ndarray, vectors) -> np.ndarray:
-    """A copy of ``precision`` plus ``v v'`` for each free-signal vector."""
-    vecs = [np.asarray(v, dtype=float) for v in vectors]
-    k = precision.shape[0]
-    for v in vecs:
-        if v.shape != (k,):
-            raise ValueError("free-signal vector dimension must match the state count")
-    out = np.array(precision)
-    for v in vecs:
-        out += np.outer(v, v)
-    return out
 
 
 def design_free_signals(env: Environment, gamma: float) -> list[np.ndarray]:
@@ -478,16 +442,17 @@ def escalate_gamma(
     """
     if not (gamma0 > 0):
         raise ValueError("gamma0 must be positive")
+    # design_free_signals(env, gamma) is gamma times the unit design, bit for bit.
+    unit = design_free_signals(env, 1.0)
     gamma = float(gamma0)
     result = None
     for _ in range(MAX_DOUBLINGS + 1):
-        vectors = design_free_signals(env, gamma)
         trace = simulate(
             env,
             prior,
             horizon,
             rule=rule,
-            intervention=FreeSignals(tuple(vectors)),
+            intervention=FreeSignals(tuple(gamma * v for v in unit)),
             sample_realizations=sample_realizations,
             seed=seed,
         )

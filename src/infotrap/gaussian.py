@@ -116,6 +116,9 @@ class Environment:
             if not pairs:
                 raise ValueError("objective must be non-empty")
             self.objective = tuple(pairs)
+        # All target directions stacked as an (R, K) array, and their weights.
+        self.directions = _readonly([d for _, d in self.objective])
+        self.weights = _readonly([w for w, _ in self.objective])
 
     @property
     def num_sources(self) -> int:
@@ -124,15 +127,6 @@ class Environment:
     @property
     def num_states(self) -> int:
         return self.coefficients.shape[1]
-
-    @property
-    def directions(self) -> np.ndarray:
-        """All target directions stacked as an (R, K) array."""
-        return np.array([d for _, d in self.objective])
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.array([w for w, _ in self.objective])
 
     def single_direction(self) -> np.ndarray:
         """The unique target direction, or raise if the objective is weighted over several."""
@@ -250,32 +244,19 @@ class FrequencyVector:
         return tuple(int(i) for i in np.nonzero(self.weights > tol)[0])
 
 
-def _as_count_array(env: Environment, counts) -> np.ndarray:
-    if isinstance(counts, DivisionVector):
-        q = counts.counts.astype(float)
-    else:
-        q = np.asarray(counts, dtype=float)
+def _per_source(env: Environment, values, name: str) -> np.ndarray:
+    """``values`` (a DivisionVector, a FrequencyVector or a sequence) as a float array of
+    one finite, non-negative entry per source; ``name`` labels the errors."""
+    if isinstance(values, DivisionVector):
+        values = values.counts
+    elif isinstance(values, FrequencyVector):
+        values = values.weights
+    q = np.asarray(values, dtype=float)
     if q.shape != (env.num_sources,):
-        raise DimensionError(
-            f"count vector has length {q.shape}, expected {env.num_sources}"
-        )
+        raise DimensionError(f"{name} vector has length {q.shape}, expected {env.num_sources}")
     if not np.all(np.isfinite(q)) or np.any(q < 0):
-        raise ValueError("counts must be finite and non-negative")
+        raise ValueError(f"{name} entries must be finite and non-negative")
     return q
-
-
-def _as_frequency_array(env: Environment, lam) -> np.ndarray:
-    if isinstance(lam, FrequencyVector):
-        w = np.array(lam.weights)
-    else:
-        w = np.asarray(lam, dtype=float)
-    if w.shape != (env.num_sources,):
-        raise DimensionError(
-            f"frequency vector has length {w.shape}, expected {env.num_sources}"
-        )
-    if np.any(w < 0) or not np.all(np.isfinite(w)):
-        raise ValueError("frequencies must be non-negative and finite")
-    return w
 
 
 def _signal_precision(env: Environment, q: np.ndarray) -> np.ndarray:
@@ -318,7 +299,7 @@ def posterior_variance(env: Environment, prior: GaussianPrior, counts) -> float:
     realizations never enter.
     """
     _check_prior(env, prior)
-    q = _as_count_array(env, counts)
+    q = _per_source(env, counts, "count")
     precision = prior.precision + _signal_precision(env, q)
     return _objective_variance(env, precision)
 
@@ -330,7 +311,7 @@ def variance_reduction(env: Environment, prior: GaussianPrior, counts, source: i
     """
     if not 0 <= source < env.num_sources:
         raise IndexError(f"source index {source} out of range")
-    q = _as_count_array(env, counts)
+    q = _per_source(env, counts, "count")
     step = q.copy()
     step[source] += 1
     return posterior_variance(env, prior, q) - posterior_variance(env, prior, step)
@@ -388,7 +369,7 @@ def asymptotic_variance(env: Environment, frequencies) -> float:
     Returns +inf when some target direction has a component outside the span of
     the positively weighted sources. Homogeneous of degree -1 in ``lam``.
     """
-    value, _, outside, _ = spectral_inverse(env, _as_frequency_array(env, frequencies))
+    value, _, outside, _ = spectral_inverse(env, _per_source(env, frequencies, "frequency"))
     return math.inf if outside else value
 
 
@@ -399,7 +380,7 @@ def grad_posterior_variance(env: Environment, prior: GaussianPrior, counts) -> n
     precision; every component is non-positive.
     """
     _check_prior(env, prior)
-    q = _as_count_array(env, counts)
+    q = _per_source(env, counts, "count")
     precision = prior.precision + _signal_precision(env, q)
     sols = _potrs(_cholesky(precision), env.directions.T, lower=True)[0]  # (K, R)
     gammas = env.coefficients @ sols  # (N, R), entry (j, r) = u_r' P^-1 c_j
@@ -412,7 +393,7 @@ def grad_asymptotic_variance(env: Environment, frequencies) -> np.ndarray:
     Raises ``NonDifferentiableError`` when the information matrix is singular:
     the asymptotic variance has kinks there and no silent number is returned.
     """
-    _, grad, _, cut = spectral_inverse(env, _as_frequency_array(env, frequencies))
+    _, grad, _, cut = spectral_inverse(env, _per_source(env, frequencies, "frequency"))
     if cut:
         raise NonDifferentiableError(
             "information matrix is singular at these frequencies; "

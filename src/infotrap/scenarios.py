@@ -146,8 +146,9 @@ def _parse_intervention(raw, path: str):
     if kind == "free_signals":
         return FreeSignals(tuple(_numbers(raw, kind, path, 2)))
     if kind in ("precision", "batch"):
+        # A replication count scales the precision as a float, so it must be one.
         return (PrecisionReplicate if kind == "precision" else BatchAllocate)(
-            _integer(raw, kind, path, 1)
+            _integer(raw, kind, path, 1, _FLOAT_MAX)
         )
     if kind != "free_signals_auto":
         raise ScenarioError(f"{path}: unknown intervention kind {kind!r}")
@@ -346,29 +347,23 @@ def build_report(scenario: Scenario, trace: SimulationTrace, gamma_final: float 
     return _json_safe(report)
 
 
+def _run_trace(scenario: Scenario) -> tuple[float | None, SimulationTrace]:
+    """Run one scenario's greedy process: the final gamma of an escalation (None
+    without one) and the trace."""
+    run = (scenario.environment, scenario.prior, scenario.horizon)
+    kw = dict(
+        rule=scenario.tie_break,
+        sample_realizations=scenario.sample_realizations,
+        seed=scenario.seed,
+    )
+    if isinstance(scenario.intervention, AutoFreeSignals):
+        return escalate_gamma(*run, scenario.intervention.gamma0, **kw)
+    return None, simulate(*run, intervention=scenario.intervention, **kw)
+
+
 def run_scenario(scenario: Scenario) -> tuple[SimulationTrace, dict]:
     """Execute one scenario and build its report dictionary."""
-    gamma_final = None
-    if isinstance(scenario.intervention, AutoFreeSignals):
-        gamma_final, trace = escalate_gamma(
-            scenario.environment,
-            scenario.prior,
-            scenario.horizon,
-            scenario.intervention.gamma0,
-            rule=scenario.tie_break,
-            sample_realizations=scenario.sample_realizations,
-            seed=scenario.seed,
-        )
-    else:
-        trace = simulate(
-            scenario.environment,
-            scenario.prior,
-            scenario.horizon,
-            rule=scenario.tie_break,
-            intervention=scenario.intervention,
-            sample_realizations=scenario.sample_realizations,
-            seed=scenario.seed,
-        )
+    gamma_final, trace = _run_trace(scenario)
     return trace, build_report(scenario, trace, gamma_final)
 
 
@@ -432,7 +427,7 @@ def _with_prior_variance(scenario: Scenario, state: int, value: float) -> Scenar
         prior = GaussianPrior(mean=np.array(scenario.prior.mean), covariance=cov)
     except ValueError as exc:
         raise ScenarioError(f"grid: variance {value:g} gives an invalid prior ({exc})") from exc
-    return replace(scenario, name=f"{scenario.name}_v{state + 1}_{value:g}", prior=prior)
+    return replace(scenario, prior=prior)
 
 
 def sweep(spec: SweepSpec) -> dict:
@@ -446,7 +441,7 @@ def sweep(spec: SweepSpec) -> dict:
     threshold = None
     for value in spec.grid:
         run = _with_prior_variance(spec.base, spec.state_index, float(value))
-        trace, _ = run_scenario(run)
+        _, trace = _run_trace(run)
         cls = trace.classification
         rows.append(
             {

@@ -8,13 +8,13 @@ from infotrap import (
     BatchAllocate,
     DivisionVector,
     Environment,
+    FreeSignals,
     GaussianPrior,
     NoIntervention,
     PrecisionReplicate,
     SearchBoundError,
     SpanError,
     TieBreak,
-    apply_free_signals,
     best_set,
     design_free_signals,
     escalate_gamma,
@@ -24,7 +24,7 @@ from infotrap import (
     posterior_variance,
     simulate,
 )
-from infotrap import dynamics
+from infotrap import dynamics, spanning
 from infotrap.dynamics import compositions
 
 from conftest import random_environment, random_pd_prior
@@ -107,6 +107,47 @@ def test_simulate_realizations_do_not_change_choices(example2, example2_trap_pri
     assert b.final_mean is not None and b.final_mean.shape == (2,)
 
 
+@pytest.mark.parametrize(
+    "variances, intervention",
+    [
+        ([1.0, 6.0], NoIntervention()),
+        ([1.0, 10.0], FreeSignals((np.array([0.0, 3.0]),))),
+        ([1.0, 10.0], PrecisionReplicate(3)),
+        ([1.0, 10.0], BatchAllocate(2)),
+    ],
+    ids=["none", "free_signals", "precision", "batch"],
+)
+def test_sampled_posterior_mean_is_calibrated(example2, variances, intervention):
+    # With theta and every observation drawn from the model, the posterior mean
+    # varies across seeds by the variance the data removed: Sigma0 - Sigma_T.
+    prior = GaussianPrior.from_diagonal(variances)
+    runs = [
+        simulate(example2, prior, 40, intervention=intervention, sample_realizations=True, seed=s)
+        for s in range(300)
+    ]
+    replication = intervention.batch if isinstance(intervention, PrecisionReplicate) else 1
+    counts = runs[0].final_counts.counts * replication
+    precision = prior.precision + (example2.coefficients.T * counts) @ example2.coefficients
+    for v in getattr(intervention, "vectors", ()):
+        precision = precision + np.outer(v, v)
+    expected = np.diag(prior.covariance - np.linalg.inv(precision))
+    sampled = np.var([run.final_mean for run in runs], axis=0, ddof=1)
+    np.testing.assert_allclose(sampled, expected, rtol=0.25, atol=1e-9)
+
+
+def test_sampled_posterior_mean_with_huge_replication(example2, example2_trap_prior):
+    # 10**17 draws per period are summed in closed form, never materialized.
+    trace = simulate(
+        example2,
+        example2_trap_prior,
+        5,
+        intervention=PrecisionReplicate(10**17),
+        sample_realizations=True,
+        seed=3,
+    )
+    assert np.all(np.isfinite(trace.final_mean))
+
+
 def test_precision_replicate_trap_persists(example2, example2_trap_prior):
     for b in (1, 10, 100):
         trace = simulate(
@@ -129,14 +170,6 @@ def test_batch_allocation_escapes_trap(example2, example2_trap_prior):
     assert trace.classification.kind == "efficient"
     assert trace.frequency_estimate.weights == pytest.approx([0, 0.5, 0.5], abs=0.05)
     assert trace.final_counts.total == 4000
-
-
-def test_apply_free_signals(example2, example2_trap_prior):
-    updated = apply_free_signals(example2_trap_prior, [np.array([0.0, 10.0])])
-    assert np.diag(updated.covariance) == pytest.approx([1.0, 1 / 100.1], rel=1e-12)
-    assert apply_free_signals(example2_trap_prior, []) is example2_trap_prior
-    half = apply_free_signals(GaussianPrior.from_diagonal([1, 1]), [np.array([1.0, 0.0])])
-    assert half.covariance[0, 0] == pytest.approx(0.5, rel=1e-12)
 
 
 def test_design_free_signals_example2(example2):
@@ -171,6 +204,32 @@ def test_escalate_gamma_breaks_example2_trap(example2, example2_trap_prior):
     gamma, trace = escalate_gamma(example2, example2_trap_prior, 2000, gamma0=1.0)
     assert trace.classification.kind == "efficient"
     assert gamma <= 1024.0
+
+
+def test_escalate_gamma_designs_once(monkeypatch, example2, example2_trap_prior):
+    calls = []
+    enumerate_sets = spanning._enumerate
+    monkeypatch.setattr(spanning, "_enumerate", lambda env: calls.append(1) or enumerate_sets(env))
+    gamma, trace = escalate_gamma(example2, example2_trap_prior, 200, gamma0=32.0)
+    assert gamma == 32.0 * 2**dynamics.MAX_DOUBLINGS  # every doubling ran
+    assert len(calls) == 1
+
+
+def test_scaled_unit_design_is_bitwise_the_gamma_design():
+    rng = np.random.default_rng(8)
+    gammas = [float(g) for g in np.exp(rng.uniform(-5.0, 25.0, 8))] + [2.0**-3, 3.0, 1e10]
+    designed = 0
+    for _ in range(60):
+        env = random_environment(rng)
+        try:
+            unit = design_free_signals(env, 1.0)
+        except SpanError:
+            continue
+        designed += bool(unit)
+        for gamma in gammas:
+            direct = design_free_signals(env, gamma)
+            assert [v.tobytes() for v in direct] == [(gamma * v).tobytes() for v in unit]
+    assert designed >= 10
 
 
 def test_escalate_gamma_trivial_when_already_efficient(example2):

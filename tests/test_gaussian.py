@@ -148,6 +148,17 @@ def test_environment_validation():
         Environment([[1, 0]], objective=[(-1.0, [1, 0])])
 
 
+def test_environment_directions_and_weights_are_read_only_stacks():
+    env = Environment([[1, 0], [0, 1]], objective=[(2.0, [1, 0]), (0.5, [1, 1])])
+    assert np.array_equal(env.directions, np.array([d for _, d in env.objective]))
+    assert np.array_equal(env.weights, np.array([w for w, _ in env.objective]))
+    for field in (env.directions, env.weights):
+        with pytest.raises(ValueError):
+            field[0] = 3.0
+    default = Environment([[1, 0, 2]])
+    assert default.directions.tolist() == [[1.0, 0.0, 0.0]] and default.weights.tolist() == [1.0]
+
+
 def test_division_and_frequency_vectors():
     with pytest.raises(ValueError):
         DivisionVector(np.array([1, -1]))

@@ -381,6 +381,33 @@ def test_cli_rejects_bad_options_without_traceback(tmp_path, args, option):
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"intervention": {"batch": 13}}, "batch allocation search supports"),
+        ({"intervention": {"free_signals_auto": {"gamma0": 1e100}}}, "not positive"),
+        (
+            {
+                "coefficients": [[1, 1], [1, -1], [1, 0]],
+                "intervention": {"free_signals_auto": {"gamma0": 1.0}},
+            },
+            "no unique best set",
+        ),
+    ],
+    ids=["batch_bound", "huge_gamma0", "tied_best_set"],
+)
+@pytest.mark.parametrize("command", [["simulate"], ["sweep", "--state", "2", "--grid", "6,12"]])
+def test_cli_run_errors_name_the_scenario(tmp_path, overrides, message, command):
+    path = _write_scenario(tmp_path, horizon=20, **overrides)
+    result = CliRunner().invoke(
+        cli_main, [command[0], str(path), *command[1:], "--out", str(tmp_path / "out")]
+    )
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert "example2: " in result.output and message in result.output
+    assert "Traceback" not in result.output
+
+
 def test_run_scenario_multi_direction_report(tmp_path):
     doc = scenario_to_dict(bundled_scenario("example2"))
     doc["name"] = "weighted"
@@ -426,6 +453,7 @@ def test_parse_rejects_bad_free_signals_auto_gamma0(gamma0):
         ({"precision": 2.7}, "precision"),
         ({"precision": "3"}, "precision"),
         ({"precision": True}, "precision"),
+        ({"precision": 10**400}, "precision"),
         ({"batch": True}, "batch"),
         ({"batch": 2.0}, "batch"),
         ({"free_signals_auto": {"gamma0": True}}, "free_signals_auto"),

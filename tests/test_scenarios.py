@@ -453,13 +453,13 @@ def test_parse_rejects_bad_free_signals_auto_gamma0(gamma0):
         ({"precision": 2.7}, "precision"),
         ({"precision": "3"}, "precision"),
         ({"precision": True}, "precision"),
-        ({"precision": 10**400}, "precision"),
         ({"batch": True}, "batch"),
         ({"batch": 2.0}, "batch"),
         ({"free_signals_auto": {"gamma0": True}}, "free_signals_auto"),
         ({"free_signals_auto": {"gamma0": "3"}}, "free_signals_auto"),
         ({"free_signals_auto": {"gamma0": None}}, "free_signals_auto"),
         ({"free_signals_auto": {"gamma0": 10**400}}, "free_signals_auto"),
+        ({"precision": 10**400}, "precision"),
     ],
 )
 def test_parse_rejects_coerced_intervention_values(raw, field):

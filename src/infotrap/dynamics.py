@@ -244,6 +244,9 @@ class _Engine:
         self.replication = (
             intervention.batch if isinstance(intervention, PrecisionReplicate) else 1
         )
+        # The step's replication and, for one target, its weight (None for several).
+        self._m = float(self.replication)
+        self._w = float(env.weights[0]) if env.weights.size == 1 else None
         if isinstance(intervention, BatchAllocate):
             if intervention.batch > MAX_BATCH or env.num_sources > MAX_BATCH_SOURCES:
                 raise SearchBoundError(
@@ -254,11 +257,16 @@ class _Engine:
         else:
             self._comps = None
 
-    def _pick(self, values: np.ndarray) -> int:
-        """Index of the minimum of ``values`` with tolerant ties under the rule."""
-        best = float(values.min())
-        tied = np.nonzero(values <= best + TIE_TOL * max(abs(best), 1e-300))[0]
-        if len(tied) == 1 or self.tie_rng is None:
+    def _pick(self, scores: np.ndarray) -> int:
+        """Index of the largest of ``scores``; scores within ``TIE_TOL`` (relative) of it
+        tie, and the rule picks among them. A unique winner draws nothing from the RNG."""
+        i = int(scores.argmax())
+        top = float(scores[i])
+        near = scores >= top - TIE_TOL * max(abs(top), 1e-300)
+        if np.count_nonzero(near) == 1:
+            return i
+        tied = np.flatnonzero(near)
+        if self.tie_rng is None:
             return int(tied[0])
         return int(self.tie_rng.choice(tied))
 
@@ -267,7 +275,7 @@ class _Engine:
         env = self.env
         if self._comps is not None:
             values = block_variances(env, self.precision, self._comps)
-            j = self._pick(values)
+            j = self._pick(-values)
             choice = self._comps[j]
             self.counts += choice
             self.precision += np.einsum("n,nij->ij", choice.astype(float), env.source_outers)
@@ -276,17 +284,31 @@ class _Engine:
         # The LAPACK calls of cho_factor/cho_solve, made directly (same bits).
         factor = _cholesky(self.precision)
         sols = _potrs(factor, env.directions.T, lower=True)[0]  # (K, R)
-        current = float(np.dot(env.weights, np.einsum("rk,kr->r", env.directions, sols)))
+        variances = np.einsum("rk,kr->r", env.directions, sols)
         gammas = env.coefficients @ sols  # (N, R): u_r' Sigma c_i
         quad = np.einsum(
             "nk,kn->n", env.coefficients, _potrs(factor, env.coefficients.T, lower=True)[0]
         )
-        m = float(self.replication)
-        reductions = ((gammas**2) @ env.weights) * m / (1.0 + m * quad)
-        i = self._pick(-reductions)
+        # Reductions (sum_r w_r gamma_r^2) m / (1 + m quad). A product by 1 and a sum
+        # over one target are exact, so skipping them keeps every bit.
+        m, w = self._m, self._w
+        if w is None:
+            current = float(np.dot(env.weights, variances))
+            gains = (gammas**2) @ env.weights
+        else:
+            current = w * float(variances[0])
+            gains = gammas[:, 0] ** 2
+            if w != 1.0:
+                gains = gains * w
+        if m == 1.0:
+            reductions = gains / (1.0 + quad)
+        else:
+            reductions = gains * m / (1.0 + m * quad)
+        i = self._pick(reductions)
         self.counts[i] += 1
-        self.precision += m * env.source_outers[i]
-        return int(i), current - float(reductions[i])
+        outer = env.source_outers[i]
+        self.precision += outer if m == 1.0 else m * outer
+        return i, current - float(reductions[i])
 
 
 def greedy_step(
@@ -438,7 +460,8 @@ def escalate_gamma(
     """Double the free-signal precision bound until the run classifies efficient.
 
     Returns the first successful (gamma, trace), or the last failing pair after
-    ``MAX_DOUBLINGS`` doublings.
+    ``MAX_DOUBLINGS`` doublings. With no signal to release (a single-source best
+    set), every gamma gives the same run, so it runs once and returns ``gamma0``.
     """
     if not (gamma0 > 0):
         raise ValueError("gamma0 must be positive")
@@ -457,7 +480,7 @@ def escalate_gamma(
             seed=seed,
         )
         result = (gamma, trace)
-        if trace.classification.kind == "efficient":
+        if trace.classification.kind == "efficient" or not unit:
             return result
         gamma *= 2.0
     return result

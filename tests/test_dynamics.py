@@ -215,6 +215,22 @@ def test_escalate_gamma_designs_once(monkeypatch, example2, example2_trap_prior)
     assert len(calls) == 1
 
 
+def test_escalate_gamma_without_signals_runs_once(monkeypatch):
+    # The best set is the single source [1, 0, 0], so the design is empty and no
+    # gamma changes the run; the run classifies undetermined.
+    env = Environment([[2.0, -2.0, 1.0], [2.0, 1.0, -1.0], [1.0, 0.0, 0.0]])
+    cov = [[0.34, 0.04, -0.15], [0.04, 0.01, -0.06], [-0.15, -0.06, 0.48]]
+    prior = GaussianPrior(np.zeros(3), cov)
+    assert design_free_signals(env, 1.0) == []
+    runs = []
+    run = dynamics.simulate
+    monkeypatch.setattr(dynamics, "simulate", lambda *a, **kw: runs.append(1) or run(*a, **kw))
+    gamma, trace = escalate_gamma(env, prior, 200, gamma0=3.0)
+    assert (gamma, len(runs)) == (3.0, 1)
+    assert trace.classification.kind == "undetermined"
+    assert trace.variance_path.tobytes() == run(env, prior, 200).variance_path.tobytes()
+
+
 def test_scaled_unit_design_is_bitwise_the_gamma_design():
     rng = np.random.default_rng(8)
     gammas = [float(g) for g in np.exp(rng.uniform(-5.0, 25.0, 8))] + [2.0**-3, 3.0, 1e10]

@@ -1,8 +1,10 @@
 """The single-source engine step against the scipy ``cho_factor``/``cho_solve`` path it replaces.
 
-The step calls LAPACK's ``potrf``/``potrs`` directly. These tests run a
-reference copy of the scipy-wrapper step on the same engine state and require
-identical choices and bit-identical variance paths, and the same
+The step calls LAPACK's ``potrf``/``potrs`` directly, skips products by 1 and
+sums over one target, and finds a unique winner with one count. These tests run
+a reference copy of the plain scipy-wrapper step, with its own copy of the tie
+rule, on the same engine state and require identical choices, bit-identical
+variance paths and the same tie RNG state, and the same
 ``NotPositiveDefiniteError`` on bad precisions.
 """
 
@@ -35,6 +37,19 @@ from conftest import random_pd_prior
 
 FAST_STEP = dynamics._Engine.step
 
+# The reference's own copy of the tie tolerance, so a change to the engine's shows.
+TIE_TOL = 1e-12
+
+
+def reference_pick(values, rng):
+    """Index of the minimum of ``values``; values within ``TIE_TOL`` (relative) of it are
+    tied, and the lowest index wins, or ``rng`` chooses among them."""
+    best = float(values.min())
+    tied = np.nonzero(values <= best + TIE_TOL * max(abs(best), 1e-300))[0]
+    if len(tied) == 1 or rng is None:
+        return int(tied[0])
+    return int(rng.choice(tied))
+
 
 def reference_step(self, ties=None):
     """The engine step as written with scipy's wrappers, recomputing every invariant."""
@@ -49,11 +64,11 @@ def reference_step(self, ties=None):
     quad = np.einsum("nk,kn->n", env.coefficients, cho_solve(factor, env.coefficients.T))
     m = float(self.replication)
     reductions = ((gammas**2) @ env.weights) * m / (1.0 + m * quad)
+    values = -reductions
     if ties is not None:
-        values = -reductions
         best = float(values.min())
-        ties.append(int(np.sum(values <= best + dynamics.TIE_TOL * max(abs(best), 1e-300)) > 1))
-    i = self._pick(-reductions)
+        ties.append(int(np.sum(values <= best + TIE_TOL * max(abs(best), 1e-300)) > 1))
+    i = reference_pick(values, self.tie_rng)
     self.counts[i] += 1
     self.precision += m * env.source_outers[i]
     return int(i), current - float(reductions[i])
@@ -138,6 +153,104 @@ def test_fast_step_matches_scipy_step_in_greedy_step(monkeypatch, example2, exam
                 lambda: greedy_step(example2, example2_trap_prior, counts, intervention=intervention),
             )
             assert fast == ref
+
+
+def _engine_run(step, env, prior, intervention, rule, horizon):
+    """``horizon`` steps of a fresh engine: choices, variance bytes, counts, precision bytes
+    and the tie RNG state after the run."""
+    rng = rule.make_rng()
+    engine = dynamics._Engine(env, prior, intervention, rng)
+    steps = [step(engine) for _ in range(horizon)]
+    return (
+        [c for c, _ in steps],
+        np.array([v for _, v in steps]).tobytes(),
+        engine.counts.tolist(),
+        engine.precision.tobytes(),
+        None if rng is None else rng.bit_generator.state,
+    )
+
+
+def _assert_engines_agree(env, prior, intervention, rule, horizon=80) -> int:
+    """The fast and the reference step agree on a run; returns the number of tied periods."""
+    ties: list[int] = []
+    fast = _engine_run(FAST_STEP, env, prior, intervention, rule, horizon)
+    ref = _engine_run(lambda e: reference_step(e, ties), env, prior, intervention, rule, horizon)
+    assert fast == ref
+    return sum(ties)
+
+
+RULES = (TieBreak.lowest_index(), TieBreak.random(7))
+
+
+@pytest.mark.parametrize("rule", RULES, ids=lambda r: r.kind)
+@pytest.mark.parametrize("intervention", [NoIntervention(), PrecisionReplicate(3)], ids=str)
+def test_exact_ties_from_duplicated_rows(rule, intervention):
+    # Sources 0 and 2, and 1 and 3, are the same row: every pick between them is a tie.
+    env = Environment([[1.0, 0.5], [0.0, 1.0], [1.0, 0.5], [0.0, 1.0], [2.0, -1.0]])
+    prior = GaussianPrior.from_diagonal([1.0, 2.0])
+    assert _assert_engines_agree(env, prior, intervention, rule) >= 40
+
+
+def _near_tie_env(gap):
+    """Two one-state sources whose first-period reductions differ by ``gap`` relative:
+    with unit prior precision a source c drops the variance by c^2 / (1 + c^2)."""
+    c = np.sqrt((1.0 + gap) / (1.0 - gap))
+    env = Environment([[1.0], [c]])
+    prior = GaussianPrior.from_diagonal([1.0])
+    r = np.array([1.0, c * c]) / (1.0 + np.array([1.0, c * c]))
+    assert (r[1] - r[0]) / r[1] == pytest.approx(gap, rel=1e-3)
+    return env, prior
+
+
+@pytest.mark.parametrize("rule", RULES, ids=lambda r: r.kind)
+@pytest.mark.parametrize("gap,tied", [(0.9 * TIE_TOL, True), (1.1 * TIE_TOL, False)])
+def test_near_ties_at_the_tolerance(rule, gap, tied):
+    env, prior = _near_tie_env(gap)
+    choices, _, _, _, rng_state = _engine_run(FAST_STEP, env, prior, NoIntervention(), rule, 1)
+    fresh = rule.make_rng()
+    fresh_state = None if fresh is None else fresh.bit_generator.state
+    if tied and rule.kind == "random":
+        assert rng_state != fresh_state  # the tie drew from the RNG
+    else:
+        assert choices == [0 if tied else 1] and rng_state == fresh_state
+    assert _assert_engines_agree(env, prior, NoIntervention(), rule, 1) == int(tied)
+    _assert_engines_agree(env, prior, NoIntervention(), rule, 40)
+
+
+EXAMPLE3 = [[10, 1, 0, 0], [0, 1, 0, 0], [1, 0, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]]
+BRANCH_CASES = {
+    "replicate-2": (Environment(EXAMPLE3), PrecisionReplicate(2)),
+    "replicate-10": (Environment(EXAMPLE3), PrecisionReplicate(10)),
+    "weighted-target": (Environment(EXAMPLE3, [(2.5, [1.0, 0.0, 0.0, 0.0])]), NoIntervention()),
+    "weighted-replicated": (
+        Environment(EXAMPLE3, [(0.3, [1.0, 1.0, 0.0, 0.0])]),
+        PrecisionReplicate(2),
+    ),
+    "two-targets": (
+        Environment(EXAMPLE3, [(1.0, [1.0, 0.0, 0.0, 0.0]), (0.7, [0.0, 0.0, 1.0, -1.0])]),
+        NoIntervention(),
+    ),
+    "two-targets-replicated": (
+        Environment(EXAMPLE3, [(1.0, [1.0, 0.0, 0.0, 0.0]), (0.7, [0.0, 0.0, 1.0, -1.0])]),
+        PrecisionReplicate(10),
+    ),
+    "one-state": (Environment([[1.0], [-2.0], [0.5], [2.0]]), NoIntervention()),
+    "one-state-weighted": (
+        Environment([[1.0], [-2.0], [0.5]], [(3.0, [-1.5])]),
+        PrecisionReplicate(2),
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", RULES, ids=lambda r: r.kind)
+@pytest.mark.parametrize("case", sorted(BRANCH_CASES))
+def test_fast_step_branches_match_reference(case, rule):
+    env, intervention = BRANCH_CASES[case]
+    k = env.num_states
+    diagonal = GaussianPrior.from_diagonal(np.arange(1.0, k + 1))
+    correlated = random_pd_prior(np.random.default_rng(len(case)), k)
+    for prior in (diagonal, correlated):
+        _assert_engines_agree(env, prior, intervention, rule)
 
 
 def test_single_source_run_does_not_call_scipy_wrappers(monkeypatch, example2, example2_trap_prior):

@@ -469,11 +469,18 @@ def test_parse_rejects_coerced_intervention_values(raw, field):
         parse_scenario(doc)
 
 
-def test_analysis_fields_beyond_enumeration_cap():
+def test_analysis_fields_beyond_enumeration_cap(monkeypatch):
+    # Beyond the cap the best set comes from the certified LP alone: no enumeration,
+    # and no detour through the numeric frequency optimizer.
     env = Environment(np.random.default_rng(0).standard_normal((30, 4)))
+
+    def refuse(env):
+        raise AssertionError("enumerated beyond the cap")
+
+    monkeypatch.setattr(infotrap.spanning, "_enumerate", refuse)
     fields = analysis_fields(env)
     star = best_set(env)
-    assert fields["phi_best"] == star.phi
+    assert fields["phi_best"] == star.phi == 0.5562948950325473
     assert fields["best_set"] == [i + 1 for i in star.indices]
     assert fields["assumption_report"] is None
 

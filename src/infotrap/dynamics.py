@@ -22,10 +22,10 @@ from .gaussian import (
     Environment,
     FrequencyVector,
     GaussianPrior,
-    _cholesky,
+    NotPositiveDefiniteError,
     _per_source,
-    _potrs,
     _signal_precision,
+    _solve_spd,
     block_variances,
 )
 from .spanning import (  # enumerate_minimal_spanning_sets: perfbench/tracing.py wraps it here
@@ -247,6 +247,10 @@ class _Engine:
         # The step's replication and, for one target, its weight (None for several).
         self._m = float(self.replication)
         self._w = float(env.weights[0]) if env.weights.size == 1 else None
+        # Target directions over source rows, (R+N, K), and their Fortran-ordered
+        # transpose: the right-hand side of the step's one solve.
+        self._rows = np.vstack([env.directions, env.coefficients])
+        self._rhs = self._rows.T
         if isinstance(intervention, BatchAllocate):
             if intervention.batch > MAX_BATCH or env.num_sources > MAX_BATCH_SOURCES:
                 raise SearchBoundError(
@@ -259,13 +263,16 @@ class _Engine:
 
     def _pick(self, scores: np.ndarray) -> int:
         """Index of the largest of ``scores``; scores within ``TIE_TOL`` (relative) of it
-        tie, and the rule picks among them. A unique winner draws nothing from the RNG."""
+        tie, and the rule picks among them. A unique winner draws nothing from the RNG.
+        A NaN or +inf top has no score within tolerance, and is refused."""
         i = int(scores.argmax())
         top = float(scores[i])
         near = scores >= top - TIE_TOL * max(abs(top), 1e-300)
         if np.count_nonzero(near) == 1:
             return i
         tied = np.flatnonzero(near)
+        if not tied.size:
+            raise NotPositiveDefiniteError(f"a variance reduction is not finite ({top})")
         if self.tie_rng is None:
             return int(tied[0])
         return int(self.tie_rng.choice(tied))
@@ -281,14 +288,14 @@ class _Engine:
             self.precision += np.einsum("n,nij->ij", choice.astype(float), env.source_outers)
             return np.array(choice), float(values[j])
 
-        # The LAPACK calls of cho_factor/cho_solve, made directly (same bits).
-        factor = _cholesky(self.precision)
-        sols = _potrs(factor, env.directions.T, lower=True)[0]  # (K, R)
-        variances = np.einsum("rk,kr->r", env.directions, sols)
-        gammas = env.coefficients @ sols  # (N, R): u_r' Sigma c_i
-        quad = np.einsum(
-            "nk,kn->n", env.coefficients, _potrs(factor, env.coefficients.T, lower=True)[0]
-        )
+        # One posv solve against targets and sources, the LAPACK work of cho_factor and
+        # two cho_solves (same bits); one contraction gives the target variances
+        # u_r' Sigma u_r and the quadratic forms c_i' Sigma c_i together.
+        r = env.weights.size
+        sols = _solve_spd(self.precision, self._rhs)  # (K, R+N)
+        both = np.einsum("nk,kn->n", self._rows, sols)
+        variances, quad = both[:r], both[r:]
+        gammas = env.coefficients @ sols[:, :r]  # (N, R): u_r' Sigma c_i
         # Reductions (sum_r w_r gamma_r^2) m / (1 + m quad). A product by 1 and a sum
         # over one target are exact, so skipping them keeps every bit.
         m, w = self._m, self._w

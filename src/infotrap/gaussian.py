@@ -51,9 +51,10 @@ SPAN_TOL = 1e-9
 
 _LARGEST_ROOT = math.sqrt(np.finfo(float).max)  # the largest float with a finite square
 
-# The LAPACK routines behind scipy's ``cho_factor``/``cho_solve``, called directly on
-# hot paths: the same floating-point work without the wrappers' per-call checks.
-_potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+# LAPACK's ``posv`` driver: the ``potrf`` factorization and ``potrs`` solve of scipy's
+# ``cho_factor``/``cho_solve`` in one call, the same floating-point work without the
+# wrappers' per-call checks.
+(_posv,) = get_lapack_funcs(("posv",), dtype=np.float64)
 
 
 class DimensionError(ValueError):
@@ -272,22 +273,19 @@ def _check_prior(env: Environment, prior: GaussianPrior) -> None:
         )
 
 
-def _cholesky(precision: np.ndarray) -> np.ndarray:
-    """``cho_factor(precision, lower=True)[0]``, bit for bit, without the wrapper.
-
-    Solve with ``_potrs(factor, b, lower=True)``."""
+def _solve_spd(precision: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``cho_solve(cho_factor(precision, lower=True), rhs)``, bit for bit, in one call."""
     if not np.isfinite(precision).all():
         raise NotPositiveDefiniteError("posterior precision has non-finite entries")
-    factor, info = _potrf(precision, lower=True, clean=False)
+    _, sols, info = _posv(precision, rhs, lower=True)
     if info > 0:
         raise NotPositiveDefiniteError(f"posterior precision: leading minor {info} is not positive")
-    return factor
+    return sols
 
 
 def _objective_variance(env: Environment, precision: np.ndarray) -> float:
-    factor = _cholesky(precision)
     dirs = env.directions  # (R, K)
-    sols = _potrs(factor, dirs.T, lower=True)[0]  # (K, R)
+    sols = _solve_spd(precision, dirs.T)  # (K, R)
     return float(np.dot(env.weights, np.einsum("rk,kr->r", dirs, sols)))
 
 
@@ -382,7 +380,7 @@ def grad_posterior_variance(env: Environment, prior: GaussianPrior, counts) -> n
     _check_prior(env, prior)
     q = _per_source(env, counts, "count")
     precision = prior.precision + _signal_precision(env, q)
-    sols = _potrs(_cholesky(precision), env.directions.T, lower=True)[0]  # (K, R)
+    sols = _solve_spd(precision, env.directions.T)  # (K, R)
     gammas = env.coefficients @ sols  # (N, R), entry (j, r) = u_r' P^-1 c_j
     return -(gammas**2) @ env.weights
 

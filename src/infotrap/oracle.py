@@ -19,8 +19,7 @@ from .gaussian import (
     FrequencyVector,
     GaussianPrior,
     SPAN_TOL,
-    _cholesky,
-    _potrs,
+    _solve_spd,
     asymptotic_variance,
     block_variances,
 )
@@ -157,7 +156,7 @@ def _certified_iteration(c: np.ndarray, u: np.ndarray, lam: np.ndarray):
     """
     floor = 1e-2 * GAP_TOL / lam.size
     for _ in range(MAX_ITERATIONS):
-        y = _potrs(_cholesky((c.T * lam) @ c), u, lower=True)[0]
+        y = _solve_spd((c.T * lam) @ c, u)
         g = np.sum((c @ y) ** 2, axis=1)
         value = float(lam @ g)
         gap = 1.0 - math.sqrt(value / float(g.max()))

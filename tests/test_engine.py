@@ -1,15 +1,19 @@
 """The single-source engine step against the scipy ``cho_factor``/``cho_solve`` path it replaces.
 
-The step calls LAPACK's ``potrf``/``potrs`` directly, skips products by 1 and
-sums over one target, and finds a unique winner with one count. These tests run
-a reference copy of the plain scipy-wrapper step, with its own copy of the tie
-rule, on the same engine state and require identical choices, bit-identical
-variance paths and the same tie RNG state, and the same
-``NotPositiveDefiniteError`` on bad precisions.
+The step makes one LAPACK ``posv`` call against the targets and source rows
+stacked, gets the target variances and the quadratic forms from one
+contraction, skips products by 1 and sums over one target, and finds a unique
+winner with one count. These tests run a reference copy of the plain
+scipy-wrapper step, with its own copy of the tie rule, on the same engine state
+and require identical choices, bit-identical variance paths and precisions,
+the same tie RNG state, and the same ``NotPositiveDefiniteError`` on bad
+precisions. The solve helper itself must equal ``cho_solve(cho_factor(...))``
+byte for byte, and a run must make exactly one solve per period.
 """
 
 import numpy as np
 import pytest
+import scipy.linalg._flapack
 from scipy.linalg import cho_factor, cho_solve
 
 from infotrap import (
@@ -29,8 +33,8 @@ from infotrap import (
     run_scenario,
     simulate,
 )
-from infotrap import dynamics
-from infotrap.gaussian import _cholesky
+from infotrap import dynamics, gaussian
+from infotrap.gaussian import _solve_spd
 from infotrap.scenarios import scenario_to_dict
 
 from conftest import random_pd_prior
@@ -242,6 +246,26 @@ BRANCH_CASES = {
 }
 
 
+def _wide_env(n, k, targets):
+    rng = np.random.default_rng(n * k + targets)
+    objective = [(float(rng.uniform(0.5, 2.0)), rng.standard_normal(k)) for _ in range(targets)]
+    return Environment(rng.standard_normal((n, k)), objective)
+
+
+# Wide sizes: the stacked right-hand side has R + N columns.
+BRANCH_CASES.update(
+    {
+        f"wide-{n}x{k}-targets{t}-replicate{m}": (
+            _wide_env(n, k, t),
+            NoIntervention() if m == 1 else PrecisionReplicate(m),
+        )
+        for n, k in ((13, 5), (50, 10))
+        for t in (1, 2)
+        for m in (1, 3)
+    }
+)
+
+
 @pytest.mark.parametrize("rule", RULES, ids=lambda r: r.kind)
 @pytest.mark.parametrize("case", sorted(BRANCH_CASES))
 def test_fast_step_branches_match_reference(case, rule):
@@ -263,13 +287,45 @@ def test_single_source_run_does_not_call_scipy_wrappers(monkeypatch, example2, e
     simulate(example2, example2_trap_prior, 50, intervention=FreeSignals((np.array([0.0, 2.0]),)))
 
 
-def test_cholesky_factor_is_bitwise_cho_factor():
+def test_solve_is_bitwise_cho_solve():
     rng = np.random.default_rng(11)
-    for k in (1, 2, 3, 5, 8):
+    for k in range(1, 9):
         for _ in range(20):
             a = rng.standard_normal((k + 2, k))
             precision = a.T @ a + 0.1 * np.eye(k)
-            assert _cholesky(precision).tobytes() == cho_factor(precision, lower=True)[0].tobytes()
+            factor = cho_factor(precision, lower=True)
+            # The step's right-hand side: R + N stacked rows, transposed to Fortran order.
+            stacked = rng.standard_normal((int(rng.integers(2, 16)), k)).T
+            assert stacked.flags.f_contiguous
+            for rhs in (rng.standard_normal((k, 1)), stacked, rng.standard_normal(k)):
+                expected = cho_solve(factor, rhs)
+                got = _solve_spd(precision, rhs)
+                assert got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes()
+
+
+def test_single_source_run_makes_one_solve_per_period(monkeypatch, example2, example2_trap_prior):
+    def refuse(*args, **kwargs):
+        raise AssertionError("potrs called")
+
+    calls = []
+    posv = gaussian._posv
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return posv(*args, **kwargs)
+
+    example2_trap_prior.precision  # cached before counting: it is computed by cho_solve
+    monkeypatch.setattr(gaussian, "_posv", counted)
+    # cho_solve and get_lapack_funcs look potrs up in scipy's LAPACK module at call time;
+    # no engine module may hold it from import time.
+    potrs = scipy.linalg._flapack.dpotrs
+    assert not any(v is potrs for m in (gaussian, dynamics) for v in vars(m).values())
+    monkeypatch.setattr(scipy.linalg._flapack, "dpotrs", refuse)
+    for horizon in (1, 37):
+        calls.clear()
+        simulate(example2, example2_trap_prior, horizon)
+        assert len(calls) == horizon
 
 
 # Precisions that must be refused: one holding inf, one holding NaN (inf - inf off the
@@ -289,8 +345,11 @@ BAD_PRECISIONS = {
 @pytest.mark.parametrize("case", sorted(BAD_PRECISIONS))
 def test_bad_precision_raises_not_positive_definite(case):
     env, prior, counts = BAD_PRECISIONS[case]
+    message = "leading minor" if case == "singular" else "non-finite"
     for fn in (posterior_variance, grad_posterior_variance, greedy_step):
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NotPositiveDefiniteError):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NotPositiveDefiniteError, match=message
+        ):
             fn(env, prior, counts)
 
 
@@ -301,6 +360,16 @@ def test_engine_refuses_bad_precision_in_a_run():
         engine.precision[1, 1] = bad
         with pytest.raises(NotPositiveDefiniteError):
             engine.step()
+
+
+def test_non_finite_reduction_raises():
+    # 1e150 has a finite square, but gamma^2 and quad overflow: a reduction is inf / inf.
+    env = Environment([[1e150, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    prior = GaussianPrior.from_diagonal([1e10, 1.0])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        NotPositiveDefiniteError, match="variance reduction is not finite"
+    ):
+        simulate(env, prior, 5)
 
 
 def test_free_signals_fold_into_engine_precision(example2, example2_trap_prior):

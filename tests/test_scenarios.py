@@ -393,8 +393,12 @@ def test_cli_rejects_bad_options_without_traceback(tmp_path, args, option):
             },
             "no unique best set",
         ),
+        (
+            {"coefficients": [[1e150, 0], [0, 1], [1, 1]], "prior_cov": [[1e10, 0], [0, 1]]},
+            "variance reduction is not finite",
+        ),
     ],
-    ids=["batch_bound", "huge_gamma0", "tied_best_set"],
+    ids=["batch_bound", "huge_gamma0", "tied_best_set", "non_finite_reduction"],
 )
 @pytest.mark.parametrize("command", [["simulate"], ["sweep", "--state", "2", "--grid", "6,12"]])
 def test_cli_run_errors_name_the_scenario(tmp_path, overrides, message, command):

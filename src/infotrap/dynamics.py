@@ -26,7 +26,8 @@ from .gaussian import (
     _per_source,
     _signal_precision,
     _solve_spd,
-    block_variances,
+    _stacked_variances,
+    block_increments,
 )
 from .spanning import (  # enumerate_minimal_spanning_sets: perfbench/tracing.py wraps it here
     SpanError,
@@ -258,6 +259,12 @@ class _Engine:
                     f"and <= {MAX_BATCH_SOURCES} sources"
                 )
             self._comps = np.vstack(list(compositions(intervention.batch, env.num_sources)))
+            # Per run: the (M, K, K) candidate increments, the targets as the right-hand
+            # side of M solves, and a buffer for the M candidate precisions.
+            self._increments = block_increments(env, self._comps)
+            shape = (len(self._comps),) + env.directions.T.shape
+            self._batch_rhs = np.broadcast_to(env.directions.T, shape)
+            self._candidates = np.empty_like(self._increments)
         else:
             self._comps = None
 
@@ -281,12 +288,12 @@ class _Engine:
         """Choose this period's allocation; returns (choice, variance after update)."""
         env = self.env
         if self._comps is not None:
-            values = block_variances(env, self.precision, self._comps)
+            np.add(self.precision, self._increments, out=self._candidates)
+            values = _stacked_variances(env, self._candidates, self._batch_rhs)
             j = self._pick(-values)
-            choice = self._comps[j]
-            self.counts += choice
-            self.precision += np.einsum("n,nij->ij", choice.astype(float), env.source_outers)
-            return np.array(choice), float(values[j])
+            self.counts += self._comps[j]
+            self.precision += self._increments[j]
+            return np.array(self._comps[j]), float(values[j])
 
         # One posv solve against targets and sources, the LAPACK work of cho_factor and
         # two cho_solves (same bits); one contraction gives the target variances
@@ -334,7 +341,8 @@ def greedy_step(
     engine.precision += _signal_precision(
         env, _per_source(env, counts, "count") * engine.replication
     )
-    choice, _ = engine.step()
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as in simulate
+        choice, _ = engine.step()
     return choice
 
 
@@ -393,12 +401,14 @@ def simulate(
     half_mark = horizon // 2
     counts_half = np.zeros(env.num_sources, dtype=np.int64)
 
-    for t in range(horizon):
-        choice, value = engine.step()
-        choices.append(choice)
-        variance_path[t] = value
-        if t + 1 == half_mark:
-            counts_half = engine.counts.copy()
+    # An overflowing reduction is refused by _pick, which names it; numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for t in range(horizon):
+            choice, value = engine.step()
+            choices.append(choice)
+            variance_path[t] = value
+            if t + 1 == half_mark:
+                counts_half = engine.counts.copy()
 
     classification, ratio, freq = _classify(env, engine.counts, counts_half)
     final_mean = None

@@ -50,6 +50,7 @@ EIGENVALUE_CUTOFF = 1e-10
 SPAN_TOL = 1e-9
 
 _LARGEST_ROOT = math.sqrt(np.finfo(float).max)  # the largest float with a finite square
+_HALF_MAX = np.finfo(float).max / 2  # the largest float whose double is finite
 
 # LAPACK's ``posv`` driver: the ``potrf`` factorization and ``potrs`` solve of scipy's
 # ``cho_factor``/``cho_solve`` in one call, the same floating-point work without the
@@ -163,13 +164,15 @@ class GaussianPrior:
             raise DimensionError("mean length must match covariance size")
         if not np.all(np.isfinite(cov)) or not np.all(np.isfinite(mean)):
             raise ValueError("prior entries must be finite")
-        asym = np.max(np.abs(cov - cov.T))
         scale = max(1.0, float(np.max(np.abs(cov))))
+        if scale > _HALF_MAX:  # cov + cov.T would overflow
+            raise NotPositiveDefiniteError(f"covariance entry {scale:.3e} overflows (S + S') / 2")
+        asym = np.max(np.abs(cov - cov.T))
         if asym > 1e-10 * scale:
             raise NotPositiveDefiniteError("covariance is not symmetric")
         cov = 0.5 * (cov + cov.T)
         eigs = np.linalg.eigvalsh(cov)
-        if eigs[0] <= 1e-12 * max(eigs[-1], 0.0):
+        if not eigs[0] > 1e-12 * max(eigs[-1], 0.0):  # an inf or NaN eigenvalue fails too
             raise NotPositiveDefiniteError(
                 f"covariance is not positive definite (eigenvalues {eigs[0]:.3e}..{eigs[-1]:.3e})"
             )
@@ -315,19 +318,26 @@ def variance_reduction(env: Environment, prior: GaussianPrior, counts, source: i
     return posterior_variance(env, prior, q) - posterior_variance(env, prior, step)
 
 
+def block_increments(env: Environment, block: np.ndarray) -> np.ndarray:
+    """(M, K, K) precision increments ``sum_n b_mn c_n c_n'`` of an (M, N) count block."""
+    return np.einsum("mn,nij->mij", block.astype(float), env.source_outers)
+
+
+def _stacked_variances(env: Environment, precisions: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Weighted target variance at each of an (M, K, K) stack of precisions, from one batched
+    solve against ``rhs``, the target directions broadcast to (M, K, R)."""
+    sols = np.linalg.solve(precisions, rhs)
+    return np.einsum("rk,mkr->mr", env.directions, sols) @ env.weights
+
+
 def block_variances(env: Environment, precision: np.ndarray, block: np.ndarray) -> np.ndarray:
     """Weighted target variance after adding each row of an (M, N) count block to ``precision``.
 
-    One batched solve over all M candidate precisions; the greedy batch step and
-    the exhaustive oracle both score their candidate allocations with it.
+    The exhaustive oracle scores its allocations with it; the greedy batch step builds
+    ``block_increments`` once per run and calls ``_stacked_variances`` each period.
     """
-    precisions = precision[None, :, :] + np.einsum(
-        "mn,nij->mij", block.astype(float), env.source_outers
-    )
-    dirs = env.directions  # (R, K)
-    rhs = np.broadcast_to(dirs.T, (precisions.shape[0],) + dirs.T.shape)
-    sols = np.linalg.solve(precisions, rhs)  # (M, K, R)
-    return np.einsum("rk,mkr->mr", dirs, sols) @ env.weights
+    rhs = np.broadcast_to(env.directions.T, (len(block),) + env.directions.T.shape)
+    return _stacked_variances(env, precision + block_increments(env, block), rhs)
 
 
 def spectral_inverse(env: Environment, lam: np.ndarray) -> tuple[float, np.ndarray, bool, bool]:

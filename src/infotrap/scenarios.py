@@ -53,6 +53,7 @@ __all__ = [
 ]
 
 _FLOAT_MAX = sys.float_info.max
+MAX_HORIZON = 10_000_000  # the largest ``horizon``: a run keeps a choice and a variance per period
 
 
 class ScenarioError(ValueError):
@@ -202,7 +203,7 @@ def parse_scenario(doc, path: str = "scenario") -> Scenario:
     if prior.num_states != environment.num_states:
         raise ScenarioError(f"{path}.prior_cov: size does not match coefficient columns")
 
-    horizon = _integer(doc, "horizon", path, 1)
+    horizon = _integer(doc, "horizon", path, 1, MAX_HORIZON + 1)
 
     raw_tb = doc.get("tie_break", "lowest_index")
     if raw_tb == "lowest_index":

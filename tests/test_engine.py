@@ -9,7 +9,13 @@ and require identical choices, bit-identical variance paths and precisions,
 the same tie RNG state, and the same ``NotPositiveDefiniteError`` on bad
 precisions. The solve helper itself must equal ``cho_solve(cho_factor(...))``
 byte for byte, and a run must make exactly one solve per period.
+
+The batch-allocation step builds its candidate increments once per run. It is
+held to a copy of the per-period formulation that rebuilds them every period,
+and must make one batched solve per period.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -17,6 +23,7 @@ import scipy.linalg._flapack
 from scipy.linalg import cho_factor, cho_solve
 
 from infotrap import (
+    BatchAllocate,
     Environment,
     FreeSignals,
     GaussianPrior,
@@ -55,10 +62,35 @@ def reference_pick(values, rng):
     return int(rng.choice(tied))
 
 
+def _count_ties(values, ties):
+    if ties is not None:
+        best = float(values.min())
+        ties.append(int(np.sum(values <= best + TIE_TOL * max(abs(best), 1e-300)) > 1))
+
+
+def reference_batch_step(self, ties=None):
+    """The batch-allocation step rebuilding every candidate precision each period."""
+    env = self.env
+    comps = self._comps
+    precisions = self.precision[None, :, :] + np.einsum(
+        "mn,nij->mij", comps.astype(float), env.source_outers
+    )
+    dirs = env.directions
+    rhs = np.broadcast_to(dirs.T, (len(comps),) + dirs.T.shape)
+    sols = np.linalg.solve(precisions, rhs)
+    values = np.einsum("rk,mkr->mr", dirs, sols) @ env.weights
+    _count_ties(values, ties)
+    j = reference_pick(values, self.tie_rng)
+    choice = comps[j]
+    self.counts += choice
+    self.precision += np.einsum("n,nij->ij", choice.astype(float), env.source_outers)
+    return np.array(choice), float(values[j])
+
+
 def reference_step(self, ties=None):
     """The engine step as written with scipy's wrappers, recomputing every invariant."""
     if self._comps is not None:
-        return FAST_STEP(self)
+        return reference_batch_step(self, ties)
     env = self.env
     factor = cho_factor(self.precision, lower=True)
     dirs = env.directions
@@ -69,9 +101,7 @@ def reference_step(self, ties=None):
     m = float(self.replication)
     reductions = ((gammas**2) @ env.weights) * m / (1.0 + m * quad)
     values = -reductions
-    if ties is not None:
-        best = float(values.min())
-        ties.append(int(np.sum(values <= best + TIE_TOL * max(abs(best), 1e-300)) > 1))
+    _count_ties(values, ties)
     i = reference_pick(values, self.tie_rng)
     self.counts[i] += 1
     self.precision += m * env.source_outers[i]
@@ -166,7 +196,7 @@ def _engine_run(step, env, prior, intervention, rule, horizon):
     engine = dynamics._Engine(env, prior, intervention, rng)
     steps = [step(engine) for _ in range(horizon)]
     return (
-        [c for c, _ in steps],
+        [np.asarray(c).tolist() for c, _ in steps],
         np.array([v for _, v in steps]).tobytes(),
         engine.counts.tolist(),
         engine.precision.tobytes(),
@@ -243,6 +273,13 @@ BRANCH_CASES = {
         Environment([[1.0], [-2.0], [0.5]], [(3.0, [-1.5])]),
         PrecisionReplicate(2),
     ),
+    "batch-1": (Environment(EXAMPLE3), BatchAllocate(1)),
+    "batch-3": (Environment(EXAMPLE3), BatchAllocate(3)),
+    "batch-two-targets": (
+        Environment(EXAMPLE3, [(1.0, [1.0, 0.0, 0.0, 0.0]), (0.7, [0.0, 0.0, 1.0, -1.0])]),
+        BatchAllocate(2),
+    ),
+    "batch-one-state": (Environment([[1.0], [-2.0], [0.5], [2.0]]), BatchAllocate(12)),
 }
 
 
@@ -275,6 +312,67 @@ def test_fast_step_branches_match_reference(case, rule):
     correlated = random_pd_prior(np.random.default_rng(len(case)), k)
     for prior in (diagonal, correlated):
         _assert_engines_agree(env, prior, intervention, rule)
+
+
+# Candidate allocations per case in the random batch mix, to bound the suite's time.
+BATCH_CANDIDATES = 2000
+
+
+def _random_batch_case(rng, i):
+    """N 1-8, K 1-5, B 1-12 with at most ``BATCH_CANDIDATES`` candidates; integer rows
+    with a duplicated row (exact ties) on even ``i``, and two targets on every third."""
+    n = int(rng.integers(1, 9))
+    k = int(rng.integers(1, 6))
+    batch = int(rng.integers(1, 13))
+    while math.comb(batch + n - 1, n - 1) > BATCH_CANDIDATES:
+        batch -= 1
+    if i % 2:
+        coefficients = rng.standard_normal((n, k))
+    else:
+        coefficients = rng.integers(-2, 3, size=(n, k)).astype(float)
+        coefficients[0, 0] = 1.0
+        coefficients[-1] = coefficients[0]
+    objective = None
+    if i % 3 == 0:
+        objective = [(float(rng.uniform(0.5, 2.0)), rng.standard_normal(k)) for _ in range(2)]
+    env = Environment(coefficients, objective)
+    prior = random_pd_prior(rng, k) if i % 2 else GaussianPrior.from_diagonal(rng.integers(1, 4, k))
+    rule = TieBreak.random(i) if i % 4 < 2 else TieBreak.lowest_index()
+    return env, prior, BatchAllocate(batch), rule
+
+
+def test_batch_step_matches_per_period_reference():
+    rng = np.random.default_rng(20261018)
+    tied = 0
+    for i in range(120):
+        env, prior, intervention, rule = _random_batch_case(rng, i)
+        tied += _assert_engines_agree(env, prior, intervention, rule, horizon=25)
+    # The integer cases do exercise tie resolution.
+    assert tied >= 100
+
+
+def test_batch_run_builds_increments_once_and_solves_once_per_period(
+    monkeypatch, example2, example2_trap_prior
+):
+    solves, increments = [], []
+    solve, einsum = np.linalg.solve, np.einsum
+
+    def counted_solve(*args, **kwargs):
+        solves.append(1)
+        return solve(*args, **kwargs)
+
+    def counted_einsum(subscripts, *args, **kwargs):
+        if subscripts == "mn,nij->mij":
+            increments.append(1)
+        return einsum(subscripts, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    monkeypatch.setattr(np, "einsum", counted_einsum)
+    for horizon in (1, 37):
+        solves.clear()
+        increments.clear()
+        simulate(example2, example2_trap_prior, horizon, intervention=BatchAllocate(3))
+        assert (len(solves), len(increments)) == (horizon, 1)
 
 
 def test_single_source_run_does_not_call_scipy_wrappers(monkeypatch, example2, example2_trap_prior):
@@ -366,9 +464,8 @@ def test_non_finite_reduction_raises():
     # 1e150 has a finite square, but gamma^2 and quad overflow: a reduction is inf / inf.
     env = Environment([[1e150, 0.0], [0.0, 1.0], [1.0, 1.0]])
     prior = GaussianPrior.from_diagonal([1e10, 1.0])
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-        NotPositiveDefiniteError, match="variance reduction is not finite"
-    ):
+    # simulate sets the error state itself: no numpy warning comes before the error.
+    with pytest.raises(NotPositiveDefiniteError, match="variance reduction is not finite"):
         simulate(env, prior, 5)
 
 

@@ -126,6 +126,9 @@ def test_prior_validation():
         GaussianPrior(mean=[0, 0], covariance=[[1, 2], [2, 1]])
     with pytest.raises(NotPositiveDefiniteError):
         GaussianPrior(mean=[0, 0], covariance=[[1, 0.5], [0.4, 1]])
+    for huge in (1e308, -1e308):  # finite entries whose symmetrization overflows
+        with pytest.raises(NotPositiveDefiniteError):
+            GaussianPrior(mean=[0, 0], covariance=[[huge, 0], [0, 1]])
     with pytest.raises(DimensionError):
         GaussianPrior(mean=[0, 0, 0], covariance=[[1, 0], [0, 1]])
 

@@ -27,7 +27,7 @@ from infotrap import (
     sweep,
 )
 from infotrap.cli import main as cli_main
-from infotrap.scenarios import analysis_fields, scenario_to_dict
+from infotrap.scenarios import MAX_HORIZON, analysis_fields, scenario_to_dict
 
 
 def test_bundled_names():
@@ -95,6 +95,34 @@ def test_parse_rejects_bool_horizon():
     doc["horizon"] = True
     with pytest.raises(ScenarioError, match=r"\.horizon: "):
         parse_scenario(doc)
+
+
+@pytest.mark.parametrize("name", bundled_scenario_names())
+@pytest.mark.parametrize("entry", [1e308, -1e308])
+def test_parse_rejects_overflowing_prior_cov(name, entry):
+    doc = scenario_to_dict(bundled_scenario(name))
+    doc["prior_cov"][0][0] = entry
+    with pytest.raises(ScenarioError, match=r"\.prior_cov: "):
+        parse_scenario(doc)
+
+
+def test_parse_bounds_horizon():
+    doc = scenario_to_dict(bundled_scenario("example2"))
+    doc["horizon"] = MAX_HORIZON
+    assert parse_scenario(doc).horizon == MAX_HORIZON
+    for bad in (MAX_HORIZON + 1, 2**70):
+        doc["horizon"] = bad
+        with pytest.raises(ScenarioError, match=r"\.horizon: "):
+            parse_scenario(doc)
+
+
+def test_cli_refuses_huge_horizon(tmp_path):
+    path = _write_scenario(tmp_path, horizon=2**70)
+    result = CliRunner().invoke(cli_main, ["simulate", str(path), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert "horizon" in result.output and len(result.output.strip().splitlines()) == 1
+    assert "Traceback" not in result.output
 
 
 def test_parse_rejects_bad_random_tie_break_seed():

@@ -11,6 +11,7 @@ from .dynamics import SearchBoundError
 from .gaussian import NotPositiveDefiniteError
 from .oracle import greedy_vs_optimal, optimal_division
 from .scenarios import (
+    MAX_HORIZON,
     ScenarioError,
     SweepSpec,
     analysis_fields,
@@ -142,6 +143,8 @@ def sweep(file, state: int, grid: str, out: Path, quiet: bool):
 @quiet_option
 def compare(file, budget: int, out: Path, quiet: bool):
     """Greedy-versus-optimal variance table up to the given horizon."""
+    if budget > MAX_HORIZON:
+        raise click.ClickException(f"--t {budget} exceeds the largest horizon {MAX_HORIZON}")
     out.mkdir(parents=True, exist_ok=True)
     for scenario in _load(file):
         with _running(scenario):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
 from typing import Union
 
 import numpy as np
@@ -194,24 +193,62 @@ def compositions(total: int, parts: int):
     """Yield every split of ``total`` observations over ``parts`` sources, in lexicographic
     order, as (M, parts) blocks of at most ``COMPOSITION_BLOCK`` rows.
 
-    A split is a choice of ``parts - 1`` bar positions among ``total + parts - 1``
-    slots (stars and bars); ``combinations`` yields the bar tuples, and with
-    them the splits, in lexicographic order.
+    Rows are built with numpy one part at a time (``_expand``). A first part whose splits
+    of the rest would overflow a block is split further, one value at a time; the other
+    first parts go out in runs whose splits fill at most one block.
     """
-    slots = total + parts - 1
-    bars = chain.from_iterable(combinations(range(slots), parts - 1))
-    remaining = math.comb(slots, parts - 1)
-    while remaining:
-        m = min(remaining, COMPOSITION_BLOCK)
-        remaining -= m
-        # No named temporaries: the generator frame holds nothing while the caller
-        # scores the block.
-        yield np.diff(
-            np.fromiter(islice(bars, m * (parts - 1)), np.int64).reshape(m, parts - 1),
-            axis=1,
-            prepend=-1,
-            append=slots,
-        ) - 1
+    if total < 0 or parts < 1:
+        raise ValueError("compositions need total >= 0 and parts >= 1")
+    if parts == 1:
+        yield np.array([[total]], dtype=np.int64)
+    else:
+        yield from _completions((), total, parts)
+
+
+def _completions(prefix: tuple, rest: int, parts: int):
+    """Blocks of ``prefix`` followed by each split of ``rest`` over ``parts >= 2`` parts."""
+    # A first part x leaves C(rest - x + parts - 2, parts - 2) splits, fewer as x grows.
+    first = 0
+    while math.comb(rest - first + parts - 2, parts - 2) > COMPOSITION_BLOCK:
+        yield from _completions(prefix + (first,), rest - first, parts - 1)
+        first += 1
+    while first <= rest:
+        firsts = np.arange(first, min(first + COMPOSITION_BLOCK, rest + 1))
+        sizes = np.cumsum(_split_counts(rest - firsts, parts - 1))
+        firsts = firsts[: np.searchsorted(sizes, COMPOSITION_BLOCK, side="right")]
+        first += len(firsts)
+        # No named block: the generator frame holds nothing while the caller scores it.
+        yield _expand(prefix, firsts, rest, parts)
+
+
+def _split_counts(rest: np.ndarray, parts: int) -> np.ndarray:
+    """C(rest + parts - 1, parts - 1): the number of splits of each ``rest`` over ``parts``.
+    Exact in int64 while the counts stay within a few blocks."""
+    counts = np.ones_like(rest)
+    for i in range(1, parts):
+        counts = counts * (rest + i) // i
+    return counts
+
+
+def _expand(prefix: tuple, firsts: np.ndarray, rest: int, parts: int) -> np.ndarray:
+    """Rows of ``prefix``, then each of ``firsts``, then every split of the rest of ``rest``
+    over the other ``parts - 1`` parts, in lexicographic order."""
+    j = len(prefix)
+    rows = np.empty((len(firsts), j + parts), dtype=np.int64)
+    rows[:, :j] = prefix
+    rows[:, j] = firsts
+    left = rest - firsts
+    for col in range(j + 1, j + parts - 1):
+        # Each row branches into one row per value 0..left of this part.
+        branches = left + 1
+        rows = np.repeat(rows, branches, axis=0)
+        part = np.arange(len(rows))
+        part -= np.repeat(np.cumsum(branches) - branches, branches)
+        rows[:, col] = part
+        left = np.repeat(left, branches)
+        left -= part
+    rows[:, -1] = left
+    return rows
 
 
 class _Engine:

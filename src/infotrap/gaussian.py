@@ -325,9 +325,18 @@ def block_increments(env: Environment, block: np.ndarray) -> np.ndarray:
 
 def _stacked_variances(env: Environment, precisions: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Weighted target variance at each of an (M, K, K) stack of precisions, from one batched
-    solve against ``rhs``, the target directions broadcast to (M, K, R)."""
+    solve against ``rhs``, the target directions broadcast to (M, K, R).
+
+    The targets are summed in order, one column at a time, so a row's value does not depend
+    on M or on its place in the stack (a matrix-vector product takes another BLAS kernel
+    for one row than for several).
+    """
     sols = np.linalg.solve(precisions, rhs)
-    return np.einsum("rk,mkr->mr", env.directions, sols) @ env.weights
+    per_target = np.einsum("rk,mkr->mr", env.directions, sols)
+    values = per_target[:, 0] * env.weights[0]
+    for r in range(1, len(env.weights)):
+        values += per_target[:, r] * env.weights[r]
+    return values
 
 
 def block_variances(env: Environment, precision: np.ndarray, block: np.ndarray) -> np.ndarray:
@@ -337,7 +346,9 @@ def block_variances(env: Environment, precision: np.ndarray, block: np.ndarray) 
     ``block_increments`` once per run and calls ``_stacked_variances`` each period.
     """
     rhs = np.broadcast_to(env.directions.T, (len(block),) + env.directions.T.shape)
-    return _stacked_variances(env, precision + block_increments(env, block), rhs)
+    precisions = block_increments(env, block)
+    precisions += precision  # in place: one (M, K, K) stack alive, not two
+    return _stacked_variances(env, precisions, rhs)
 
 
 def spectral_inverse(env: Environment, lam: np.ndarray) -> tuple[float, np.ndarray, bool, bool]:

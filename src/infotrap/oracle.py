@@ -82,42 +82,88 @@ def optimal_division(env: Environment, prior: GaussianPrior, t: int) -> OptimalD
     """Exact minimizer of posterior variance over all splits of t observations.
 
     Ties (relative 1e-12) are enumerated; the reported representative is the
-    lexicographically smallest count vector.
+    lexicographically smallest count vector. Raises ``SearchBoundError`` when there
+    are more than ``MAX_COMPOSITIONS`` splits.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    n = env.num_sources
-    total_count = math.comb(t + n - 1, n - 1)
-    if total_count > MAX_COMPOSITIONS:
-        raise SearchBoundError(
-            f"{total_count} allocations of {t} observations over {n} sources "
-            f"exceeds the exhaustive-search bound {MAX_COMPOSITIONS}"
-        )
-    best = math.inf
-    kept: list[tuple[float, np.ndarray]] = []
-    for block in compositions(t, n):
-        values = block_variances(env, prior.precision, block)
-        best = min(best, float(values.min()))
-        cutoff = best * (1 + VALUE_TIE_TOL)
-        mask = values <= cutoff
-        for v, row in zip(values[mask], block[mask]):
-            kept.append((float(v), row.copy()))
-        kept = [(v, r) for v, r in kept if v <= cutoff]
-    ties = [r for _, r in kept]  # enumeration order is lexicographic already
-    result_counts = DivisionVector(ties[0])
-    return OptimalDivisionResult(
-        counts=result_counts,
-        value=best,
-        num_optima=len(ties),
-        all_optima=[DivisionVector(r) for r in ties] if len(ties) <= 16 else None,
-    )
+    _check_search_bound(env, t)
+    return _scan(env, prior, t, every_budget=False)[0]
 
 
 def optimal_trajectory(
     env: Environment, prior: GaussianPrior, horizon: int
 ) -> list[OptimalDivisionResult]:
-    """Exact optimal divisions for every budget t = 1..horizon."""
-    return [optimal_division(env, prior, t) for t in range(1, horizon + 1)]
+    """Exact optimal divisions for every budget t = 1..horizon, from one scan.
+
+    The scan runs over the splits of ``horizon`` over the sources plus one unused
+    part, so each budget's splits are scored once and come in lexicographic order;
+    each result equals ``optimal_division(env, prior, t)``. Raises
+    ``SearchBoundError``, before any work, when the largest budget has more than
+    ``MAX_COMPOSITIONS`` splits.
+    """
+    if horizon < 1:
+        return []
+    _check_search_bound(env, horizon)
+    return _scan(env, prior, horizon, every_budget=True)
+
+
+def _check_search_bound(env: Environment, t: int) -> None:
+    n = env.num_sources
+    total_count = math.comb(max(t, 0) + n - 1, n - 1)
+    if total_count > MAX_COMPOSITIONS:
+        raise SearchBoundError(
+            f"{total_count} allocations of {t} observations over {n} sources "
+            f"exceeds the exhaustive-search bound {MAX_COMPOSITIONS}"
+        )
+
+
+def _scan(
+    env: Environment, prior: GaussianPrior, horizon: int, every_budget: bool
+) -> list[OptimalDivisionResult]:
+    """Score each split of ``horizon`` once; return the optima of budget ``horizon``, or,
+    with ``every_budget``, of each budget 1..horizon (the splits get an unused part).
+
+    Rows within ``VALUE_TIE_TOL`` of their budget's running minimum are kept, in scan
+    order, and pruned against the final minima.
+    """
+    n = env.num_sources
+    best = np.full(horizon + 1 if every_budget else 1, np.inf)  # by unused budget
+    kept: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (unused, value, counts)
+    size = pruned = 0
+    for block in compositions(horizon, n + 1 if every_budget else n):
+        unused = block[:, n] if every_budget else np.zeros(len(block), dtype=np.int64)
+        values = block_variances(env, prior.precision, block[:, :n])
+        np.minimum.at(best, unused, values)
+        near = values <= best[unused] * (1 + VALUE_TIE_TOL)
+        kept.append((unused[near], values[near], block[near, :n]))
+        size += len(kept[-1][0])
+        if size > 2 * pruned + len(block):  # amortized: memory stays near the ties
+            kept = [_near_best(kept, best)]
+            size = pruned = len(kept[0][0])
+    unused, _, rows = _near_best(kept, best)
+    # Budgets ascending; a stable sort keeps each budget's rows lexicographic.
+    budgets = horizon - unused
+    order = np.argsort(budgets, kind="stable")
+    budgets, rows = budgets[order], rows[order]
+    first = 1 if every_budget else horizon
+    edges = np.searchsorted(budgets, np.arange(first, horizon + 2))
+    return [
+        OptimalDivisionResult(
+            counts=DivisionVector(rows[lo]),
+            value=float(best[horizon - t]),
+            num_optima=int(hi - lo),
+            all_optima=[DivisionVector(r) for r in rows[lo:hi]] if hi - lo <= 16 else None,
+        )
+        for t, lo, hi in zip(range(first, horizon + 1), edges[:-1], edges[1:])
+    ]
+
+
+def _near_best(kept, best: np.ndarray):
+    """The kept rows still within ``VALUE_TIE_TOL`` of their budget's minimum."""
+    unused, values, rows = (np.concatenate(parts) for parts in zip(*kept))
+    near = values <= best[unused] * (1 + VALUE_TIE_TOL)
+    return unused[near], values[near], rows[near]
 
 
 def trajectory_deviations(
@@ -133,8 +179,15 @@ def trajectory_deviations(
 
 
 def round_to_total(weights, total: int) -> np.ndarray:
-    """Integer allocation of ``total`` proportional to ``weights`` (largest remainder)."""
+    """Integer allocation of ``total`` proportional to ``weights`` (largest remainder).
+
+    Raises ``ValueError`` for a negative ``total`` and for negative or non-finite weights.
+    """
     w = np.asarray(weights, dtype=float)
+    if total < 0:
+        raise ValueError("total must be >= 0")
+    if not np.all(np.isfinite(w)) or np.any(w < 0):
+        raise ValueError("weights must be finite and non-negative")
     if w.sum() <= 0:
         raise ValueError("weights must have positive sum")
     shares = w / w.sum() * total
@@ -222,11 +275,15 @@ def optimal_frequency_numeric(env: Environment, full_output: bool = False):
 def greedy_vs_optimal(
     env: Environment, prior: GaussianPrior, horizon: int
 ) -> list[ComparisonRow]:
-    """Per-period variance of greedy acquisitions against the exact optimum."""
+    """Per-period variance of greedy acquisitions against the exact optimum.
+
+    One greedy run (lowest-index ties) and one ``optimal_trajectory`` scan. The search
+    bound of the largest budget is checked before either starts.
+    """
+    _check_search_bound(env, horizon)
     trace = simulate(env, prior, horizon, rule=TieBreak.lowest_index())
     rows = []
-    for t in range(1, horizon + 1):
-        opt = optimal_division(env, prior, t)
+    for t, opt in enumerate(optimal_trajectory(env, prior, horizon), start=1):
         greedy_v = float(trace.variance_path[t - 1])
         rows.append(
             ComparisonRow(

@@ -1,4 +1,5 @@
 import math
+from itertools import chain, combinations, islice
 
 import numpy as np
 import pytest
@@ -360,13 +361,30 @@ def test_undetermined_for_multi_direction_objective():
 
 
 
+def reference_compositions(total, parts, block):
+    """Stars and bars through itertools: ``parts - 1`` bar positions among
+    ``total + parts - 1`` slots, in lexicographic order, ``block`` splits at a time."""
+    slots = total + parts - 1
+    bars = chain.from_iterable(combinations(range(slots), parts - 1))
+    remaining = math.comb(slots, parts - 1)
+    while remaining:
+        m = min(remaining, block)
+        remaining -= m
+        positions = np.fromiter(islice(bars, m * (parts - 1)), np.int64).reshape(m, parts - 1)
+        yield np.diff(positions, axis=1, prepend=-1, append=slots) - 1
+
+
 def test_compositions_small_blocks_match_one_block(monkeypatch, precise_info, precise_info_prior):
-    whole = {(t, n): np.vstack(list(compositions(t, n))) for t, n in [(9, 4), (6, 5), (12, 3)]}
+    cases = [(t, n) for t in range(15) for n in range(1, 7)]
+    whole = {(t, n): np.vstack(list(compositions(t, n))) for t, n in cases}
     expected = optimal_division(precise_info, precise_info_prior, 9)
     monkeypatch.setattr(dynamics, "COMPOSITION_BLOCK", 7)
     for (t, n), rows in whole.items():
+        reference = np.vstack(list(reference_compositions(t, n, 7)))
+        assert rows.dtype == reference.dtype and np.array_equal(rows, reference)
         blocks = list(compositions(t, n))
-        assert len(blocks) > 1 and max(len(b) for b in blocks) <= 7
+        assert max(len(b) for b in blocks) <= 7
+        assert len(blocks) > 1 or len(rows) <= 7
         assert np.array_equal(np.vstack(blocks), rows)
         assert len(rows) == math.comb(t + n - 1, n - 1)
         assert np.all(rows.sum(axis=1) == t)

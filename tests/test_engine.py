@@ -78,7 +78,8 @@ def reference_batch_step(self, ties=None):
     dirs = env.directions
     rhs = np.broadcast_to(dirs.T, (len(comps),) + dirs.T.shape)
     sols = np.linalg.solve(precisions, rhs)
-    values = np.einsum("rk,mkr->mr", dirs, sols) @ env.weights
+    per_target = np.einsum("rk,mkr->mr", dirs, sols)
+    values = sum(per_target[:, r] * w for r, w in enumerate(env.weights))  # targets in order
     _count_ties(values, ties)
     j = reference_pick(values, self.tie_rng)
     choice = comps[j]

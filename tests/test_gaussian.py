@@ -234,3 +234,7 @@ def test_block_variances_match_posterior_variance_row_by_row():
         values = block_variances(env, precision, block)
         for row, value in zip(block, values):
             assert value == pytest.approx(posterior_variance(env, prior, base + row), rel=1e-12)
+        # A row scores the same bits alone, or in any other block, as here.
+        alone = [block_variances(env, precision, block[i : i + 1]) for i in range(len(block))]
+        assert np.concatenate(alone).tobytes() == values.tobytes()
+        assert block_variances(env, precision, block[::-1]).tobytes() == values[::-1].tobytes()

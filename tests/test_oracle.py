@@ -19,6 +19,7 @@ from infotrap import (
     optimal_division,
     optimal_frequency_numeric,
     optimal_trajectory,
+    dynamics,
     oracle,
     parse_scenario,
     posterior_variance,
@@ -101,6 +102,65 @@ def test_optimal_trajectory_single_source():
     prior = GaussianPrior.from_diagonal([1.0])
     results = optimal_trajectory(env, prior, 5)
     assert [list(r.counts.counts) for r in results] == [[t] for t in range(1, 6)]
+
+
+def test_optimal_trajectory_matches_optimal_division(monkeypatch):
+    # Blocks of 7 splits, so one budget's splits straddle blocks of the one scan.
+    monkeypatch.setattr(dynamics, "COMPOSITION_BLOCK", 7)
+    rng = np.random.default_rng(12)
+    budgets = tied = 0
+    for i in range(450):
+        n, k = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+        if i % 2:
+            # Small integer rows, the last a copy of the first: exact and near ties.
+            coefficients = rng.integers(-2, 3, size=(n, k)).astype(float)
+            coefficients[0, 0] = 1.0
+            coefficients[-1] = coefficients[0]
+        else:
+            coefficients = rng.uniform(-3, 3, size=(n, k))
+        objective = None
+        if i % 3 == 0:
+            objective = [(float(rng.uniform(0.5, 2)), rng.standard_normal(k)) for _ in range(2)]
+        env = Environment(coefficients, objective)
+        prior = random_pd_prior(rng, k)
+        trajectory = optimal_trajectory(env, prior, int(rng.integers(1, 16 - 2 * n)))
+        for t, got in enumerate(trajectory, start=1):
+            want = optimal_division(env, prior, t)
+            assert got.value.hex() == want.value.hex()
+            assert np.array_equal(got.counts.counts, want.counts.counts)
+            assert got.num_optima == want.num_optima
+            if want.all_optima is None:
+                assert got.all_optima is None
+            else:
+                assert [d.counts.tolist() for d in got.all_optima] == [
+                    d.counts.tolist() for d in want.all_optima
+                ]
+            budgets += 1
+            tied += want.num_optima > 1
+    assert budgets >= 2000 and tied >= 400
+
+
+def test_trajectories_check_the_bound_first(monkeypatch, example2, example2_trap_prior):
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before the search-bound check")
+
+    monkeypatch.setattr(oracle, "simulate", no_work)
+    monkeypatch.setattr(oracle, "compositions", no_work)
+    assert optimal_trajectory(example2, example2_trap_prior, 0) == []
+    # 4470 is the largest budget with at most MAX_COMPOSITIONS splits over three sources.
+    with pytest.raises(SearchBoundError, match="4471 observations"):
+        optimal_trajectory(example2, example2_trap_prior, 4471)
+    with pytest.raises(SearchBoundError, match="5000 observations"):
+        greedy_vs_optimal(example2, example2_trap_prior, 5000)
+
+
+def test_greedy_vs_optimal_scans_the_splits_once(monkeypatch, example2, example2_trap_prior):
+    calls = []
+    scan = oracle.compositions
+    monkeypatch.setattr(oracle, "compositions", lambda *args: calls.append(args) or scan(*args))
+    rows = greedy_vs_optimal(example2, example2_trap_prior, 12)
+    assert [r.t for r in rows] == list(range(1, 13))
+    assert calls == [(12, 4)]
 
 
 def test_optimal_trajectory_example2_residuals(example2, example2_trap_prior):
@@ -288,6 +348,9 @@ def test_round_to_total():
     assert list(round_to_total([0.5, 0.5], 3)) == [2, 1]
     assert list(round_to_total([1, 1, 1], 7)) == [3, 2, 2]
     assert round_to_total([0.2, 0.8], 10).sum() == 10
+    for weights, total in [([2, -1], 5), ([1.0, np.nan], 3), ([1.0, np.inf], 3), ([1, 1], -1)]:
+        with pytest.raises(ValueError):
+            round_to_total(weights, total)
 
 
 def test_modified_alpha_sensitivity():

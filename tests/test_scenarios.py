@@ -398,6 +398,7 @@ def test_cli_rejects_malformed(tmp_path):
         (["sweep", "--state", "2", "--grid", "nan"], "grid"),
         (["sweep", "--state", "2", "--grid", "1,inf"], "grid"),
         (["sweep", "--state", "2", "--grid", "1e-300"], "1e-300"),
+        (["compare", "--t", str(MAX_HORIZON + 1)], "--t"),
     ],
 )
 def test_cli_rejects_bad_options_without_traceback(tmp_path, args, option):
@@ -438,6 +439,18 @@ def test_cli_run_errors_name_the_scenario(tmp_path, overrides, message, command)
     assert isinstance(result.exception, SystemExit), result.exception
     assert "example2: " in result.output and message in result.output
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("command", ["oracle", "compare"])
+def test_cli_search_bound_exits_before_any_work(tmp_path, command):
+    path = _write_scenario(tmp_path, horizon=20)
+    result = CliRunner().invoke(
+        cli_main, [command, str(path), "--t", "5000", "--out", str(tmp_path / "out")]
+    )
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.output.startswith("Error: example2: ") and "exhaustive-search bound" in result.output
+    assert result.output.count("\n") == 1
 
 
 def test_run_scenario_multi_direction_report(tmp_path):

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+from numpy._core.multiarray import c_einsum, count_nonzero
 # cho_factor/cho_solve: perfbench/tracing.py and tests/test_engine.py wrap them here.
 from scipy.linalg import cho_factor, cho_solve  # noqa: F401
 
@@ -22,9 +23,10 @@ from .gaussian import (
     FrequencyVector,
     GaussianPrior,
     NotPositiveDefiniteError,
+    _check_finite,
     _per_source,
+    _posv_solve,
     _signal_precision,
-    _solve_spd,
     _stacked_variances,
     block_increments,
 )
@@ -285,6 +287,9 @@ class _Engine:
         # The step's replication and, for one target, its weight (None for several).
         self._m = float(self.replication)
         self._w = float(env.weights[0]) if env.weights.size == 1 else None
+        self._r = env.weights.size
+        self._coefficients = env.coefficients
+        self._outers = env.source_outers
         # Target directions over source rows, (R+N, K), and their Fortran-ordered
         # transpose: the right-hand side of the step's one solve.
         self._rows = np.vstack([env.directions, env.coefficients])
@@ -312,7 +317,7 @@ class _Engine:
         i = int(scores.argmax())
         top = float(scores[i])
         near = scores >= top - TIE_TOL * max(abs(top), 1e-300)
-        if np.count_nonzero(near) == 1:
+        if count_nonzero(near) == 1:
             return i
         tied = np.flatnonzero(near)
         if not tied.size:
@@ -334,21 +339,27 @@ class _Engine:
 
         # One posv solve against targets and sources, the LAPACK work of cho_factor and
         # two cho_solves (same bits); one contraction gives the target variances
-        # u_r' Sigma u_r and the quadratic forms c_i' Sigma c_i together.
-        r = env.weights.size
-        sols = _solve_spd(self.precision, self._rhs)  # (K, R+N)
-        both = np.einsum("nk,kn->n", self._rows, sols)
-        variances, quad = both[:r], both[r:]
-        gammas = env.coefficients @ sols[:, :r]  # (N, R): u_r' Sigma c_i
-        # Reductions (sum_r w_r gamma_r^2) m / (1 + m quad). A product by 1 and a sum
-        # over one target are exact, so skipping them keeps every bit.
-        m, w = self._m, self._w
+        # u_r' Sigma u_r and the quadratic forms c_i' Sigma c_i together. A sum is
+        # finite only if every entry is; a sum of finite entries may overflow, silently
+        # in the run's error state, and then the exact test decides.
+        precision = self.precision
+        if not math.isfinite(precision.sum()):
+            _check_finite(precision)
+        sols = _posv_solve(precision, self._rhs)  # (K, R+N)
+        both = c_einsum("nk,kn->n", self._rows, sols)  # np.einsum's own C routine
+        r, m, w = self._r, self._m, self._w
+        quad = both[r:]
+        # Reductions (sum_r w_r gamma_r^2) m / (1 + m quad), with gamma_r = u_r' Sigma c_i.
+        # A product by 1 and a sum over one target are exact, so skipping them keeps
+        # every bit; one target's 1-D dot gives the bits of its (N, 1) matmul.
         if w is None:
-            current = float(np.dot(env.weights, variances))
+            gammas = self._coefficients @ sols[:, :r]  # (N, R)
+            current = float(np.dot(env.weights, both[:r]))
             gains = (gammas**2) @ env.weights
         else:
-            current = w * float(variances[0])
-            gains = gammas[:, 0] ** 2
+            gammas = self._coefficients.dot(sols[:, 0])  # (N,)
+            current = w * float(both[0])
+            gains = gammas * gammas
             if w != 1.0:
                 gains = gains * w
         if m == 1.0:
@@ -357,8 +368,8 @@ class _Engine:
             reductions = gains * m / (1.0 + m * quad)
         i = self._pick(reductions)
         self.counts[i] += 1
-        outer = env.source_outers[i]
-        self.precision += outer if m == 1.0 else m * outer
+        outer = self._outers[i]
+        precision += outer if m == 1.0 else m * outer
         return i, current - float(reductions[i])
 
 
@@ -375,10 +386,11 @@ def greedy_step(
     batch allocation.
     """
     engine = _Engine(env, prior, intervention, rule.make_rng())
-    engine.precision += _signal_precision(
-        env, _per_source(env, counts, "count") * engine.replication
-    )
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as in simulate
+    # As in simulate. The counts' precision may overflow too, and the step refuses it.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        engine.precision += _signal_precision(
+            env, _per_source(env, counts, "count") * engine.replication
+        )
         choice, _ = engine.step()
     return choice
 
@@ -438,7 +450,8 @@ def simulate(
     half_mark = horizon // 2
     counts_half = np.zeros(env.num_sources, dtype=np.int64)
 
-    # An overflowing reduction is refused by _pick, which names it; numpy need not warn.
+    # An overflowing reduction is refused by _pick, which names it, and the step's
+    # finiteness pre-test sums the precision, which may overflow: numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for t in range(horizon):
             choice, value = engine.step()

@@ -211,7 +211,9 @@ class DivisionVector:
         c = np.asarray(self.counts)
         if c.ndim != 1:
             raise DimensionError("counts must be a vector")
-        if np.any(c < 0) or not np.all(np.equal(np.mod(c, 1), 0)):
+        # Integer dtypes hold integers; the remainder test is for floats and bools.
+        integral = c.dtype.kind in "iu" or np.all(np.equal(np.mod(c, 1), 0))
+        if np.any(c < 0) or not integral:
             raise ValueError("counts must be non-negative integers")
         arr = c.astype(np.int64)
         arr.setflags(write=False)
@@ -276,14 +278,23 @@ def _check_prior(env: Environment, prior: GaussianPrior) -> None:
         )
 
 
-def _solve_spd(precision: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """``cho_solve(cho_factor(precision, lower=True), rhs)``, bit for bit, in one call."""
+def _check_finite(precision: np.ndarray) -> None:
     if not np.isfinite(precision).all():
         raise NotPositiveDefiniteError("posterior precision has non-finite entries")
+
+
+def _posv_solve(precision: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``_solve_spd`` without its finiteness check, which the caller makes."""
     _, sols, info = _posv(precision, rhs, lower=True)
     if info > 0:
         raise NotPositiveDefiniteError(f"posterior precision: leading minor {info} is not positive")
     return sols
+
+
+def _solve_spd(precision: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``cho_solve(cho_factor(precision, lower=True), rhs)``, bit for bit, in one call."""
+    _check_finite(precision)
+    return _posv_solve(precision, rhs)
 
 
 def _objective_variance(env: Environment, precision: np.ndarray) -> float:

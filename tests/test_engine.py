@@ -8,7 +8,11 @@ scipy-wrapper step, with its own copy of the tie rule, on the same engine state
 and require identical choices, bit-identical variance paths and precisions,
 the same tie RNG state, and the same ``NotPositiveDefiniteError`` on bad
 precisions. The solve helper itself must equal ``cho_solve(cho_factor(...))``
-byte for byte, and a run must make exactly one solve per period.
+byte for byte, and a run must make exactly one solve per period. The step's C
+entry points (``c_einsum``, ``count_nonzero``) and one target's ``dot`` must equal
+the numpy wrappers and the matmul they stand for, byte for byte. A precision whose
+finite entries have an overflowing sum steps like the reference; one that
+overflows is refused.
 
 The batch-allocation step builds its candidate increments once per run. It is
 held to a copy of the per-period formulation that rebuilds them every period,
@@ -41,7 +45,7 @@ from infotrap import (
     simulate,
 )
 from infotrap import dynamics, gaussian
-from infotrap.gaussian import _solve_spd
+from infotrap.gaussian import _signal_precision, _solve_spd
 from infotrap.scenarios import scenario_to_dict
 
 from conftest import random_pd_prior
@@ -489,3 +493,128 @@ def test_large_free_signals_give_a_report():
     assert report["classification"] in ("efficient", "trap", "undetermined")
     assert len(trace.choices) == doc["horizon"]
     assert np.all(np.isfinite(trace.variance_path)) and np.all(trace.variance_path > 0)
+
+
+def _engine_operands(rng, n, k, targets=1):
+    """A random environment and the step's operands at a random engine state: the
+    stacked target and source rows, and the solutions ``posv`` returns against them."""
+    env = Environment(
+        rng.standard_normal((n, k)),
+        [(1.0, rng.standard_normal(k)) for _ in range(targets)],
+    )
+    engine = dynamics._Engine(env, random_pd_prior(rng, k), NoIntervention(), None)
+    engine.precision += _signal_precision(env, rng.integers(0, 9, n).astype(float))
+    return env, engine._rows, gaussian._posv_solve(engine.precision, engine._rhs)
+
+
+def test_c_entry_points_match_numpy_wrappers():
+    rng = np.random.default_rng(20261019)
+    for _ in range(300):
+        n, k, targets = int(rng.integers(1, 61)), int(rng.integers(1, 51)), int(rng.integers(1, 4))
+        _, rows, sols = _engine_operands(rng, n, k, targets)
+        got = dynamics.c_einsum("nk,kn->n", rows, sols)
+        assert got.tobytes() == np.einsum("nk,kn->n", rows, sols).tobytes()
+        scores = np.round(rng.standard_normal(n), int(rng.integers(0, 3)))
+        near = scores >= scores.max() - 1e-12
+        assert dynamics.count_nonzero(near) == np.count_nonzero(near)
+        assert dynamics.count_nonzero(near) == int(near.sum())
+
+
+def test_one_target_dot_is_bitwise_matmul():
+    rng = np.random.default_rng(20261020)
+    for _ in range(1000):
+        n, k = int(rng.integers(1, 61)), int(rng.integers(1, 51))
+        env, _, sols = _engine_operands(rng, n, k)
+        got = env.coefficients.dot(sols[:, 0])
+        expected = env.coefficients @ sols[:, :1]
+        assert got.shape == (n,)
+        assert got.tobytes() == expected.tobytes()
+
+
+def _wide_case(rng, n, k, i):
+    if i % 2:
+        coefficients = rng.standard_normal((n, k))
+    else:
+        # Small integers, with a duplicated row: exact ties between sources.
+        coefficients = rng.integers(-2, 3, size=(n, k)).astype(float)
+        coefficients[0, 0] = 1.0
+        coefficients[-1] = coefficients[0]
+    objective = None
+    if i % 3 == 0:
+        objective = [(float(rng.uniform(0.5, 2.0)), rng.standard_normal(k)) for _ in range(2)]
+    elif i % 3 == 1:
+        objective = [(float(rng.uniform(0.5, 2.0)), rng.standard_normal(k))]
+    env = Environment(coefficients, objective)
+    prior = random_pd_prior(rng, k) if i % 2 else GaussianPrior.from_diagonal(rng.integers(1, 4, k))
+    intervention = (NoIntervention(), PrecisionReplicate(3))[i // 4 % 2]
+    rule = TieBreak.random(i) if i % 4 < 2 else TieBreak.lowest_index()
+    return env, prior, intervention, rule
+
+
+def test_fast_step_matches_reference_on_wide_shapes():
+    rng = np.random.default_rng(20261021)
+    tied = 0
+    # The wide_sources benchmark's shapes: 10 to 13 sources over 4 or 5 states.
+    for i in range(48):
+        n, k = int(rng.integers(10, 14)), int(rng.integers(4, 6))
+        tied += _assert_engines_agree(*_wide_case(rng, n, k, i), horizon=60)
+    assert tied >= 100
+    # Up to 60 sources over 50 states, at short horizons.
+    for i, (n, k) in enumerate(((60, 50), (60, 7), (25, 50), (50, 50), (33, 20))):
+        _assert_engines_agree(*_wide_case(rng, n, k, i), horizon=12)
+
+
+def test_precision_overflow_in_a_run_raises_non_finite():
+    # State 0 has variance 1e-10, so one replicated observation of source 0 has a
+    # finite reduction, but adds 1e290 * 1e20 to the precision: the next step refuses it.
+    env = Environment([[1e10, 0.0], [0.0, 1.0]])
+    prior = GaussianPrior.from_diagonal([1e-10, 1.0])
+    replicate = PrecisionReplicate(10**290)
+    assert simulate(env, prior, 1, intervention=replicate).choices == [0]
+    with pytest.raises(NotPositiveDefiniteError, match="non-finite"):
+        simulate(env, prior, 2, intervention=replicate)
+    with pytest.raises(NotPositiveDefiniteError, match="non-finite"):
+        greedy_step(env, prior, [1, 0], intervention=replicate)
+
+
+# Free signals put 1e308 + 1 on the first two diagonal entries: every entry is finite,
+# but their sum overflows. States 2 (the target) and 3 (a confounder) keep unit variance.
+HUGE_SUM_ENV = Environment(
+    [
+        [1e154, 0.0, 0.0, 0.0],
+        [0.0, 1e154, 0.0, 0.0],
+        [0.0, 0.0, 1.0, 0.0],
+        [0.0, 0.0, 3.0, 1.0],
+        [0.0, 0.0, 0.0, 1.0],
+        [1.0, 0.0, 0.5, 0.0],
+    ],
+    [(1.0, [0.0, 0.0, 1.0, 0.0])],
+)
+HUGE_SUM_SIGNALS = FreeSignals(
+    (np.array([1e154, 0.0, 0.0, 0.0]), np.array([0.0, 1e154, 0.0, 0.0]))
+)
+
+
+def test_precision_with_overflowing_sum_steps_like_the_reference(monkeypatch):
+    prior = GaussianPrior.from_diagonal([1.0, 1.0, 1.0, 1.0])
+    engine = dynamics._Engine(HUGE_SUM_ENV, prior, HUGE_SUM_SIGNALS, None)
+    assert np.isfinite(engine.precision).all()
+    with np.errstate(over="ignore"):
+        assert not math.isfinite(engine.precision.sum())
+    # simulate and greedy_step set the error state: no error and no warning.
+    for rule in RULES:
+        fast, ref = _both(
+            monkeypatch,
+            lambda: simulate(HUGE_SUM_ENV, prior, 40, rule=rule, intervention=HUGE_SUM_SIGNALS),
+        )
+        _assert_same(fast, ref)
+        assert len(set(fast.choices)) > 1
+    fast, ref = _both(
+        monkeypatch,
+        lambda: greedy_step(HUGE_SUM_ENV, prior, [1, 1, 0, 0, 0, 0], intervention=NoIntervention()),
+    )
+    assert fast == ref == 3
+    # The engine state after each step, byte for byte, in the run's error state.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for rule in RULES:
+            _assert_engines_agree(HUGE_SUM_ENV, prior, HUGE_SUM_SIGNALS, rule, horizon=40)

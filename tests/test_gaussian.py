@@ -173,6 +173,35 @@ def test_division_and_frequency_vectors():
     assert FrequencyVector(np.array([0.0, 0.7])).support() == (1,)
 
 
+@pytest.mark.parametrize(
+    "values",
+    [
+        np.array([0, 3, 7], dtype=np.int64),
+        np.array([0, 3, 7], dtype=np.int32),
+        np.array([2, -1], dtype=np.int64),
+        np.array([-5], dtype=np.int32),
+        np.array([0, 255], dtype=np.uint8),
+        np.array([True, False, True]),
+        np.array([0.0, 2.0, 1e15]),
+        np.array([0.0, 2.5]),
+        np.array([1e-300, 1.0]),
+        np.array([-1.0, 2.0]),
+        np.array([-0.5]),
+        np.array([], dtype=np.int64),
+    ],
+    ids=lambda v: f"{v.dtype}-{v.tolist()}",
+)
+def test_division_vector_accepts_what_the_remainder_test_accepts(values):
+    # Integer dtypes skip the remainder test, which they always pass.
+    refused = bool(np.any(values < 0) or not np.all(np.equal(np.mod(values, 1), 0)))
+    if refused:
+        with pytest.raises(ValueError, match="non-negative integers"):
+            DivisionVector(values)
+    else:
+        counts = DivisionVector(values).counts
+        assert counts.dtype == np.int64 and counts.tolist() == values.astype(np.int64).tolist()
+
+
 def test_single_objective_matches_first_state_variance(example2, example2_trap_prior):
     # weight-1 objective on the first coordinate is exactly the first diagonal
     # entry of the posterior covariance

@@ -65,7 +65,8 @@ def analyze(file, out: Path, quiet: bool):
     out.mkdir(parents=True, exist_ok=True)
     for scenario in _load(file):
         report = {"name": scenario.name}
-        report.update(analysis_fields(scenario.environment))
+        with _running(scenario):
+            report.update(analysis_fields(scenario.environment))
         path = out / f"{scenario.name}_analysis.json"
         write_report_json(path, report)
         if not quiet:
@@ -82,7 +83,15 @@ def simulate(file, out: Path, quiet: bool):
     """Run each scenario, writing a trace CSV and a report JSON."""
     for scenario in _load(file):
         with _running(scenario):
-            run_batch([scenario], out, quiet=quiet)
+            (report,) = run_batch([scenario], out)
+        if not quiet:
+            ratio = report["inefficiency_ratio"]
+            ratio_txt = "n/a" if ratio is None else f"{ratio:.6g}"
+            label = report["classification"]
+            if report["trapped_set"]:
+                label += f" on sources {report['trapped_set']}"
+            path = out / f"{scenario.name}_report.json"
+            click.echo(f"{scenario.name}: {label} (inefficiency {ratio_txt}) -> {path}")
 
 
 @main.command()

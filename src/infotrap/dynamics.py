@@ -195,9 +195,9 @@ def compositions(total: int, parts: int):
     """Yield every split of ``total`` observations over ``parts`` sources, in lexicographic
     order, as (M, parts) blocks of at most ``COMPOSITION_BLOCK`` rows.
 
-    Rows are built with numpy one part at a time (``_expand``). A first part whose splits
-    of the rest would overflow a block is split further, one value at a time; the other
-    first parts go out in runs whose splits fill at most one block.
+    Rows are built with numpy one part at a time (``_expand``). When the splits of more
+    than two parts overflow a block, the first part is fixed one value at a time;
+    otherwise the first parts go out in runs of at most ``COMPOSITION_BLOCK``.
     """
     if total < 0 or parts < 1:
         raise ValueError("compositions need total >= 0 and parts >= 1")
@@ -209,27 +209,15 @@ def compositions(total: int, parts: int):
 
 def _completions(prefix: tuple, rest: int, parts: int):
     """Blocks of ``prefix`` followed by each split of ``rest`` over ``parts >= 2`` parts."""
-    # A first part x leaves C(rest - x + parts - 2, parts - 2) splits, fewer as x grows.
-    first = 0
-    while math.comb(rest - first + parts - 2, parts - 2) > COMPOSITION_BLOCK:
-        yield from _completions(prefix + (first,), rest - first, parts - 1)
-        first += 1
-    while first <= rest:
-        firsts = np.arange(first, min(first + COMPOSITION_BLOCK, rest + 1))
-        sizes = np.cumsum(_split_counts(rest - firsts, parts - 1))
-        firsts = firsts[: np.searchsorted(sizes, COMPOSITION_BLOCK, side="right")]
-        first += len(firsts)
-        # No named block: the generator frame holds nothing while the caller scores it.
-        yield _expand(prefix, firsts, rest, parts)
-
-
-def _split_counts(rest: np.ndarray, parts: int) -> np.ndarray:
-    """C(rest + parts - 1, parts - 1): the number of splits of each ``rest`` over ``parts``.
-    Exact in int64 while the counts stay within a few blocks."""
-    counts = np.ones_like(rest)
-    for i in range(1, parts):
-        counts = counts * (rest + i) // i
-    return counts
+    if parts > 2 and math.comb(rest + parts - 1, parts - 1) > COMPOSITION_BLOCK:
+        for first in range(rest + 1):
+            yield from _completions(prefix + (first,), rest - first, parts - 1)
+    else:
+        # Two parts give one row per first part; more parts fit one block.
+        for first in range(0, rest + 1, COMPOSITION_BLOCK):
+            firsts = np.arange(first, min(first + COMPOSITION_BLOCK, rest + 1))
+            # No named block: the generator frame holds nothing while the caller scores it.
+            yield _expand(prefix, firsts, rest, parts)
 
 
 def _expand(prefix: tuple, firsts: np.ndarray, rest: int, parts: int) -> np.ndarray:

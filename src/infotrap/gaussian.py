@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, get_lapack_funcs
+from scipy.linalg import get_lapack_funcs
 
 __all__ = [
     "DimensionError",
@@ -136,16 +137,13 @@ class Environment:
             raise ValueError("operation requires a single-direction objective")
         return self.objective[0][1]
 
-    @property
+    @cached_property
     def source_outers(self) -> np.ndarray:
         """(N, K, K) stack of c_i c_i' rank-one precision increments."""
-        cached = getattr(self, "_outers", None)
-        if cached is None:
-            c = self.coefficients
-            cached = np.einsum("ni,nj->nij", c, c)
-            cached.setflags(write=False)
-            self._outers = cached
-        return cached
+        c = self.coefficients
+        outers = np.einsum("ni,nj->nij", c, c)
+        outers.setflags(write=False)
+        return outers
 
 
 @dataclass(eq=False)
@@ -183,17 +181,13 @@ class GaussianPrior:
     def num_states(self) -> int:
         return self.covariance.shape[0]
 
-    @property
+    @cached_property
     def precision(self) -> np.ndarray:
         """Inverse covariance, computed once by Cholesky solve against the identity."""
-        cached = getattr(self, "_precision", None)
-        if cached is None:
-            factor = cho_factor(self.covariance, lower=True)
-            cached = cho_solve(factor, np.eye(self.num_states))
-            cached = 0.5 * (cached + cached.T)
-            cached.setflags(write=False)
-            self._precision = cached
-        return cached
+        inv = _solve_spd(self.covariance, np.eye(self.num_states))
+        inv = 0.5 * (inv + inv.T)
+        inv.setflags(write=False)
+        return inv
 
     @classmethod
     def from_diagonal(cls, variances) -> "GaussianPrior":
@@ -297,10 +291,14 @@ def _solve_spd(precision: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return _posv_solve(precision, rhs)
 
 
-def _objective_variance(env: Environment, precision: np.ndarray) -> float:
-    dirs = env.directions  # (R, K)
-    sols = _solve_spd(precision, dirs.T)  # (K, R)
-    return float(np.dot(env.weights, np.einsum("rk,kr->r", dirs, sols)))
+def _posterior_solve(env: Environment, prior: GaussianPrior, counts) -> np.ndarray:
+    """(K, R) posterior covariance times each target direction, ``P^-1 u_r``, with P the
+    posterior precision after ``counts``. An overflowing P is refused, not warned about."""
+    _check_prior(env, prior)
+    q = _per_source(env, counts, "count")
+    with np.errstate(over="ignore", invalid="ignore"):
+        precision = prior.precision + _signal_precision(env, q)
+    return _solve_spd(precision, env.directions.T)
 
 
 def posterior_variance(env: Environment, prior: GaussianPrior, counts) -> float:
@@ -310,10 +308,8 @@ def posterior_variance(env: Environment, prior: GaussianPrior, counts) -> float:
     observations, which the derivative checks rely on. Deterministic; signal
     realizations never enter.
     """
-    _check_prior(env, prior)
-    q = _per_source(env, counts, "count")
-    precision = prior.precision + _signal_precision(env, q)
-    return _objective_variance(env, precision)
+    sols = _posterior_solve(env, prior, counts)
+    return float(np.dot(env.weights, np.einsum("rk,kr->r", env.directions, sols)))
 
 
 def variance_reduction(env: Environment, prior: GaussianPrior, counts, source: int) -> float:
@@ -409,10 +405,7 @@ def grad_posterior_variance(env: Environment, prior: GaussianPrior, counts) -> n
     Component j equals ``-sum_r w_r (u_r' P^-1 c_j)^2`` where P is the posterior
     precision; every component is non-positive.
     """
-    _check_prior(env, prior)
-    q = _per_source(env, counts, "count")
-    precision = prior.precision + _signal_precision(env, q)
-    sols = _solve_spd(precision, env.directions.T)  # (K, R)
+    sols = _posterior_solve(env, prior, counts)
     gammas = env.coefficients @ sols  # (N, R), entry (j, r) = u_r' P^-1 c_j
     return -(gammas**2) @ env.weights
 

@@ -303,21 +303,21 @@ def analysis_fields(env: Environment) -> dict:
 
     Multi-target objectives have no spanning-set characterization and get the
     numeric frequency optimum. For a single target the best set comes from
-    ``best_set``; every field is null when it cannot be found (the target is
-    not identified, or a tie beyond the enumeration cap), and the assumption
-    report is null beyond that cap.
+    ``best_set``. Every field is null when the optimum cannot be found (the
+    targets are not identified, or a tie beyond the enumeration cap), and the
+    assumption report is null beyond that cap.
     """
-    if len(env.objective) > 1:
-        from .oracle import optimal_frequency_numeric
-
-        freq, info = optimal_frequency_numeric(env, full_output=True)
-        return {
-            "phi_best": math.sqrt(info["value"]),
-            "best_set": [i + 1 for i in freq.support(tol=1e-9)],
-            "lambda_star": list(freq.weights),
-            "assumption_report": None,
-        }
     try:
+        if len(env.objective) > 1:
+            from .oracle import optimal_frequency_numeric
+
+            freq, info = optimal_frequency_numeric(env, full_output=True)
+            return {
+                "phi_best": math.sqrt(info["value"]),
+                "best_set": [i + 1 for i in freq.support(tol=1e-9)],
+                "lambda_star": list(freq.weights),
+                "assumption_report": None,
+            }
         star = best_set(env)
     except SpanError:
         return dict.fromkeys(("phi_best", "best_set", "lambda_star", "assumption_report"))
@@ -391,11 +391,11 @@ def write_report_json(path, report: dict) -> None:
     Path(path).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
 
 
-def run_batch(scenarios: list[Scenario], out_dir, quiet: bool = False) -> list[dict]:
+def run_batch(scenarios: list[Scenario], out_dir) -> list[dict]:
     """Run scenarios in order, writing trace CSV plus report JSON for each as it finishes.
 
-    Classification outcomes never affect success; only execution failures
-    propagate.
+    Writes nothing to the terminal. Classification outcomes never affect success; only
+    execution failures propagate.
     """
     names = [s.name for s in scenarios]
     if len(set(names)) != len(names):
@@ -408,16 +408,6 @@ def run_batch(scenarios: list[Scenario], out_dir, quiet: bool = False) -> list[d
         write_trace_csv(out / f"{scenario.name}_trace.csv", scenario, trace)
         write_report_json(out / f"{scenario.name}_report.json", report)
         reports.append(report)
-        if not quiet:
-            ratio = report["inefficiency_ratio"]
-            ratio_txt = "n/a" if ratio is None else f"{ratio:.6g}"
-            label = report["classification"]
-            if report["trapped_set"]:
-                label += f" on sources {report['trapped_set']}"
-            print(
-                f"{scenario.name}: {label} "
-                f"(inefficiency {ratio_txt}) -> {out / (scenario.name + '_report.json')}"
-            )
     return reports
 
 

@@ -170,8 +170,9 @@ def _minimal_reports(env: Environment, scanned) -> list[SpanningSetReport]:
     return reports
 
 
-def _enumerate(env: Environment) -> list[SpanningSetReport]:
-    return _minimal_reports(env, _spanning_subsets(env)[0])
+def _inside(reports: list[SpanningSetReport], closure) -> list[SpanningSetReport]:
+    """The reports whose sets lie inside ``closure``, in their (phi, indices) order."""
+    return [r for r in reports if closure.issuperset(r.indices)]
 
 
 def phi_tied(reports: list[SpanningSetReport]) -> bool:
@@ -189,13 +190,13 @@ def enumerate_minimal_spanning_sets(env: Environment) -> list[SpanningSetReport]
     this cap whenever its LP certificate holds; this full list, and the checks
     built on it, stay combinatorial.
     """
-    return _enumerate(env)
+    return _minimal_reports(env, _spanning_subsets(env)[0])
 
 
 def _unique_best(env: Environment) -> list[SpanningSetReport]:
     """``enumerate_minimal_spanning_sets``, or SpanError unless its first set is a strict
     phi-minimum."""
-    reports = _enumerate(env)
+    reports = enumerate_minimal_spanning_sets(env)
     if not reports:
         raise SpanError("no spanning set: the target is not identified from the sources")
     if phi_tied(reports):
@@ -295,7 +296,7 @@ def best_set(env: Environment) -> SpanningSetReport:
     star = _elfving_best(env)
     if star is not None:
         return star
-    reports = _enumerate(env)
+    reports = enumerate_minimal_spanning_sets(env)
     if not reports:
         raise SpanError("no spanning set: the target is not identified from the sources")
     return reports[0]
@@ -331,12 +332,8 @@ def is_subspace_optimal(env: Environment, indices) -> bool:
     """Whether the set strictly minimizes phi among minimal spanning sets in its own span."""
     report = beta_phi_lambda(env, indices)
     closure = set(subspace_closure(env, report.indices))
-    return not any(
-        rival.indices != report.indices
-        and closure.issuperset(rival.indices)
-        and phi_tied([report, rival])
-        for rival in _enumerate(env)
-    )
+    local = _inside(enumerate_minimal_spanning_sets(env), closure)
+    return local[0].indices == report.indices and not phi_tied(local)
 
 
 def check_assumptions(env: Environment) -> AssumptionReport:
@@ -377,7 +374,7 @@ def check_assumptions(env: Environment) -> AssumptionReport:
         if closure in seen:
             continue
         seen.add(closure)
-        local = [r for r in reports if closure.issuperset(r.indices)]
+        local = _inside(reports, closure)
         if phi_tied(local):
             unique_everywhere = False
             witnesses += [local[0].indices, local[1].indices]

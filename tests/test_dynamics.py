@@ -209,8 +209,12 @@ def test_escalate_gamma_breaks_example2_trap(example2, example2_trap_prior):
 
 def test_escalate_gamma_designs_once(monkeypatch, example2, example2_trap_prior):
     calls = []
-    enumerate_sets = spanning._enumerate
-    monkeypatch.setattr(spanning, "_enumerate", lambda env: calls.append(1) or enumerate_sets(env))
+    enumerate_sets = spanning.enumerate_minimal_spanning_sets
+    monkeypatch.setattr(
+        spanning,
+        "enumerate_minimal_spanning_sets",
+        lambda env: calls.append(1) or enumerate_sets(env),
+    )
     gamma, trace = escalate_gamma(example2, example2_trap_prior, 200, gamma0=32.0)
     assert gamma == 32.0 * 2**dynamics.MAX_DOUBLINGS  # every doubling ran
     assert len(calls) == 1
@@ -389,6 +393,8 @@ def test_compositions_small_blocks_match_one_block(monkeypatch, precise_info, pr
         assert len(rows) == math.comb(t + n - 1, n - 1)
         assert np.all(rows.sum(axis=1) == t)
         assert np.array_equal(np.lexsort(rows.T[::-1]), np.arange(len(rows)))
+        if n == 2:  # runs of first parts, not one row per block
+            assert len(blocks) == math.ceil((t + 1) / 7)
     # the oracle keeps its answer and its tie order when the blocks shrink
     result = optimal_division(precise_info, precise_info_prior, 9)
     assert np.array_equal(result.counts.counts, expected.counts.counts)

@@ -418,7 +418,7 @@ def test_single_source_run_makes_one_solve_per_period(monkeypatch, example2, exa
         calls.append(1)
         return posv(*args, **kwargs)
 
-    example2_trap_prior.precision  # cached before counting: it is computed by cho_solve
+    example2_trap_prior.precision  # cached before counting: it is computed by posv
     monkeypatch.setattr(gaussian, "_posv", counted)
     # cho_solve and get_lapack_funcs look potrs up in scipy's LAPACK module at call time;
     # no engine module may hold it from import time.
@@ -450,9 +450,7 @@ def test_bad_precision_raises_not_positive_definite(case):
     env, prior, counts = BAD_PRECISIONS[case]
     message = "leading minor" if case == "singular" else "non-finite"
     for fn in (posterior_variance, grad_posterior_variance, greedy_step):
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            NotPositiveDefiniteError, match=message
-        ):
+        with pytest.raises(NotPositiveDefiniteError, match=message):
             fn(env, prior, counts)
 
 

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import re
@@ -200,9 +201,9 @@ def test_run_batch_empty(tmp_path):
     assert not any(out.iterdir())
 
 
-def test_run_batch_example2_report(tmp_path):
+def test_run_batch_example2_report(tmp_path, capsys):
     s = bundled_scenario("example2")
-    reports = run_batch([s], tmp_path, quiet=True)
+    reports = run_batch([s], tmp_path)
     report = reports[0]
     assert report["classification"] == "trap"
     assert report["trapped_set"] == [1]
@@ -220,6 +221,7 @@ def test_run_batch_example2_report(tmp_path):
     assert len(lines) == 1001
     on_disk = json.loads(report_path.read_text())
     assert on_disk == report
+    assert capsys.readouterr() == ("", "")  # the library prints nothing
 
 
 def test_regression_all_bundled_classifications(tmp_path):
@@ -230,7 +232,7 @@ def test_regression_all_bundled_classifications(tmp_path):
         "precise_info": ("trap", [1, 2]),
     }
     scenarios = [bundled_scenario(n) for n in expected]
-    reports = run_batch(scenarios, tmp_path, quiet=True)
+    reports = run_batch(scenarios, tmp_path)
     for report in reports:
         kind, trapped = expected[report["name"]]
         assert report["classification"] == kind
@@ -245,8 +247,8 @@ def test_reports_byte_identical(tmp_path):
     doc["seed"] = 123
     s = parse_scenario(doc)
     a, b = tmp_path / "a", tmp_path / "b"
-    run_batch([s], a, quiet=True)
-    run_batch([s], b, quiet=True)
+    run_batch([s], a)
+    run_batch([s], b)
     for suffix in ("_trace.csv", "_report.json"):
         assert (a / f"example2{suffix}").read_bytes() == (b / f"example2{suffix}").read_bytes()
 
@@ -256,7 +258,7 @@ def test_batch_trace_csv_choice_format(tmp_path):
     doc["name"] = "example2_batch"
     doc["horizon"] = 5
     doc["intervention"] = {"batch": 2}
-    run_batch([parse_scenario(doc)], tmp_path, quiet=True)
+    run_batch([parse_scenario(doc)], tmp_path)
     lines = (tmp_path / "example2_batch_trace.csv").read_text().splitlines()
     assert lines[1].split(",")[1] == "0;1;1"  # semicolon-joined per-source counts
     assert lines[1].split(",")[3:] == ["0", "1", "1"]
@@ -268,7 +270,7 @@ def test_free_signal_escalation_scenario(tmp_path):
     doc["horizon"] = 2000
     doc["intervention"] = {"free_signals_auto": {"gamma0": 1.0}}
     s = parse_scenario(doc)
-    reports = run_batch([s], tmp_path, quiet=True)
+    reports = run_batch([s], tmp_path)
     assert reports[0]["classification"] == "efficient"
     assert reports[0]["gamma_final"] == 1.0
 
@@ -322,7 +324,8 @@ def test_cli_simulate(tmp_path):
     out = tmp_path / "out"
     result = CliRunner().invoke(cli_main, ["simulate", str(path), "--out", str(out)])
     assert result.exit_code == 0, result.output
-    assert "example2" in result.output
+    line = f"example2: trap on sources [1] (inefficiency 1.5) -> {out / 'example2_report.json'}"
+    assert result.output == line + "\n"
     assert (out / "example2_report.json").exists()
     assert (out / "example2_trace.csv").exists()
 
@@ -522,7 +525,7 @@ def test_analysis_fields_beyond_enumeration_cap(monkeypatch):
     def refuse(env):
         raise AssertionError("enumerated beyond the cap")
 
-    monkeypatch.setattr(infotrap.spanning, "_enumerate", refuse)
+    monkeypatch.setattr(infotrap.spanning, "enumerate_minimal_spanning_sets", refuse)
     fields = analysis_fields(env)
     star = best_set(env)
     assert fields["phi_best"] == star.phi == 0.5562948950325473
@@ -530,23 +533,53 @@ def test_analysis_fields_beyond_enumeration_cap(monkeypatch):
     assert fields["assumption_report"] is None
 
 
+_UNIDENTIFIED = {
+    # one target outside the sources' span
+    "unidentified": {"coefficients": [[0, 1], [0, 2], [0, 1.5]]},
+    # two targets, e1 spanned and e3 not
+    "unidentified_multi": {
+        "coefficients": [[1, 0, 0], [0, 1, 0]],
+        "objective": [
+            {"weight": 1.0, "direction": [1, 0, 0]},
+            {"weight": 1.0, "direction": [0, 0, 1]},
+        ],
+        "prior_mean": [0, 0, 0],
+        "prior_cov": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    },
+}
+
+
 def test_unidentified_target_reports_nulls(tmp_path):
-    doc = scenario_to_dict(bundled_scenario("example2"))
-    doc["name"] = "unidentified"
-    doc["coefficients"] = [[0, 1], [0, 2], [0, 1.5]]
-    doc["horizon"] = 20
-    s = parse_scenario(doc)
-    report = run_batch([s], tmp_path, quiet=True)[0]
-    assert report["classification"] == "undetermined"
-    for key in ("phi_best", "best_set", "lambda_star", "assumption_report"):
-        assert report[key] is None
-    assert (tmp_path / "unidentified_trace.csv").exists()
-    assert json.loads((tmp_path / "unidentified_report.json").read_text()) == report
-    path = tmp_path / "unidentified.json"
-    path.write_text(json.dumps(doc))
-    result = CliRunner().invoke(cli_main, ["analyze", str(path), "--out", str(tmp_path)])
-    assert result.exit_code == 0, result.output
-    assert "phi=n/a" in result.output
+    for name, fields in _UNIDENTIFIED.items():
+        doc = scenario_to_dict(bundled_scenario("example2"))
+        doc.update(fields, name=name, horizon=20)
+        report = run_batch([parse_scenario(doc)], tmp_path)[0]
+        assert report["classification"] == "undetermined"
+        for key in ("phi_best", "best_set", "lambda_star", "assumption_report"):
+            assert report[key] is None
+        assert (tmp_path / f"{name}_trace.csv").exists()
+        assert json.loads((tmp_path / f"{name}_report.json").read_text()) == report
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        result = CliRunner().invoke(cli_main, ["analyze", str(path), "--out", str(tmp_path)])
+        assert result.exit_code == 0 and result.exception is None, result.output
+        assert "phi=n/a" in result.output
+
+
+def test_library_does_not_print():
+    # Only the command-line front end writes to the terminal, through click.echo.
+    package = Path(infotrap.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        calls = [
+            node.lineno
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "print"
+        ]
+        assert calls == [], f"{path.name} calls print on lines {calls}"
 
 
 def test_cli_import_leaves_out_scipy_optimize():

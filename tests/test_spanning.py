@@ -165,13 +165,13 @@ def test_best_set_matches_enumeration_fixtures(parity_env, precise_info, example
 @pytest.fixture
 def enumeration_calls(monkeypatch):
     calls = []
-    enumerate_all = spanning._enumerate
+    enumerate_all = spanning.enumerate_minimal_spanning_sets
 
     def counting(env):
         calls.append(env)
         return enumerate_all(env)
 
-    monkeypatch.setattr(spanning, "_enumerate", counting)
+    monkeypatch.setattr(spanning, "enumerate_minimal_spanning_sets", counting)
     return calls
 
 

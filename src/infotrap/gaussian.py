@@ -145,6 +145,13 @@ class Environment:
         outers.setflags(write=False)
         return outers
 
+    @cached_property
+    def _best_set(self):
+        """``spanning.best_set``, searched once per environment."""
+        from .spanning import _search_best_set  # spanning imports this module
+
+        return _search_best_set(self)
+
 
 @dataclass(eq=False)
 class GaussianPrior:
@@ -336,9 +343,13 @@ def _stacked_variances(env: Environment, precisions: np.ndarray, rhs: np.ndarray
 
     The targets are summed in order, one column at a time, so a row's value does not depend
     on M or on its place in the stack (a matrix-vector product takes another BLAS kernel
-    for one row than for several).
+    for one row than for several). A singular precision in the stack is refused as not
+    positive definite.
     """
-    sols = np.linalg.solve(precisions, rhs)
+    try:
+        sols = np.linalg.solve(precisions, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError("a candidate posterior precision is singular") from exc
     per_target = np.einsum("rk,mkr->mr", env.directions, sols)
     values = per_target[:, 0] * env.weights[0]
     for r in range(1, len(env.weights)):

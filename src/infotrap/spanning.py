@@ -16,9 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations, islice
+from typing import NamedTuple
 
 import numpy as np
+# The least-squares gufunc behind np.linalg.lstsq, which takes one matrix only; the
+# batched scan calls it on a stack, under lstsq's own error state.
+from numpy.linalg import _umath_linalg
+from numpy.linalg._linalg import _raise_linalgerror_lstsq
 from scipy.linalg import qr
 
 from .gaussian import (
@@ -47,6 +52,16 @@ __all__ = [
 PHI_TIE_TOL = 1e-9
 
 MAX_SOURCES_ENUMERATION = 20
+
+# Subsets of one size stacked into one SVD or least-squares call: at the 20-source
+# cap, C(20, 10) subsets would otherwise stack about 150 MB of matrices.
+SCAN_CHUNK = 4096
+
+# A K-subset with smallest singular value above this fraction of its largest spans
+# every state well enough that every source passes ``subspace_closure``'s residual
+# test, so the scan marks its closure as every source without a solve. A worse
+# conditioned K-subset may still pass ``_independent`` and miss sources.
+CLOSURE_MARGIN = 1e-4
 
 # The simplex certifies its basis only when every source outside it has
 # |c_j' y| below 1 - ELFVING_DUAL_MARGIN; closer to 1 counts as a near-tie.
@@ -110,13 +125,39 @@ def _independent(rows: np.ndarray) -> bool:
     return sv.size > 0 and sv[-1] > SPAN_TOL * sv[0]
 
 
+def _residual_tol(u: np.ndarray) -> float:
+    return SPAN_TOL * max(1.0, float(np.linalg.norm(u, np.inf)))
+
+
 def _solve_representation(rows: np.ndarray, u: np.ndarray) -> np.ndarray | None:
-    """Coefficients beta with rows' beta = u, or None when u is outside the span."""
+    """Coefficients beta with rows' beta = u, or None when u is outside the span.
+
+    A representation that is not finite does not span: an overflowing beta gives a
+    residual of inf or NaN, which fails the test without a warning.
+    """
     beta, *_ = np.linalg.lstsq(rows.T, u, rcond=None)
-    residual = np.linalg.norm(rows.T @ beta - u, np.inf)
-    if residual > SPAN_TOL * max(1.0, float(np.linalg.norm(u, np.inf))):
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = np.linalg.norm(rows.T @ beta - u, np.inf)
+    if not residual <= _residual_tol(u) or not np.isfinite(beta).all():
         return None
     return beta
+
+
+def _stacked_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.lstsq(a[i], b, rcond=None)[0]`` for every matrix of the (M, m, n) stack
+    ``a``, with ``b`` of shape (m, nrhs), as an (M, n, nrhs) array: one call of lstsq's
+    gufunc (the same ``gelsd`` per matrix), with lstsq's default cutoff and error state,
+    so a non-converging SVD raises ``LinAlgError``."""
+    rcond = np.finfo(float).eps * max(a.shape[-2:])
+    with np.errstate(
+        call=_raise_linalgerror_lstsq,
+        invalid="call",
+        over="ignore",
+        divide="ignore",
+        under="ignore",
+    ):
+        x, _, _, _ = _umath_linalg.lstsq(a, b, rcond, signature="ddd->ddid")
+    return x
 
 
 def _report_from(indices: tuple[int, ...], beta: np.ndarray, num_sources: int) -> SpanningSetReport:
@@ -132,12 +173,40 @@ def _report_from(indices: tuple[int, ...], beta: np.ndarray, num_sources: int) -
     )
 
 
-def _spanning_subsets(env: Environment):
-    """One scan of every subset of at most min(K, N) sources, one SVD each.
+class _Span(NamedTuple):
+    """An independent subset that spans the target, as ``_spanning_subsets`` finds it."""
 
-    Returns (spanning, dependent): (subset, beta) for each independent subset
-    that spans the target, beta its unique representation, and the linearly
-    dependent subsets; independent subsets that miss the target are in neither.
+    indices: tuple[int, ...]
+    beta: np.ndarray  # the unique representation of the target
+    phi: float  # sum |beta|, the same bits as ``_report_from``'s
+    minimal: bool  # no zero coefficient, so no proper subset spans
+    whole: bool  # a K-subset within ``CLOSURE_MARGIN``: its closure is every source
+
+
+def _subset_chunks(n: int, size: int):
+    """The size-subsets of range(n) in lexicographic order, as (M, size) index arrays of
+    at most ``SCAN_CHUNK`` rows."""
+    subsets = combinations(range(n), size)
+    left = math.comb(n, size)
+    while left:
+        m = min(left, SCAN_CHUNK)
+        left -= m
+        flat = np.fromiter(chain.from_iterable(islice(subsets, m)), np.intp, m * size)
+        yield flat.reshape(m, size)
+
+
+def _spanning_subsets(env: Environment) -> tuple[list[_Span], list[tuple[int, ...]]]:
+    """One scan of every subset of at most min(K, N) sources, batched by size.
+
+    Each chunk of same-size subsets gets one stacked SVD (the ``_independent`` test),
+    one stacked least-squares solve of its independent subsets and one stacked
+    residual test (``_solve_representation``'s). Every matrix gets the LAPACK call,
+    in the layout, that the per-subset helpers give it, so the decisions and numbers
+    are theirs bit for bit.
+
+    Returns (spanning, dependent): a ``_Span`` for each independent subset that
+    spans the target, and the linearly dependent subsets, both by size and then
+    lexicographically; independent subsets that miss the target are in neither.
     """
     u = _target(env)
     if env.num_sources > MAX_SOURCES_ENUMERATION:
@@ -145,33 +214,46 @@ def _spanning_subsets(env: Environment):
             f"exhaustive subset search supports at most {MAX_SOURCES_ENUMERATION} sources"
         )
     c = env.coefficients
+    n, k = c.shape
+    tol = _residual_tol(u)
     spanning, dependent = [], []
-    for size in range(1, min(env.num_states, env.num_sources) + 1):
-        for subset in combinations(range(env.num_sources), size):
-            rows = c[list(subset)]
-            if not _independent(rows):
-                dependent.append(subset)
+    for size in range(1, min(k, n) + 1):
+        for subsets in _subset_chunks(n, size):
+            rows = c[subsets]  # (M, size, K)
+            sv = np.linalg.svd(rows, compute_uv=False)
+            independent = sv[:, -1] > SPAN_TOL * sv[:, 0]
+            dependent += map(tuple, subsets[~independent].tolist())
+            if not independent.any():
                 continue
-            beta = _solve_representation(rows, u)
-            if beta is not None:
-                spanning.append((subset, beta))
+            a = rows[independent].transpose(0, 2, 1)  # each matrix is rows.T, (K, size)
+            beta = _stacked_lstsq(a, u[:, None])
+            with np.errstate(over="ignore", invalid="ignore"):
+                residual = np.abs((a @ beta)[:, :, 0] - u).max(axis=1)
+            beta = beta[:, :, 0]
+            spans = (residual <= tol) & np.isfinite(beta).all(axis=1)
+            keep = np.flatnonzero(independent)[spans]
+            beta, sv = beta[spans], sv[keep]
+            magnitude = np.abs(beta)
+            minimal = magnitude.min(axis=1) > SPAN_TOL * magnitude.max(axis=1)
+            whole = (size == k) & (sv[:, -1] > CLOSURE_MARGIN * sv[:, 0])
+            spanning += map(
+                _Span,
+                map(tuple, subsets[keep].tolist()),
+                beta,
+                magnitude.sum(axis=1).tolist(),
+                minimal.tolist(),
+                whole.tolist(),
+            )
     return spanning, dependent
 
 
-def _minimal_reports(env: Environment, scanned) -> list[SpanningSetReport]:
-    """Reports of the minimal sets among scanned (subset, beta), sorted by (phi, indices)."""
-    reports = [
-        _report_from(subset, beta, env.num_sources)
-        for subset, beta in scanned
-        # A zero coefficient means a proper subset already spans the target.
-        if np.min(np.abs(beta)) > SPAN_TOL * np.max(np.abs(beta))
-    ]
-    reports.sort(key=lambda r: (r.phi, r.indices))
-    return reports
+def _by_phi(scanned: list[_Span]) -> list[_Span]:
+    """The minimal sets among ``scanned``, sorted by (phi, indices)."""
+    return sorted((s for s in scanned if s.minimal), key=lambda s: (s.phi, s.indices))
 
 
-def _inside(reports: list[SpanningSetReport], closure) -> list[SpanningSetReport]:
-    """The reports whose sets lie inside ``closure``, in their (phi, indices) order."""
+def _inside(reports: list, closure) -> list:
+    """The reports (or ``_Span``s) whose sets lie inside ``closure``, in their order."""
     return [r for r in reports if closure.issuperset(r.indices)]
 
 
@@ -190,7 +272,10 @@ def enumerate_minimal_spanning_sets(env: Environment) -> list[SpanningSetReport]
     this cap whenever its LP certificate holds; this full list, and the checks
     built on it, stay combinatorial.
     """
-    return _minimal_reports(env, _spanning_subsets(env)[0])
+    return [
+        _report_from(s.indices, s.beta, env.num_sources)
+        for s in _by_phi(_spanning_subsets(env)[0])
+    ]
 
 
 def _unique_best(env: Environment) -> list[SpanningSetReport]:
@@ -291,8 +376,15 @@ def best_set(env: Environment) -> SpanningSetReport:
     at any number of sources. Without a certificate (ties, sets smaller than
     K, rank-deficient coefficients) the answer comes from exhaustive
     enumeration, which keeps the (phi, indices) tie order and is capped at 20
-    sources.
+    sources. The answer is found once per environment and kept on it, so
+    every caller gets the same report; a ``SpanError`` is not kept, so every
+    call raises it again.
     """
+    return env._best_set
+
+
+def _search_best_set(env: Environment) -> SpanningSetReport:
+    """``best_set`` without the per-environment cache."""
     star = _elfving_best(env)
     if star is not None:
         return star
@@ -323,7 +415,9 @@ def subspace_closure(env: Environment, indices) -> tuple[int, ...]:
     c = env.coefficients
     rows = c[subset]  # (s, K)
     coef, *_ = np.linalg.lstsq(rows.T, c.T, rcond=None)
-    residual = np.linalg.norm(rows.T @ coef - c.T, axis=0)
+    # An overflowing coefficient leaves an inf or NaN residual, which fails the test.
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = np.linalg.norm(rows.T @ coef - c.T, axis=0)
     scale = np.maximum(np.linalg.norm(c, axis=1), 1e-300)
     return tuple(int(j) for j in np.flatnonzero(residual <= SPAN_TOL * scale))
 
@@ -342,10 +436,11 @@ def check_assumptions(env: Environment) -> AssumptionReport:
     Its minimal sets give the unique minimizer and gap, its dependent K-subsets
     refute strong linear independence (as does N < K), and the closures of its
     spanning subsets are the subspaces checked for ties, each by ``phi_tied``.
-    ``witnesses`` holds the tied sets and the dependent K-subsets.
+    ``witnesses`` holds the tied sets and the dependent K-subsets. The minimal
+    sets stay the scan's (phi, indices) records; no report is built for them.
     """
     scanned, dependent = _spanning_subsets(env)
-    reports = _minimal_reports(env, scanned)
+    reports = _by_phi(scanned)
     witnesses: list[tuple[int, ...]] = []
 
     if not reports:
@@ -368,9 +463,10 @@ def check_assumptions(env: Environment) -> AssumptionReport:
     # closures of independent spanning subsets, minimal or not. A subspace's
     # minimal sets are those inside its closure, still sorted by (phi, indices).
     unique_everywhere = True
+    every = frozenset(range(env.num_sources))
     seen: set[frozenset[int]] = set()
-    for subset, _ in scanned:
-        closure = frozenset(subspace_closure(env, subset))
+    for span in scanned:
+        closure = every if span.whole else frozenset(subspace_closure(env, span.indices))
         if closure in seen:
             continue
         seen.add(closure)

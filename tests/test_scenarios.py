@@ -16,6 +16,7 @@ from infotrap import (
     Environment,
     Scenario,
     ScenarioError,
+    SpanError,
     SweepSpec,
     best_set,
     bundled_scenario,
@@ -27,6 +28,7 @@ from infotrap import (
     run_scenario,
     sweep,
 )
+from infotrap import dynamics, scenarios, spanning
 from infotrap.cli import main as cli_main
 from infotrap.scenarios import MAX_HORIZON, analysis_fields, scenario_to_dict
 
@@ -284,6 +286,54 @@ def test_sweep_threshold_example2():
     assert report["threshold"] == 8.1
 
 
+@pytest.fixture
+def elfving_calls(monkeypatch):
+    calls = []
+    search = spanning._elfving_best
+
+    def counting(env):
+        calls.append(env)
+        return search(env)
+
+    monkeypatch.setattr(spanning, "_elfving_best", counting)
+    return calls
+
+
+def test_one_best_set_per_environment(elfving_calls, monkeypatch):
+    spec = SweepSpec(base=bundled_scenario("example2"), state_index=1, grid=[6, 7, 7.9, 8.1, 9, 12])
+    swept = sweep(spec)
+    assert len(elfving_calls) == 1  # six grid points share one environment
+    _, report = run_scenario(bundled_scenario("example2"))
+    assert len(elfving_calls) == 2  # classification and report fields share it too
+    # Searched afresh at every call, the best set gives the same outputs.
+    monkeypatch.setattr(dynamics, "best_set", spanning._search_best_set)
+    monkeypatch.setattr(scenarios, "best_set", spanning._search_best_set)
+    assert sweep(spec) == swept
+    assert run_scenario(bundled_scenario("example2"))[1] == report
+    assert len(elfving_calls) == 2 + 6 + 2
+
+
+def test_unspanned_target_raises_on_every_best_set_call():
+    env = Environment([[0, 1], [0, 2]])
+    for _ in range(2):
+        with pytest.raises(SpanError, match="no spanning set"):
+            best_set(env)
+
+
+def test_subnormal_coefficient_gives_a_report():
+    # Source 1 alone would need beta = 1e320: it does not span, and nothing warns
+    # (tier-1 turns a RuntimeWarning into an error).
+    doc = scenario_to_dict(bundled_scenario("example2"))
+    doc["coefficients"][0][0] = 1e-320
+    scenario = parse_scenario(doc)
+    _, report = run_scenario(scenario)
+    assert report["best_set"] == [2, 3]
+    assert report["assumption_report"]["unique_minimizer"] is True
+    with pytest.raises(SpanError, match="do not span"):
+        spanning.beta_phi_lambda(scenario.environment, [0])
+    assert spanning.subspace_closure(scenario.environment, [0]) == (0,)
+
+
 def test_sweep_single_point():
     base = bundled_scenario("example2")
     report = sweep(SweepSpec(base=base, state_index=1, grid=[9.0]))
@@ -442,6 +492,23 @@ def test_cli_run_errors_name_the_scenario(tmp_path, overrides, message, command)
     assert isinstance(result.exception, SystemExit), result.exception
     assert "example2: " in result.output and message in result.output
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize(
+    "command, overrides",
+    [(["simulate"], {"intervention": {"batch": 2}}), (["oracle", "--t", "3"], {})],
+    ids=["batch", "oracle"],
+)
+def test_cli_singular_candidate_precision_names_the_scenario(tmp_path, command, overrides):
+    # A prior precision of 1e-154 vanishes beside two observations of source 2, so the
+    # candidate precision [[18, 6], [6, 2]] is singular.
+    path = _write_scenario(tmp_path, horizon=20, prior_cov=[[1e154, 0], [0, 1e154]], **overrides)
+    result = CliRunner().invoke(
+        cli_main, [command[0], str(path), *command[1:], "--out", str(tmp_path / "out")]
+    )
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.output == "Error: example2: a candidate posterior precision is singular\n"
 
 
 @pytest.mark.parametrize("command", ["oracle", "compare"])

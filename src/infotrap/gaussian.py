@@ -21,12 +21,15 @@ matrices (zero eigenvalues contribute 0 for orthogonal targets, +inf otherwise).
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 __all__ = [
     "DimensionError",
@@ -53,10 +56,40 @@ SPAN_TOL = 1e-9
 _LARGEST_ROOT = math.sqrt(np.finfo(float).max)  # the largest float with a finite square
 _HALF_MAX = np.finfo(float).max / 2  # the largest float whose double is finite
 
+
+def _load_flapack():
+    """scipy's LAPACK extension module ``scipy.linalg._flapack``, without ``scipy.linalg``.
+
+    Importing ``scipy.linalg`` takes most of this package's start-up, and the package
+    needs only two LAPACK drivers from it. The extension module does not need the rest
+    of ``scipy.linalg``, so it is loaded from its file under its own name and registered
+    in ``sys.modules``; a later ``import scipy.linalg`` then reuses this very module, and
+    ``get_lapack_funcs`` returns the same function objects. A module already imported is
+    reused, and without the file the module is imported the ordinary way.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    root = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(root, "linalg", "_flapack" + suffix)
+        if os.path.isfile(path):
+            break
+    else:
+        return importlib.import_module(name)
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+
 # LAPACK's ``posv`` driver: the ``potrf`` factorization and ``potrs`` solve of scipy's
 # ``cho_factor``/``cho_solve`` in one call, the same floating-point work without the
-# wrappers' per-call checks.
-(_posv,) = get_lapack_funcs(("posv",), dtype=np.float64)
+# wrappers' per-call checks. It is the very object scipy's ``get_lapack_funcs`` returns.
+_posv = _flapack.dposv
 
 
 class DimensionError(ValueError):
@@ -178,6 +211,11 @@ class GaussianPrior:
         cov = 0.5 * (cov + cov.T)
         eigs = np.linalg.eigvalsh(cov)
         if not eigs[0] > 1e-12 * max(eigs[-1], 0.0):  # an inf or NaN eigenvalue fails too
+            if 0.0 < eigs[0] < math.inf:
+                raise NotPositiveDefiniteError(
+                    "covariance is too ill-conditioned (smallest/largest eigenvalue "
+                    f"{eigs[0] / eigs[-1]:.3e}, bound 1e-12)"
+                )
             raise NotPositiveDefiniteError(
                 f"covariance is not positive definite (eigenvalues {eigs[0]:.3e}..{eigs[-1]:.3e})"
             )

@@ -24,13 +24,13 @@ import numpy as np
 # batched scan calls it on a stack, under lstsq's own error state.
 from numpy.linalg import _umath_linalg
 from numpy.linalg._linalg import _raise_linalgerror_lstsq
-from scipy.linalg import qr
 
 from .gaussian import (
     Environment,
     FrequencyVector,
     GaussianPrior,
     SPAN_TOL,
+    _flapack,
 )
 
 __all__ = [
@@ -308,6 +308,20 @@ def beta_phi_lambda(env: Environment, indices) -> SpanningSetReport:
     return _report_from(subset, beta, env.num_sources)
 
 
+def _pivoted_qr_r(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``scipy.linalg.qr(a, mode="r", pivoting=True)`` for a finite float matrix.
+
+    The same LAPACK ``geqp3`` calls as scipy's: a workspace query, then the
+    factorization with that workspace, which sets geqp3's blocking and so its bits.
+    """
+    lwork = _flapack.dgeqp3(a, lwork=-1, overwrite_a=False)[-2][0].real.astype(np.int_)
+    qr, jpvt, _, _, info = _flapack.dgeqp3(a, lwork=lwork, overwrite_a=False)
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal geqp3")
+    jpvt -= 1  # geqp3's pivots are 1-based
+    return np.triu(qr), jpvt
+
+
 def _elfving_best(env: Environment) -> SpanningSetReport | None:
     """The phi-minimal set from Elfving's LP, or None when it is not certified.
 
@@ -333,7 +347,7 @@ def _elfving_best(env: Environment) -> SpanningSetReport | None:
     n, k = c.shape
     if n < k:
         return None
-    r, pivots = qr(c.T, mode="r", pivoting=True)
+    r, pivots = _pivoted_qr_r(c.T)
     if not abs(r[k - 1, k - 1]) > SPAN_TOL * abs(r[0, 0]):
         return None
     basis = pivots[:k].copy()

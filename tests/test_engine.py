@@ -23,8 +23,7 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg._flapack
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import _flapack, cho_factor, cho_solve
 
 from infotrap import (
     BatchAllocate,
@@ -422,9 +421,9 @@ def test_single_source_run_makes_one_solve_per_period(monkeypatch, example2, exa
     monkeypatch.setattr(gaussian, "_posv", counted)
     # cho_solve and get_lapack_funcs look potrs up in scipy's LAPACK module at call time;
     # no engine module may hold it from import time.
-    potrs = scipy.linalg._flapack.dpotrs
+    potrs = _flapack.dpotrs
     assert not any(v is potrs for m in (gaussian, dynamics) for v in vars(m).values())
-    monkeypatch.setattr(scipy.linalg._flapack, "dpotrs", refuse)
+    monkeypatch.setattr(_flapack, "dpotrs", refuse)
     for horizon in (1, 37):
         calls.clear()
         simulate(example2, example2_trap_prior, horizon)

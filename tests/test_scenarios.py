@@ -69,6 +69,16 @@ def test_parse_rejects_indefinite_covariance():
         parse_scenario(doc)
 
 
+def test_parse_names_ill_conditioned_covariance():
+    # Positive definite, but past the conditioning bound: the refusal says which.
+    doc = scenario_to_dict(bundled_scenario("example2"))
+    doc["prior_cov"] = [[1e154, 0], [0, 1]]
+    with pytest.raises(ScenarioError, match="prior_cov: covariance is too ill-conditioned") as info:
+        parse_scenario(doc)
+    assert "1.000e-154" in str(info.value) and "1e-12" in str(info.value)
+    assert "positive definite" not in str(info.value)
+
+
 def test_parse_error_paths():
     base = scenario_to_dict(bundled_scenario("example2"))
 
@@ -649,11 +659,74 @@ def test_library_does_not_print():
         assert calls == [], f"{path.name} calls print on lines {calls}"
 
 
-def test_cli_import_leaves_out_scipy_optimize():
+def _fresh_interpreter(code):
+    """Run ``code`` in a new interpreter that imports this checkout's package."""
     src = str(Path(infotrap.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code], env=env).returncode
+
+
+def test_cli_import_leaves_out_scipy_optimize():
     code = "import sys, infotrap.cli; sys.exit('scipy.optimize' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert _fresh_interpreter(code) == 0
+
+
+def test_cli_import_leaves_out_scipy_linalg():
+    code = "import sys, infotrap.cli; sys.exit('scipy.linalg' in sys.modules)"
+    assert _fresh_interpreter(code) == 0
+
+
+def test_library_imports_scipy_linalg_and_optimize_only_inside_functions():
+    # Importing either costs every command its start-up time; LAPACK comes from
+    # scipy's extension module, which gaussian loads by itself.
+    slow = ("scipy.linalg", "scipy.optimize")
+    package = Path(infotrap.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        nodes = [tree]
+        found = []
+        while nodes:
+            node = nodes.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                names = []
+            if any(name == m or name.startswith(m + ".") for name in names for m in slow):
+                found.append(node.lineno)
+            nodes.extend(ast.iter_child_nodes(node))
+        assert found == [], f"{path.name} imports scipy.linalg or scipy.optimize on lines {found}"
+
+
+# The third order hides the extension file's suffix from gaussian's loader, which
+# then imports the module the ordinary way.
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ("import infotrap", "import scipy.linalg"),
+        ("import scipy.linalg", "import infotrap"),
+        ("import importlib.machinery as m; m.EXTENSION_SUFFIXES[:] = ['.missing']", "import infotrap"),
+    ],
+    ids=["infotrap-first", "scipy-first", "file-missing"],
+)
+def test_posv_is_scipys_in_either_import_order(first, second):
+    # gaussian loads scipy's LAPACK module under its own name, so scipy's lookup
+    # returns the very function the package calls, and the same module for geqp3.
+    code = f"""{first}
+{second}
+import sys
+import numpy as np
+from scipy.linalg import get_lapack_funcs
+from infotrap import gaussian
+a = np.ones((2, 3)).T
+assert get_lapack_funcs(("posv",), dtype=np.float64)[0] is gaussian._posv
+assert get_lapack_funcs(("geqp3",), (a,))[0] is gaussian._flapack.dgeqp3
+assert sys.modules["scipy.linalg._flapack"] is gaussian._flapack
+"""
+    assert _fresh_interpreter(code) == 0
 
 
 _NUMBER_CASES = [

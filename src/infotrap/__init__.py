@@ -31,7 +31,6 @@ from .spanning import (
     enumerate_minimal_spanning_sets,
     fit_perturbation_eta,
     is_subspace_optimal,
-    phi_by_l1,
     subspace_closure,
 )
 from .dynamics import (

@@ -40,7 +40,6 @@ __all__ = [
     "enumerate_minimal_spanning_sets",
     "beta_phi_lambda",
     "best_set",
-    "phi_by_l1",
     "subspace_closure",
     "is_subspace_optimal",
     "check_assumptions",
@@ -60,7 +59,7 @@ SCAN_CHUNK = 4096
 # A K-subset with smallest singular value above this fraction of its largest spans
 # every state well enough that every source passes ``subspace_closure``'s residual
 # test, so the scan marks its closure as every source without a solve. A worse
-# conditioned K-subset may still pass ``_independent`` and miss sources.
+# conditioned K-subset may still pass the independence test and miss sources.
 CLOSURE_MARGIN = 1e-4
 
 # The simplex certifies its basis only when every source outside it has
@@ -120,29 +119,6 @@ def _target(env: Environment) -> np.ndarray:
         ) from exc
 
 
-def _independent(rows: np.ndarray) -> bool:
-    sv = np.linalg.svd(rows, compute_uv=False)
-    return sv.size > 0 and sv[-1] > SPAN_TOL * sv[0]
-
-
-def _residual_tol(u: np.ndarray) -> float:
-    return SPAN_TOL * max(1.0, float(np.linalg.norm(u, np.inf)))
-
-
-def _solve_representation(rows: np.ndarray, u: np.ndarray) -> np.ndarray | None:
-    """Coefficients beta with rows' beta = u, or None when u is outside the span.
-
-    A representation that is not finite does not span: an overflowing beta gives a
-    residual of inf or NaN, which fails the test without a warning.
-    """
-    beta, *_ = np.linalg.lstsq(rows.T, u, rcond=None)
-    with np.errstate(over="ignore", invalid="ignore"):
-        residual = np.linalg.norm(rows.T @ beta - u, np.inf)
-    if not residual <= _residual_tol(u) or not np.isfinite(beta).all():
-        return None
-    return beta
-
-
 def _stacked_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``np.linalg.lstsq(a[i], b, rcond=None)[0]`` for every matrix of the (M, m, n) stack
     ``a``, with ``b`` of shape (m, nrhs), as an (M, n, nrhs) array: one call of lstsq's
@@ -174,7 +150,7 @@ def _report_from(indices: tuple[int, ...], beta: np.ndarray, num_sources: int) -
 
 
 class _Span(NamedTuple):
-    """An independent subset that spans the target, as ``_spanning_subsets`` finds it."""
+    """An independent subset that spans the target, as ``_test_subsets`` finds it."""
 
     indices: tuple[int, ...]
     beta: np.ndarray  # the unique representation of the target
@@ -195,14 +171,47 @@ def _subset_chunks(n: int, size: int):
         yield flat.reshape(m, size)
 
 
+def _test_subsets(
+    c: np.ndarray, subsets: np.ndarray, u: np.ndarray
+) -> tuple[np.ndarray, list[_Span]]:
+    """Test each row of the (M, s) index array ``subsets`` as a minimal spanning set.
+
+    One stacked SVD of the source rows tests independence (smallest singular value
+    above ``SPAN_TOL`` of the largest); one ``_stacked_lstsq`` solve represents the
+    target ``u`` by the independent subsets, which span when the representation is
+    finite with residual within ``SPAN_TOL * max(1, max|u_k|)`` and are minimal when no
+    coefficient is zero. Without an independent subset there is no solve. Returns
+    the (M,) independence mask and a ``_Span`` per spanning subset, in stack order.
+    """
+    rows = c[subsets]  # (M, s, K)
+    sv = np.linalg.svd(rows, compute_uv=False)
+    independent = sv[:, -1] > SPAN_TOL * sv[:, 0]
+    candidates = np.flatnonzero(independent)
+    if not candidates.size:
+        return independent, []
+    a = rows[candidates].transpose(0, 2, 1)  # each matrix is rows.T, (K, s)
+    beta = _stacked_lstsq(a, u[:, None])
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = np.abs((a @ beta)[:, :, 0] - u).max(axis=1)
+    beta = beta[:, :, 0]
+    tol = SPAN_TOL * max(1.0, float(np.abs(u).max()))  # relative to the largest |u_k|
+    spans = (residual <= tol) & np.isfinite(beta).all(axis=1)
+    keep = candidates[spans]
+    beta, sv = beta[spans], sv[keep]
+    magnitude = np.abs(beta)
+    minimal = magnitude.min(axis=1) > SPAN_TOL * magnitude.max(axis=1)
+    whole = (subsets.shape[1] == c.shape[1]) & (sv[:, -1] > CLOSURE_MARGIN * sv[:, 0])
+    indices = map(tuple, subsets[keep].tolist())
+    phi = magnitude.sum(axis=1).tolist()
+    return independent, list(map(_Span, indices, beta, phi, minimal.tolist(), whole.tolist()))
+
+
 def _spanning_subsets(env: Environment) -> tuple[list[_Span], list[tuple[int, ...]]]:
     """One scan of every subset of at most min(K, N) sources, batched by size.
 
-    Each chunk of same-size subsets gets one stacked SVD (the ``_independent`` test),
-    one stacked least-squares solve of its independent subsets and one stacked
-    residual test (``_solve_representation``'s). Every matrix gets the LAPACK call,
-    in the layout, that the per-subset helpers give it, so the decisions and numbers
-    are theirs bit for bit.
+    Each chunk of at most ``SCAN_CHUNK`` same-size subsets goes through
+    ``_test_subsets`` as one stack: one SVD, one least-squares solve of its
+    independent subsets and one residual test.
 
     Returns (spanning, dependent): a ``_Span`` for each independent subset that
     spans the target, and the linearly dependent subsets, both by size and then
@@ -215,35 +224,12 @@ def _spanning_subsets(env: Environment) -> tuple[list[_Span], list[tuple[int, ..
         )
     c = env.coefficients
     n, k = c.shape
-    tol = _residual_tol(u)
     spanning, dependent = [], []
     for size in range(1, min(k, n) + 1):
         for subsets in _subset_chunks(n, size):
-            rows = c[subsets]  # (M, size, K)
-            sv = np.linalg.svd(rows, compute_uv=False)
-            independent = sv[:, -1] > SPAN_TOL * sv[:, 0]
+            independent, spans = _test_subsets(c, subsets, u)
             dependent += map(tuple, subsets[~independent].tolist())
-            if not independent.any():
-                continue
-            a = rows[independent].transpose(0, 2, 1)  # each matrix is rows.T, (K, size)
-            beta = _stacked_lstsq(a, u[:, None])
-            with np.errstate(over="ignore", invalid="ignore"):
-                residual = np.abs((a @ beta)[:, :, 0] - u).max(axis=1)
-            beta = beta[:, :, 0]
-            spans = (residual <= tol) & np.isfinite(beta).all(axis=1)
-            keep = np.flatnonzero(independent)[spans]
-            beta, sv = beta[spans], sv[keep]
-            magnitude = np.abs(beta)
-            minimal = magnitude.min(axis=1) > SPAN_TOL * magnitude.max(axis=1)
-            whole = (size == k) & (sv[:, -1] > CLOSURE_MARGIN * sv[:, 0])
-            spanning += map(
-                _Span,
-                map(tuple, subsets[keep].tolist()),
-                beta,
-                magnitude.sum(axis=1).tolist(),
-                minimal.tolist(),
-                whole.tolist(),
-            )
+            spanning += spans
     return spanning, dependent
 
 
@@ -290,22 +276,25 @@ def _unique_best(env: Environment) -> list[SpanningSetReport]:
 
 
 def beta_phi_lambda(env: Environment, indices) -> SpanningSetReport:
-    """Representation, phi, and optimal frequencies for one minimally spanning set."""
+    """Representation, phi, and optimal frequencies for one minimally spanning set.
+
+    The set is tested by ``_test_subsets`` on a stack of one, as enumeration tests
+    it, so the report equals the set's enumerated entry bit for bit.
+    """
     u = _target(env)
     subset = tuple(sorted(int(i) for i in indices))
     if len(set(subset)) != len(subset):
         raise SpanError("duplicate indices")
     if not subset or subset[0] < 0 or subset[-1] >= env.num_sources:
         raise SpanError("source indices out of range")
-    rows = env.coefficients[list(subset)]
-    if not _independent(rows):
+    independent, spans = _test_subsets(env.coefficients, np.array([subset]), u)
+    if not independent[0]:
         raise SpanError(f"sources {subset} are linearly dependent, not minimally spanning")
-    beta = _solve_representation(rows, u)
-    if beta is None:
+    if not spans:
         raise SpanError(f"sources {subset} do not span the target direction")
-    if np.min(np.abs(beta)) <= SPAN_TOL * np.max(np.abs(beta)):
+    if not spans[0].minimal:
         raise SpanError(f"sources {subset} are not minimal: some coefficient is zero")
-    return _report_from(subset, beta, env.num_sources)
+    return _report_from(subset, spans[0].beta, env.num_sources)
 
 
 def _pivoted_qr_r(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -406,17 +395,6 @@ def _search_best_set(env: Environment) -> SpanningSetReport:
     if not reports:
         raise SpanError("no spanning set: the target is not identified from the sources")
     return reports[0]
-
-
-def phi_by_l1(env: Environment) -> tuple[float, np.ndarray]:
-    """Minimum of sum|beta_i| over all representations of the target.
-
-    Every basic optimum of this L1 program is carried by a minimal spanning
-    set, so the value is phi of the best set and the minimizer is its beta;
-    both come from ``best_set``, with its certificate and enumeration fallback.
-    """
-    star = best_set(env)
-    return star.phi, star.beta_vector(env.num_sources)
 
 
 def subspace_closure(env: Environment, indices) -> tuple[int, ...]:

@@ -18,7 +18,6 @@ from infotrap import (
     fit_perturbation_eta,
     grad_asymptotic_variance,
     grad_posterior_variance,
-    phi_by_l1,
     posterior_variance,
 )
 from infotrap.oracle import round_to_total
@@ -245,7 +244,7 @@ def check_asymptotic_floor(rng, instances) -> int:
     while done < instances:
         env = random_environment(rng, n=int(rng.integers(2, 7)), k=int(rng.integers(1, 4)))
         try:
-            floor = phi_by_l1(env)[0] ** 2
+            floor = best_set(env).phi ** 2
         except Exception:
             continue
         done += 1

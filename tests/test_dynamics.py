@@ -407,3 +407,38 @@ def test_auto_free_signals_is_not_a_single_run_intervention(example2, example2_t
         simulate(example2, example2_trap_prior, 10, intervention=AutoFreeSignals(1.0))
     with pytest.raises(TypeError, match="escalate_gamma"):
         greedy_step(example2, example2_trap_prior, [0, 0, 0], intervention=AutoFreeSignals(1.0))
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        (lambda env, prior: TieBreak("highest"), ValueError, "unknown tie-break kind 'highest'"),
+        (lambda env, prior: TieBreak("random"), ValueError, "random tie-break needs a seed"),
+        (lambda env, prior: PrecisionReplicate(0), ValueError, "batch size must be >= 1"),
+        (lambda env, prior: FreeSignals(([1.0, np.nan],)), ValueError, "finite 1-d arrays"),
+        (lambda env, prior: next(compositions(-1, 2)), ValueError, "total >= 0 and parts >= 1"),
+        (lambda env, prior: simulate(env, prior, horizon=0), ValueError, "horizon must be >= 1"),
+        (
+            lambda env, prior: simulate(env, prior, 10, intervention=FreeSignals(([1.0, 0, 0],))),
+            ValueError,
+            "must match the state count",
+        ),
+        (lambda env, prior: design_free_signals(env, 0), ValueError, "gamma must be positive"),
+        (lambda env, prior: escalate_gamma(env, prior, 10, gamma0=0), ValueError, "gamma0 must"),
+    ],
+    ids=[
+        "tie_break_kind",
+        "random_without_seed",
+        "replicate_zero",
+        "free_signal_nan",
+        "compositions_negative",
+        "horizon_zero",
+        "free_signal_length",
+        "design_gamma_zero",
+        "escalate_gamma0_zero",
+    ],
+)
+def test_dynamics_refusals(call, error, fragment, example2, example2_trap_prior):
+    with pytest.raises(error, match=fragment) as info:
+        call(example2, example2_trap_prior)
+    assert type(info.value) is error

@@ -267,3 +267,44 @@ def test_block_variances_match_posterior_variance_row_by_row():
         alone = [block_variances(env, precision, block[i : i + 1]) for i in range(len(block))]
         assert np.concatenate(alone).tobytes() == values.tobytes()
         assert block_variances(env, precision, block[::-1]).tobytes() == values[::-1].tobytes()
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        (lambda: Environment([1.0, 2.0]), DimensionError, "non-empty N x K matrix"),
+        (
+            lambda: Environment([[1, 0]], objective=[(1.0, [1, 0, 0])]),
+            DimensionError,
+            "objective direction has wrong length",
+        ),
+        (lambda: Environment([[1, 0]], objective=[]), ValueError, "objective must be non-empty"),
+        (
+            lambda: GaussianPrior(mean=np.zeros(2), covariance=np.ones((2, 3))),
+            DimensionError,
+            "covariance must be square",
+        ),
+        (
+            lambda: GaussianPrior(mean=np.zeros(2), covariance=[[1, np.inf], [np.inf, 1]]),
+            ValueError,
+            "prior entries must be finite",
+        ),
+        (lambda: DivisionVector([[1, 2]]), DimensionError, "counts must be a vector"),
+        (lambda: FrequencyVector([[0.5, 0.5]]), DimensionError, "weights must be a vector"),
+        (lambda: FrequencyVector([-0.5, 1.5]), ValueError, "non-negative and finite"),
+    ],
+    ids=[
+        "coefficients_1d",
+        "objective_length",
+        "objective_empty",
+        "prior_not_square",
+        "prior_not_finite",
+        "counts_2d",
+        "frequencies_2d",
+        "frequency_negative",
+    ],
+)
+def test_gaussian_refusals(call, error, fragment):
+    with pytest.raises(error, match=fragment) as info:
+        call()
+    assert type(info.value) is error

@@ -375,3 +375,23 @@ def test_modified_alpha_sensitivity():
     trap = simulate(env, GaussianPrior.from_diagonal([1.0, 1000.0]), 600)
     assert trap.classification.kind == "trap"
     assert trap.inefficiency_ratio > 5.0
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        (
+            lambda: optimal_division(
+                Environment([[1, 0], [0, 1]]), GaussianPrior.from_diagonal([1.0, 1.0]), 0
+            ),
+            ValueError,
+            "t must be >= 1",
+        ),
+        (lambda: round_to_total([0, 0], 3), ValueError, "weights must have positive sum"),
+    ],
+    ids=["division_budget_zero", "round_zero_weights"],
+)
+def test_oracle_refusals(call, error, fragment):
+    with pytest.raises(error, match=fragment) as info:
+        call()
+    assert type(info.value) is error

@@ -103,6 +103,58 @@ def test_parse_error_paths():
         parse_scenario(doc)
 
 
+def _example2_doc(**overrides):
+    doc = scenario_to_dict(bundled_scenario("example2"))
+    doc.update(overrides)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda out: parse_scenario("{not json"), "scenario: invalid JSON"),
+        (lambda out: parse_scenario("[1, 2]"), "scenario: expected an object"),
+        (lambda out: parse_scenario(_example2_doc(name="")), "name: must be a non-empty string"),
+        (lambda out: parse_scenario(_example2_doc(name=7)), "name: must be a non-empty string"),
+        (
+            lambda out: parse_scenario(
+                _example2_doc(prior_mean=[0, 0, 0], prior_cov=np.eye(3).tolist())
+            ),
+            "prior_cov: size does not match coefficient columns",
+        ),
+        (lambda out: parse_scenario(_example2_doc(tie_break="highest")), "tie_break: expected"),
+        (
+            lambda out: parse_scenario(_example2_doc(sample_realizations="yes")),
+            "sample_realizations: must be a boolean",
+        ),
+        (
+            lambda out: parse_scenario(_example2_doc(intervention="precision")),
+            'intervention: expected "none" or an object',
+        ),
+        (
+            lambda out: run_batch([bundled_scenario("example2")] * 2, out),
+            "batch: scenario names must be unique",
+        ),
+    ],
+    ids=[
+        "invalid_json",
+        "not_an_object",
+        "empty_name",
+        "non_string_name",
+        "prior_size",
+        "unknown_tie_break",
+        "non_boolean_realizations",
+        "intervention_string",
+        "duplicate_batch_names",
+    ],
+)
+def test_scenario_refusals(call, fragment, tmp_path):
+    with pytest.raises(ScenarioError, match=re.escape(fragment)) as info:
+        call(tmp_path / "out")
+    assert type(info.value) is ScenarioError
+    assert not (tmp_path / "out").exists()
+
+
 def test_parse_rejects_bool_horizon():
     doc = scenario_to_dict(bundled_scenario("example2"))
     doc["horizon"] = True
@@ -372,10 +424,8 @@ def test_sweep_grid_validation():
 
 
 def _write_scenario(tmp_path, **overrides):
-    doc = scenario_to_dict(bundled_scenario("example2"))
-    doc.update(overrides)
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(_example2_doc(**overrides)))
     return path
 
 
@@ -462,6 +512,7 @@ def test_cli_rejects_malformed(tmp_path):
         (["sweep", "--state", "2", "--grid", "1,inf"], "grid"),
         (["sweep", "--state", "2", "--grid", "1e-300"], "1e-300"),
         (["compare", "--t", str(MAX_HORIZON + 1)], "--t"),
+        (["sweep", "--state", "2", "--grid", "1,a"], "--grid: could not convert"),
     ],
 )
 def test_cli_rejects_bad_options_without_traceback(tmp_path, args, option):
@@ -657,6 +708,26 @@ def test_library_does_not_print():
             and node.func.id == "print"
         ]
         assert calls == [], f"{path.name} calls print on lines {calls}"
+
+
+# Public in their module but not re-exported by the package.
+_NOT_REEXPORTED = {"dynamics": {"Intervention", "compositions"}}
+
+
+def test_package_reexports_each_modules_all():
+    # A public name removed from a module's __all__ must leave the package too.
+    package = Path(infotrap.__file__).parent
+    tree = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    imported = {
+        node.module: {alias.name for alias in node.names}
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+    }
+    assert set(imported) == {"gaussian", "spanning", "dynamics", "oracle", "scenarios"}
+    for module, names in imported.items():
+        public = set(getattr(infotrap, module).__all__)
+        assert names == public - _NOT_REEXPORTED.get(module, set()), module
+        assert _NOT_REEXPORTED.get(module, set()) <= public, module
 
 
 def _fresh_interpreter(code):

@@ -14,7 +14,6 @@ from infotrap import (
     enumerate_minimal_spanning_sets,
     fit_perturbation_eta,
     is_subspace_optimal,
-    phi_by_l1,
     simulate,
     subspace_closure,
 )
@@ -83,6 +82,53 @@ def test_beta_phi_lambda_rejects_bad_sets(example2):
         beta_phi_lambda(example2, [0, 1])  # representation forces a zero weight
 
 
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        (lambda env: beta_phi_lambda(env, [1, 1, 2]), SpanError, "duplicate indices"),
+        (lambda env: beta_phi_lambda(env, [1, 3]), SpanError, "out of range"),
+        (lambda env: beta_phi_lambda(env, [-1, 2]), SpanError, "out of range"),
+        (lambda env: beta_phi_lambda(env, []), SpanError, "out of range"),
+        (lambda env: subspace_closure(env, [0, 3]), SpanError, "out of range"),
+        (lambda env: subspace_closure(env, [-1]), SpanError, "out of range"),
+        (lambda env: construct_trap_prior(env, [0], eps=0), ValueError, "eps must be positive"),
+    ],
+    ids=[
+        "bpl_duplicate",
+        "bpl_above_range",
+        "bpl_negative",
+        "bpl_empty",
+        "closure_above_range",
+        "closure_negative",
+        "trap_prior_eps_zero",
+    ],
+)
+def test_spanning_refusals(call, error, fragment, example2):
+    with pytest.raises(error, match=fragment) as info:
+        call(example2)
+    assert type(info.value) is error
+
+
+def test_span_residual_bound_is_absolute_below_unit_targets():
+    # The residual bound is SPAN_TOL * max(1, max|u_k|): 1e-9 here, above the 1e-11 miss.
+    env = Environment([[1, 0], [0, 1]], objective=[(1.0, [1e-3, 1e-11])])
+    assert beta_phi_lambda(env, [0]).phi == pytest.approx(1e-3)
+
+
+def test_subspace_closure_of_no_sources_is_empty(example2):
+    assert subspace_closure(example2, []) == ()
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the independence test sees only min(s, K) singular values, so a dependent "
+    "set of more than K sources passes it (phi 2.0 here)",
+)
+def test_beta_phi_lambda_refuses_more_than_k_sources(parity_env):
+    with pytest.raises(SpanError):
+        beta_phi_lambda(parity_env, (0, 1, 2, 3))
+
+
 def test_representation_residual(example2, precise_info):
     for env in (example2, precise_info):
         u = env.single_direction()
@@ -96,21 +142,21 @@ def test_representation_residual(example2, precise_info):
 
 
 def test_phi_by_l1(example2, precise_info):
-    assert phi_by_l1(example2)[0] == pytest.approx(2 / 3, abs=1e-12)
-    assert phi_by_l1(precise_info)[0] == pytest.approx(3 / 16, abs=1e-12)
+    """phi of the best set is the minimum of sum|beta_i| over all representations."""
+    assert best_set(example2).phi == pytest.approx(2 / 3, abs=1e-12)
+    assert best_set(precise_info).phi == pytest.approx(3 / 16, abs=1e-12)
 
 
 def test_phi_by_l1_duplicate_sources():
     # splitting weight across identical sources does not shrink the total
     env = Environment([[1.0], [1.0]])
-    value, beta = phi_by_l1(env)
-    assert value == pytest.approx(1.0, abs=1e-12)
+    assert best_set(env).phi == pytest.approx(1.0, abs=1e-12)
 
 
 def test_phi_by_l1_infeasible():
     env = Environment([[0.0, 1.0]])  # the target is orthogonal to every source
     with pytest.raises(SpanError):
-        phi_by_l1(env)
+        best_set(env)
 
 
 def test_phi_by_l1_matches_enumeration_randomized():
@@ -125,7 +171,7 @@ def test_phi_by_l1_matches_enumeration_randomized():
         if not reports:
             continue
         done += 1
-        assert phi_by_l1(env)[0] == pytest.approx(reports[0].phi, rel=1e-10)
+        assert best_set(env).phi == pytest.approx(reports[0].phi, rel=1e-10)
 
 
 def _assert_best_set_matches_enumeration(env):

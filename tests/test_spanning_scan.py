@@ -1,12 +1,14 @@
 """The batched one-scan spanning analysis against the per-subset, multi-scan reference.
 
-``_spanning_subsets`` tests and solves all subsets of one size with one stacked
-SVD and one stacked least-squares call, ``check_assumptions`` reads every
-subspace check from its one list of spanning subsets, ``is_subspace_optimal``
-filters one enumeration by the closure, and ``subspace_closure`` makes one
-least-squares solve for all sources. The reference below tests and solves
-subset by subset, rescans the subsets of each closure and solves source by
-source; the outputs must be equal bit for bit, not close.
+``spanning._test_subsets`` tests a stack of same-size subsets with one SVD and one
+least-squares call; ``_spanning_subsets`` passes it each chunk of the scan and
+``beta_phi_lambda`` a stack of one set. ``check_assumptions`` reads every subspace
+check from the scan's one list of spanning subsets, ``is_subspace_optimal`` filters
+one enumeration by the closure, and ``subspace_closure`` makes one least-squares
+solve for all sources. The reference below tests and solves subset by subset
+(``_independent`` and ``_solve_representation``), rescans the subsets of each
+closure and solves source by source; the outputs must be equal bit for bit, not
+close.
 
 ``subspace_closure`` is the exception on ill-conditioned subsets: its one solve
 and the per-source reference disagree on 3 of the 6,224 subsets of the 60
@@ -34,14 +36,47 @@ from infotrap import (
 from infotrap.spanning import PHI_TIE_TOL, SPAN_TOL, AssumptionReport, phi_tied
 
 
+def _independent(rows):
+    sv = np.linalg.svd(rows, compute_uv=False)
+    return sv.size > 0 and sv[-1] > SPAN_TOL * sv[0]
+
+
+def _solve_representation(rows, u):
+    """Coefficients beta with rows' beta = u, or None when u is outside the span.
+
+    A representation that is not finite does not span: an overflowing beta gives a
+    residual of inf or NaN, which fails the test without a warning.
+    """
+    beta, *_ = np.linalg.lstsq(rows.T, u, rcond=None)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = np.linalg.norm(rows.T @ beta - u, np.inf)
+    tol = SPAN_TOL * max(1.0, float(np.linalg.norm(u, np.inf)))
+    if not residual <= tol or not np.isfinite(beta).all():
+        return None
+    return beta
+
+
+def _ref_beta_phi_lambda(env, subset):
+    """``beta_phi_lambda`` for a sorted tuple of distinct, in-range indices."""
+    rows = env.coefficients[list(subset)]
+    if not _independent(rows):
+        raise SpanError(f"sources {subset} are linearly dependent, not minimally spanning")
+    beta = _solve_representation(rows, spanning._target(env))
+    if beta is None:
+        raise SpanError(f"sources {subset} do not span the target direction")
+    if np.min(np.abs(beta)) <= SPAN_TOL * np.max(np.abs(beta)):
+        raise SpanError(f"sources {subset} are not minimal: some coefficient is zero")
+    return spanning._report_from(subset, beta, env.num_sources)
+
+
 def _ref_spanning_subsets(env, u, pool):
     c = env.coefficients
     for size in range(1, min(env.num_states, len(pool)) + 1):
         for subset in combinations(pool, size):
             rows = c[list(subset)]
-            if not spanning._independent(rows):
+            if not _independent(rows):
                 continue
-            beta = spanning._solve_representation(rows, u)
+            beta = _solve_representation(rows, u)
             if beta is not None:
                 yield subset, beta
 
@@ -246,6 +281,38 @@ def test_batched_scan_matches_per_subset_reference():
     # Ill-conditioned K-subsets that miss sources exist in the mix; the margin keeps
     # every one of them on the solve.
     assert skipped > 1000 and missed > 0
+
+
+def _set_outcome(fn, env, subset):
+    try:
+        return _fields(fn(env, subset))
+    except SpanError as exc:
+        return ("SpanError", str(exc))
+
+
+_REFUSALS = ("linearly dependent", "do not span", "not minimal")
+
+
+def test_beta_phi_lambda_matches_per_subset_reference_on_every_subset():
+    """Every subset of every size, sets of more than K sources included: the same
+    report bits, or the same refusal."""
+    rng = np.random.default_rng(17)
+    envs = [_random_environment(rng) for _ in range(400)]
+    envs += [_near_dependent_environment(rng) for _ in range(24)]
+    seen = set()
+    for env in envs:
+        n = env.num_sources
+        for size in range(1, n + 1):
+            for subset in combinations(range(n), size):
+                got = _set_outcome(spanning.beta_phi_lambda, env, subset)
+                assert got == _set_outcome(_ref_beta_phi_lambda, env, subset), (env, subset)
+                kind = "report"
+                if got[0] == "SpanError":
+                    kind = next(r for r in _REFUSALS if r in got[1])
+                seen.add((kind, size > env.num_states))
+    # Every outcome occurs, and sets of more than K sources give reports and refusals.
+    assert {kind for kind, _ in seen} == {"report", *_REFUSALS}
+    assert {("report", True), ("linearly dependent", True), ("not minimal", True)} <= seen
 
 
 def test_near_dependent_k_subset_misses_sources():

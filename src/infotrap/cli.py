@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -80,10 +81,17 @@ def analyze(file, out: Path, quiet: bool):
 @out_option
 @quiet_option
 def simulate(file, out: Path, quiet: bool):
-    """Run each scenario, writing a trace CSV and a report JSON."""
+    """Run each scenario, writing a trace CSV and a report JSON. A scenario that cannot
+    run is reported and the others still run; the exit status is then 1."""
+    failed = False
     for scenario in _load(file):
-        with _running(scenario):
-            (report,) = run_batch([scenario], out)
+        try:
+            with _running(scenario):
+                (report,) = run_batch([scenario], out)
+        except click.ClickException as exc:
+            exc.show()
+            failed = True
+            continue
         if not quiet:
             ratio = report["inefficiency_ratio"]
             ratio_txt = "n/a" if ratio is None else f"{ratio:.6g}"
@@ -92,6 +100,8 @@ def simulate(file, out: Path, quiet: bool):
                 label += f" on sources {report['trapped_set']}"
             path = out / f"{scenario.name}_report.json"
             click.echo(f"{scenario.name}: {label} (inefficiency {ratio_txt}) -> {path}")
+    if failed:
+        sys.exit(1)
 
 
 @main.command()

@@ -303,11 +303,12 @@ class _Engine:
                 )
             self._comps = np.vstack(list(compositions(intervention.batch, env.num_sources)))
             # Per run: the (M, K, K) candidate increments, the targets as the right-hand
-            # side of M solves, and a buffer for the M candidate precisions.
+            # side of M solves, and buffers for the M candidate precisions and solutions.
             self._increments = block_increments(env, self._comps)
             shape = (len(self._comps),) + env.directions.T.shape
             self._batch_rhs = np.broadcast_to(env.directions.T, shape)
             self._candidates = np.empty_like(self._increments)
+            self._sols = np.empty(shape)
         else:
             self._comps = None
 
@@ -332,7 +333,7 @@ class _Engine:
         env = self.env
         if self._comps is not None:
             np.add(self.precision, self._increments, out=self._candidates)
-            values = _stacked_variances(env, self._candidates, self._batch_rhs)
+            values = _stacked_variances(env, self._candidates, self._batch_rhs, self._sols)
             j = self._pick(-values)
             self.counts += self._comps[j]
             self.precision += self._increments[j]
@@ -451,8 +452,9 @@ def simulate(
     half_mark = horizon // 2
     counts_half = np.zeros(env.num_sources, dtype=np.int64)
 
-    # An overflowing reduction is refused by _pick, which names it, and the step's
-    # finiteness pre-test sums the precision, which may overflow: numpy need not warn.
+    # An overflowing reduction is refused by _pick, which names it, the step's finiteness
+    # pre-test sums the precision, which may overflow, and a singular batch candidate is
+    # refused by the stacked scorer: numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for t in range(horizon):
             choice, value = engine.step()

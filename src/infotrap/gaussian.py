@@ -30,6 +30,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy._core.multiarray import c_einsum
+from numpy.linalg import _umath_linalg
 
 __all__ = [
     "DimensionError",
@@ -90,6 +92,11 @@ _flapack = _load_flapack()
 # ``cho_factor``/``cho_solve`` in one call, the same floating-point work without the
 # wrappers' per-call checks. It is the very object scipy's ``get_lapack_funcs`` returns.
 _posv = _flapack.dposv
+
+# The gufunc ``np.linalg.solve`` runs on a stack of matrices (LAPACK ``gesv`` on each),
+# called without the wrapper's per-call dispatch. Outside the wrapper's error state a
+# singular matrix does not raise: its rows of the solution are NaN.
+_gesv = _umath_linalg.solve
 
 
 class DimensionError(ValueError):
@@ -375,36 +382,48 @@ def block_increments(env: Environment, block: np.ndarray) -> np.ndarray:
     return np.einsum("mn,nij->mij", block.astype(float), env.source_outers)
 
 
-def _stacked_variances(env: Environment, precisions: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _stacked_variances(
+    env: Environment, precisions: np.ndarray, rhs: np.ndarray, sols: np.ndarray
+) -> np.ndarray:
     """Weighted target variance at each of an (M, K, K) stack of precisions, from one batched
-    solve against ``rhs``, the target directions broadcast to (M, K, R).
+    solve against ``rhs``, the target directions broadcast to (M, K, R), into the (M, K, R)
+    buffer ``sols``.
 
-    The targets are summed in order, one column at a time, so a row's value does not depend
-    on M or on its place in the stack (a matrix-vector product takes another BLAS kernel
-    for one row than for several). A singular precision in the stack is refused as not
-    positive definite.
+    The solve is the gufunc of ``np.linalg.solve`` and the contraction ``np.einsum``'s C
+    routine, so the bits are theirs. The targets are summed in order, one column at a
+    time, so a row's value does not depend on M or on its place in the stack (a
+    matrix-vector product takes another BLAS kernel for one row than for several). A
+    singular precision leaves NaN scores and sets numpy's invalid flag, which the caller's
+    error state must ignore; a stack with a score that is not finite is solved again by
+    ``np.linalg.solve``, and a singular precision is refused as not positive definite.
     """
-    try:
-        sols = np.linalg.solve(precisions, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError("a candidate posterior precision is singular") from exc
-    per_target = np.einsum("rk,mkr->mr", env.directions, sols)
-    values = per_target[:, 0] * env.weights[0]
+    _gesv(precisions, rhs, out=sols, signature="dd->d")
+    per_target = c_einsum("rk,mkr->mr", env.directions, sols)
+    w = env.weights[0]
+    values = per_target[:, 0] if w == 1.0 else per_target[:, 0] * w  # a product by 1 is exact
     for r in range(1, len(env.weights)):
         values += per_target[:, r] * env.weights[r]
+    if not math.isfinite(np.add.reduce(values)):
+        try:
+            np.linalg.solve(precisions, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise NotPositiveDefiniteError("a candidate posterior precision is singular") from exc
     return values
 
 
 def block_variances(env: Environment, precision: np.ndarray, block: np.ndarray) -> np.ndarray:
     """Weighted target variance after adding each row of an (M, N) count block to ``precision``.
 
-    The exhaustive oracle scores its allocations with it; the greedy batch step builds
-    ``block_increments`` once per run and calls ``_stacked_variances`` each period.
+    The exhaustive oracle scores its allocations with it. The greedy batch step builds
+    ``block_increments`` once per run and scores its candidates with ``_stacked_variances``
+    into a buffer of its own.
     """
     rhs = np.broadcast_to(env.directions.T, (len(block),) + env.directions.T.shape)
     precisions = block_increments(env, block)
     precisions += precision  # in place: one (M, K, K) stack alive, not two
-    return _stacked_variances(env, precisions, rhs)
+    # Neither a singular candidate (refused) nor an overflowing finiteness sum warns.
+    with np.errstate(invalid="ignore", over="ignore"):
+        return _stacked_variances(env, precisions, rhs, np.empty(rhs.shape))
 
 
 def spectral_inverse(env: Environment, lam: np.ndarray) -> tuple[float, np.ndarray, bool, bool]:

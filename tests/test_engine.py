@@ -358,25 +358,33 @@ def test_batch_step_matches_per_period_reference():
 def test_batch_run_builds_increments_once_and_solves_once_per_period(
     monkeypatch, example2, example2_trap_prior
 ):
-    solves, increments = [], []
-    solve, einsum = np.linalg.solve, np.einsum
+    # The step calls solve's gufunc itself; np.linalg.solve runs only to name a singular
+    # candidate, and this run has none.
+    gesvs, increments, solves = [], [], []
+    gesv, einsum, solve = gaussian._gesv, np.einsum, np.linalg.solve
 
-    def counted_solve(*args, **kwargs):
-        solves.append(1)
-        return solve(*args, **kwargs)
+    def counted_gesv(*args, **kwargs):
+        gesvs.append(1)
+        return gesv(*args, **kwargs)
 
     def counted_einsum(subscripts, *args, **kwargs):
         if subscripts == "mn,nij->mij":
             increments.append(1)
         return einsum(subscripts, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    def counted_solve(*args, **kwargs):
+        solves.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(gaussian, "_gesv", counted_gesv)
     monkeypatch.setattr(np, "einsum", counted_einsum)
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
     for horizon in (1, 37):
-        solves.clear()
+        gesvs.clear()
         increments.clear()
+        solves.clear()
         simulate(example2, example2_trap_prior, horizon, intervention=BatchAllocate(3))
-        assert (len(solves), len(increments)) == (horizon, 1)
+        assert (len(gesvs), len(increments), len(solves)) == (horizon, 1, 0)
 
 
 def test_single_source_run_does_not_call_scipy_wrappers(monkeypatch, example2, example2_trap_prior):

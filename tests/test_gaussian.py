@@ -1,9 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from numpy.linalg import _linalg
 
 from infotrap import (
+    BatchAllocate,
     DimensionError,
     DivisionVector,
     Environment,
@@ -15,9 +18,11 @@ from infotrap import (
     grad_asymptotic_variance,
     grad_posterior_variance,
     posterior_variance,
+    simulate,
     variance_reduction,
 )
-from infotrap.gaussian import block_variances
+from infotrap import gaussian
+from infotrap.gaussian import _stacked_variances, block_variances
 
 from conftest import random_pd_prior
 
@@ -267,6 +272,87 @@ def test_block_variances_match_posterior_variance_row_by_row():
         alone = [block_variances(env, precision, block[i : i + 1]) for i in range(len(block))]
         assert np.concatenate(alone).tobytes() == values.tobytes()
         assert block_variances(env, precision, block[::-1]).tobytes() == values[::-1].tobytes()
+
+
+def _reference_stacked_variances(env, precisions, rhs):
+    """The stacked scorer through numpy's wrappers: ``np.linalg.solve``, ``np.einsum`` and
+    the weighted sum over targets in order."""
+    per_target = np.einsum("rk,mkr->mr", env.directions, np.linalg.solve(precisions, rhs))
+    values = per_target[:, 0] * env.weights[0]
+    for r in range(1, len(env.weights)):
+        values += per_target[:, r] * env.weights[r]
+    return values
+
+
+def _random_stack(rng, m, k):
+    a = rng.standard_normal((m, k + 1, k))
+    precisions = np.einsum("mik,mil->mkl", a, a) + rng.uniform(1e-3, 1.0, size=(m, 1, 1)) * np.eye(k)
+    precisions[::5] *= 10.0 ** rng.integers(-6, 7)  # badly scaled members
+    return precisions
+
+
+def test_stacked_variances_match_solve_and_einsum_bit_for_bit():
+    rng = np.random.default_rng(2026)
+    for case in range(240):
+        m, k, r = int(rng.integers(1, 201)), int(rng.integers(1, 7)), int(rng.integers(1, 4))
+        objective = [(float(rng.uniform(0.1, 3.0)), rng.standard_normal(k)) for _ in range(r)]
+        if case % 2:
+            objective[0] = (1.0, objective[0][1])  # the scorer skips a product by 1
+        env = Environment(rng.standard_normal((k + 1, k)), objective=objective)
+        rhs = np.broadcast_to(env.directions.T, (m, k, r))
+        if case % 3 == 0:
+            rhs = np.ascontiguousarray(rhs)  # a right-hand side of its own, not a view
+        sols = np.empty((m, k, r))
+        # One buffer serves every call; an earlier result does not alias it.
+        first_stack, second_stack = _random_stack(rng, m, k), _random_stack(rng, m, k)
+        first = _stacked_variances(env, first_stack, rhs, sols)
+        second = _stacked_variances(env, second_stack, rhs, sols)
+        assert first.tobytes() == _reference_stacked_variances(env, first_stack, rhs).tobytes()
+        assert second.tobytes() == _reference_stacked_variances(env, second_stack, rhs).tobytes()
+
+
+def test_stacked_variances_keep_a_non_finite_score_of_a_regular_stack():
+    # 1 / 1e-310 overflows, but the matrix is regular: the score is inf, as np.linalg.solve's.
+    env = Environment([[1.0, 0.0], [0.0, 1.0]])
+    precisions = np.array([np.eye(2), np.diag([1e-310, 1.0])])
+    rhs = np.broadcast_to(env.directions.T, (2, 2, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _stacked_variances(env, precisions, rhs, np.empty((2, 2, 1)))
+        expected = _reference_stacked_variances(env, precisions, rhs)
+    assert values.tobytes() == expected.tobytes()
+    assert values[1] == math.inf
+
+
+def test_singular_candidate_is_refused_without_a_warning(example2):
+    # A prior precision of 1e-154 vanishes beside two observations of source 2, so the
+    # candidate precision [[18, 6], [6, 2]] is singular.
+    prior = GaussianPrior.from_diagonal([1e154, 1e154])
+    block = np.array([[1, 1, 0], [0, 2, 0], [2, 0, 0]])
+    message = "^a candidate posterior precision is singular$"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        # The oracle's path, under numpy's default error state.
+        with pytest.raises(NotPositiveDefiniteError, match=message):
+            block_variances(example2, prior.precision, block)
+        with pytest.raises(NotPositiveDefiniteError, match=message):
+            simulate(example2, prior, 5, intervention=BatchAllocate(2))
+    assert [str(w.message) for w in caught] == []
+
+
+def test_gesv_is_the_gufunc_np_linalg_solve_runs(monkeypatch):
+    # gaussian calls the gufunc behind np.linalg.solve itself; this pins numpy's private
+    # layout (numpy.linalg._linalg calls _umath_linalg.solve on a stack), not a version.
+    assert gaussian._gesv is _linalg._umath_linalg.solve
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs)
+        return gaussian._gesv(*args, **kwargs)
+
+    monkeypatch.setattr(_linalg._umath_linalg, "solve", recording)
+    precisions = _random_stack(np.random.default_rng(4), 7, 3)
+    np.linalg.solve(precisions, np.ones((7, 3, 2)))
+    assert calls == [{"signature": "dd->d"}]
 
 
 @pytest.mark.parametrize(

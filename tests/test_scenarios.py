@@ -572,6 +572,27 @@ def test_cli_singular_candidate_precision_names_the_scenario(tmp_path, command, 
     assert result.output == "Error: example2: a candidate posterior precision is singular\n"
 
 
+def test_cli_simulate_runs_every_scenario_after_a_failure(tmp_path):
+    docs = [
+        _example2_doc(name="bad", horizon=20, intervention={"batch": 13}),
+        _example2_doc(name="good", horizon=20),
+        _example2_doc(name="worse", horizon=20, intervention={"batch": 13}),
+    ]
+    path = tmp_path / "scenarios.json"
+    path.write_text(json.dumps(docs))
+    out = tmp_path / "out"
+    result = CliRunner().invoke(cli_main, ["simulate", str(path), "--out", str(out)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    bound = "batch allocation search supports batch <= 12 and <= 8 sources"
+    assert result.output.splitlines() == [
+        f"Error: bad: {bound}",
+        f"good: trap on sources [1] (inefficiency 1.5) -> {out / 'good_report.json'}",
+        f"Error: worse: {bound}",
+    ]
+    assert sorted(p.name for p in out.iterdir()) == ["good_report.json", "good_trace.csv"]
+
+
 @pytest.mark.parametrize("command", ["oracle", "compare"])
 def test_cli_search_bound_exits_before_any_work(tmp_path, command):
     path = _write_scenario(tmp_path, horizon=20)

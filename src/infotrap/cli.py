@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+import functools
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -23,160 +23,139 @@ from .scenarios import (
 )
 from .spanning import SpanError
 
+# What a parsed scenario can still raise when it runs: a search beyond its bound, a
+# posterior precision that is not positive definite, no unique best set to design free
+# signals for, a bad sweep grid.
+RUN_ERRORS = (SearchBoundError, NotPositiveDefiniteError, SpanError, ScenarioError)
+
 
 @click.group()
 def main():
-    """Sequential information acquisition: analysis, simulation, and oracles."""
+    """Sequential information acquisition: analysis, simulation, and oracles.
+
+    Each subcommand runs every scenario of FILE. One that cannot run is reported and
+    the others still run; the exit status is then 1.
+    """
 
 
-def _load(file) -> list:
-    try:
-        return parse_scenario_file(file)
-    except ScenarioError as exc:
-        raise click.ClickException(str(exc)) from exc
+def scenario_command(job):
+    """A subcommand that runs ``job(scenario, out, **options)`` on each scenario of FILE.
 
+    The job writes the scenario's artifact under ``--out`` and returns its progress line.
+    A scenario that cannot run is reported as ``Error: <name>: <message>`` and the others
+    still run; the exit status is then 1.
+    """
 
-@contextmanager
-def _running(scenario):
-    """Report what a parsed scenario can still raise when it runs (a search beyond its
-    bound, a posterior precision that is not positive definite, no unique best set to
-    design free signals for, a bad sweep grid) as an error naming the scenario."""
-    try:
-        yield
-    except (SearchBoundError, NotPositiveDefiniteError, SpanError, ScenarioError) as exc:
-        raise click.ClickException(f"{scenario.name}: {exc}") from exc
-
-
-out_option = click.option(
-    "--out",
-    type=click.Path(file_okay=False, path_type=Path),
-    default=Path("."),
-    show_default=True,
-    help="Directory for emitted artifacts.",
-)
-quiet_option = click.option("--quiet", is_flag=True, help="Suppress progress output.")
-
-
-@main.command()
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@out_option
-@quiet_option
-def analyze(file, out: Path, quiet: bool):
-    """Spanning-set analysis of each scenario's environment (no simulation)."""
-    out.mkdir(parents=True, exist_ok=True)
-    for scenario in _load(file):
-        report = {"name": scenario.name}
-        with _running(scenario):
-            report.update(analysis_fields(scenario.environment))
-        path = out / f"{scenario.name}_analysis.json"
-        write_report_json(path, report)
-        if not quiet:
-            phi = report["phi_best"]
-            phi_txt = "n/a" if phi is None else f"{phi:.6g}"
-            click.echo(f"{scenario.name}: best set {report['best_set']} phi={phi_txt} -> {path}")
-
-
-@main.command()
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@out_option
-@quiet_option
-def simulate(file, out: Path, quiet: bool):
-    """Run each scenario, writing a trace CSV and a report JSON. A scenario that cannot
-    run is reported and the others still run; the exit status is then 1."""
-    failed = False
-    for scenario in _load(file):
+    @functools.wraps(job)  # name, help and the job's own options
+    def command(file, out: Path, quiet: bool, **options):
         try:
-            with _running(scenario):
-                (report,) = run_batch([scenario], out)
-        except click.ClickException as exc:
-            exc.show()
-            failed = True
-            continue
-        if not quiet:
-            ratio = report["inefficiency_ratio"]
-            ratio_txt = "n/a" if ratio is None else f"{ratio:.6g}"
-            label = report["classification"]
-            if report["trapped_set"]:
-                label += f" on sources {report['trapped_set']}"
-            path = out / f"{scenario.name}_report.json"
-            click.echo(f"{scenario.name}: {label} (inefficiency {ratio_txt}) -> {path}")
-    if failed:
-        sys.exit(1)
+            scenarios = parse_scenario_file(file)
+        except ScenarioError as exc:
+            raise click.ClickException(str(exc)) from exc
+        out.mkdir(parents=True, exist_ok=True)
+        failed = False
+        for scenario in scenarios:
+            try:
+                line = job(scenario, out, **options)
+            except RUN_ERRORS as exc:
+                click.echo(f"Error: {scenario.name}: {exc}", err=True)
+                failed = True
+            else:
+                if not quiet:
+                    click.echo(line)
+        if failed:
+            sys.exit(1)
+
+    shared = [
+        click.Argument(["file"], type=click.Path(exists=True, dir_okay=False)),
+        click.Option(
+            ["--out"],
+            type=click.Path(file_okay=False, path_type=Path),
+            default=Path("."),
+            show_default=True,
+            help="Directory for emitted artifacts.",
+        ),
+        click.Option(["--quiet"], is_flag=True, help="Suppress progress output."),
+    ]
+    return main.command(params=shared)(command)
 
 
-@main.command()
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
+@scenario_command
+def analyze(scenario, out: Path) -> str:
+    """Spanning-set analysis of each scenario's environment (no simulation)."""
+    report = {"name": scenario.name, **analysis_fields(scenario.environment)}
+    path = out / f"{scenario.name}_analysis.json"
+    write_report_json(path, report)
+    phi = report["phi_best"]
+    phi_txt = "n/a" if phi is None else f"{phi:.6g}"
+    return f"{scenario.name}: best set {report['best_set']} phi={phi_txt} -> {path}"
+
+
+@scenario_command
+def simulate(scenario, out: Path) -> str:
+    """Run each scenario, writing a trace CSV and a report JSON."""
+    (report,) = run_batch([scenario], out)
+    ratio = report["inefficiency_ratio"]
+    ratio_txt = "n/a" if ratio is None else f"{ratio:.6g}"
+    label = report["classification"]
+    if report["trapped_set"]:
+        label += f" on sources {report['trapped_set']}"
+    path = out / f"{scenario.name}_report.json"
+    return f"{scenario.name}: {label} (inefficiency {ratio_txt}) -> {path}"
+
+
+@scenario_command
 @click.option("--t", "budget", type=click.IntRange(1), required=True, help="Observation budget.")
-@out_option
-@quiet_option
-def oracle(file, budget: int, out: Path, quiet: bool):
+def oracle(scenario, out: Path, budget: int) -> str:
     """Exact optimal allocation of an observation budget for each scenario."""
-    out.mkdir(parents=True, exist_ok=True)
-    for scenario in _load(file):
-        with _running(scenario):
-            result = optimal_division(scenario.environment, scenario.prior, budget)
-        report = {
-            "name": scenario.name,
-            "t": budget,
-            "counts": [int(c) for c in result.counts.counts],
-            "value": result.value,
-            "num_optima": result.num_optima,
-            "all_optima": (
-                None
-                if result.all_optima is None
-                else [[int(c) for c in d.counts] for d in result.all_optima]
-            ),
-        }
-        path = out / f"{scenario.name}_oracle.json"
-        write_report_json(path, report)
-        if not quiet:
-            click.echo(f"{scenario.name}: n({budget})={report['counts']} V={result.value:.6g}")
+    result = optimal_division(scenario.environment, scenario.prior, budget)
+    report = {
+        "name": scenario.name,
+        "t": budget,
+        "counts": [int(c) for c in result.counts.counts],
+        "value": result.value,
+        "num_optima": result.num_optima,
+        "all_optima": (
+            None
+            if result.all_optima is None
+            else [[int(c) for c in d.counts] for d in result.all_optima]
+        ),
+    }
+    write_report_json(out / f"{scenario.name}_oracle.json", report)
+    return f"{scenario.name}: n({budget})={report['counts']} V={result.value:.6g}"
 
 
-@main.command()
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--state", type=int, required=True, help="1-based state index to vary.")
-@click.option("--grid", required=True, help="Comma-separated increasing variances.")
-@out_option
-@quiet_option
-def sweep(file, state: int, grid: str, out: Path, quiet: bool):
-    """Classify each scenario across a grid of one prior variance."""
-    out.mkdir(parents=True, exist_ok=True)
+def _grid(ctx, param, grid: str) -> list[float]:
     try:
-        values = [float(v) for v in grid.split(",") if v.strip()]
+        return [float(v) for v in grid.split(",") if v.strip()]
     except ValueError as exc:
         raise click.ClickException(f"--grid: {exc}") from exc
-    for scenario in _load(file):
-        with _running(scenario):
-            report = run_sweep(SweepSpec(base=scenario, state_index=state - 1, grid=values))
-        path = out / f"{scenario.name}_sweep.json"
-        write_report_json(path, report)
-        if not quiet:
-            click.echo(f"{scenario.name}: threshold={report['threshold']} -> {path}")
 
 
-@main.command()
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--t", "budget", type=click.IntRange(1), required=True, help="Comparison horizon.")
-@out_option
-@quiet_option
-def compare(file, budget: int, out: Path, quiet: bool):
+@scenario_command
+@click.option("--state", type=click.IntRange(1), required=True, help="1-based state index to vary.")
+@click.option("--grid", required=True, callback=_grid, help="Comma-separated increasing variances.")
+def sweep(scenario, out: Path, state: int, grid: list[float]) -> str:
+    """Classify each scenario across a grid of one prior variance."""
+    report = run_sweep(SweepSpec(base=scenario, state_index=state - 1, grid=grid))
+    path = out / f"{scenario.name}_sweep.json"
+    write_report_json(path, report)
+    return f"{scenario.name}: threshold={report['threshold']} -> {path}"
+
+
+@scenario_command
+@click.option(
+    "--t", "budget", type=click.IntRange(1, MAX_HORIZON), required=True, help="Comparison horizon."
+)
+def compare(scenario, out: Path, budget: int) -> str:
     """Greedy-versus-optimal variance table up to the given horizon."""
-    if budget > MAX_HORIZON:
-        raise click.ClickException(f"--t {budget} exceeds the largest horizon {MAX_HORIZON}")
-    out.mkdir(parents=True, exist_ok=True)
-    for scenario in _load(file):
-        with _running(scenario):
-            rows = greedy_vs_optimal(scenario.environment, scenario.prior, budget)
-        path = out / f"{scenario.name}_compare.csv"
-        lines = ["t,greedy_variance,optimal_variance,ratio"]
-        for r in rows:
-            lines.append(
-                f"{r.t},{r.greedy_variance:.17g},{r.optimal_variance:.17g},{r.ratio:.17g}"
-            )
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        if not quiet:
-            click.echo(f"{scenario.name}: final ratio {rows[-1].ratio:.4f} -> {path}")
+    rows = greedy_vs_optimal(scenario.environment, scenario.prior, budget)
+    lines = ["t,greedy_variance,optimal_variance,ratio"]
+    for r in rows:
+        lines.append(f"{r.t},{r.greedy_variance:.17g},{r.optimal_variance:.17g},{r.ratio:.17g}")
+    path = out / f"{scenario.name}_compare.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return f"{scenario.name}: final ratio {rows[-1].ratio:.4f} -> {path}"
 
 
 if __name__ == "__main__":

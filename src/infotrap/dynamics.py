@@ -25,6 +25,7 @@ from .gaussian import (
     _per_source,
     _posv_solve,
     _signal_precision,
+    _solve_spd,
     _stacked_variances,
     block_increments,
 )
@@ -468,7 +469,9 @@ def simulate(
     if sample_realizations:
         # Realizations never steer a choice, so they are drawn once from the final counts:
         # n observations of row c sum to n <c, theta> + sqrt(n) z, and each free signal
-        # is one observation of its vector.
+        # is one observation of its vector. Sums may overflow, and the final precision,
+        # which no step has used, may not be finite; the mean is then NaN or infinite,
+        # and the run stands as it does without the draws.
         rng = np.random.default_rng(seed)
         chol = np.linalg.cholesky(prior.covariance)
         theta = prior.mean + chol @ rng.standard_normal(env.num_states)
@@ -476,9 +479,13 @@ def simulate(
         n = np.concatenate(
             [engine.counts * float(engine.replication), np.ones(len(engine.free_signals))]
         )
-        sums = n * (rows @ theta) + np.sqrt(n) * rng.standard_normal(n.size)
-        info = prior.precision @ prior.mean + rows.T @ sums
-        final_mean = np.linalg.solve(engine.precision, info)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = n * (rows @ theta) + np.sqrt(n) * rng.standard_normal(n.size)
+            info = prior.precision @ prior.mean + rows.T @ sums
+            try:
+                final_mean = _solve_spd(engine.precision, info)
+            except NotPositiveDefiniteError:
+                final_mean = np.full(env.num_states, np.nan)
 
     return SimulationTrace(
         choices=choices,

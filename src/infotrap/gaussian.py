@@ -394,8 +394,9 @@ def _stacked_variances(
     time, so a row's value does not depend on M or on its place in the stack (a
     matrix-vector product takes another BLAS kernel for one row than for several). A
     singular precision leaves NaN scores and sets numpy's invalid flag, which the caller's
-    error state must ignore; a stack with a score that is not finite is solved again by
-    ``np.linalg.solve``, and a singular precision is refused as not positive definite.
+    error state must ignore. A stack whose smallest score is NaN (a singular member) or
+    not positive (a numerically indefinite one) is refused as not positive definite; a
+    score of +inf is returned as it is.
     """
     _gesv(precisions, rhs, out=sols, signature="dd->d")
     per_target = c_einsum("rk,mkr->mr", env.directions, sols)
@@ -403,11 +404,8 @@ def _stacked_variances(
     values = per_target[:, 0] if w == 1.0 else per_target[:, 0] * w  # a product by 1 is exact
     for r in range(1, len(env.weights)):
         values += per_target[:, r] * env.weights[r]
-    if not math.isfinite(np.add.reduce(values)):
-        try:
-            np.linalg.solve(precisions, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefiniteError("a candidate posterior precision is singular") from exc
+    if not np.minimum.reduce(values) > 0:
+        raise NotPositiveDefiniteError("a candidate posterior precision is singular")
     return values
 
 
@@ -416,12 +414,13 @@ def block_variances(env: Environment, precision: np.ndarray, block: np.ndarray) 
 
     The exhaustive oracle scores its allocations with it. The greedy batch step builds
     ``block_increments`` once per run and scores its candidates with ``_stacked_variances``
-    into a buffer of its own.
+    into a buffer of its own. A singular or numerically indefinite candidate precision is
+    refused as not positive definite.
     """
     rhs = np.broadcast_to(env.directions.T, (len(block),) + env.directions.T.shape)
     precisions = block_increments(env, block)
     precisions += precision  # in place: one (M, K, K) stack alive, not two
-    # Neither a singular candidate (refused) nor an overflowing finiteness sum warns.
+    # Neither a singular candidate (refused) nor an overflowing score (+inf) warns.
     with np.errstate(invalid="ignore", over="ignore"):
         return _stacked_variances(env, precisions, rhs, np.empty(rhs.shape))
 

@@ -53,7 +53,8 @@ SUPPORT_TOL = 1e-6
 
 
 class ConvergenceError(RuntimeError):
-    """The frequency optimizer hit ``MAX_ITERATIONS`` without an optimality certificate."""
+    """The frequency optimizer hit ``MAX_ITERATIONS`` without an optimality certificate,
+    or cannot form one because the variance underflows."""
 
 
 @dataclass(eq=False)
@@ -211,8 +212,10 @@ def _certified_iteration(c: np.ndarray, u: np.ndarray, lam: np.ndarray):
     for _ in range(MAX_ITERATIONS):
         y = _solve_spd((c.T * lam) @ c, u)
         g = np.sum((c @ y) ** 2, axis=1)
-        value = float(lam @ g)
-        gap = 1.0 - math.sqrt(value / float(g.max()))
+        value, top = float(lam @ g), float(g.max())
+        if not top > 0:
+            raise ConvergenceError("no certificate: every g_i underflows to 0")
+        gap = 1.0 - math.sqrt(value / top)
         if gap <= GAP_TOL:
             return lam, value, gap
         lam = np.maximum(lam * np.sqrt(g), floor)

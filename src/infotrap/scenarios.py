@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import oracle
 from .gaussian import Environment, GaussianPrior, NotPositiveDefiniteError
 from .spanning import (  # enumerate_minimal_spanning_sets: perfbench/tracing.py wraps it here
     SpanError,
@@ -304,14 +305,14 @@ def analysis_fields(env: Environment) -> dict:
     Multi-target objectives have no spanning-set characterization and get the
     numeric frequency optimum. For a single target the best set comes from
     ``best_set``. Every field is null when the optimum cannot be found (the
-    targets are not identified, or a tie beyond the enumeration cap), and the
-    assumption report is null beyond that cap.
+    targets are not identified, a tie beyond the enumeration cap, or a numeric
+    optimum not certified within the iteration cap), and the assumption report is
+    null beyond the enumeration cap.
     """
     try:
         if len(env.objective) > 1:
-            from .oracle import optimal_frequency_numeric
-
-            freq, info = optimal_frequency_numeric(env, full_output=True)
+            # Looked up at call time, where perfbench/tracing.py wraps it.
+            freq, info = oracle.optimal_frequency_numeric(env, full_output=True)
             return {
                 "phi_best": math.sqrt(info["value"]),
                 "best_set": [i + 1 for i in freq.support(tol=1e-9)],
@@ -319,7 +320,7 @@ def analysis_fields(env: Environment) -> dict:
                 "assumption_report": None,
             }
         star = best_set(env)
-    except SpanError:
+    except (SpanError, oracle.ConvergenceError):
         return dict.fromkeys(("phi_best", "best_set", "lambda_star", "assumption_report"))
     try:
         assumptions = check_assumptions(env).to_dict()

@@ -108,6 +108,17 @@ def test_simulate_realizations_do_not_change_choices(example2, example2_trap_pri
     assert b.final_mean is not None and b.final_mean.shape == (2,)
 
 
+def test_final_mean_of_an_overflowing_final_precision_is_nan():
+    # The second observation takes the precision past the largest float; no step uses
+    # it, so the run stands, with realizations or without.
+    env, prior = Environment([[1e154]]), GaussianPrior.from_diagonal([1.0])
+    a = simulate(env, prior, 2, sample_realizations=False)
+    b = simulate(env, prior, 2, sample_realizations=True)
+    assert a.choices == b.choices
+    assert a.variance_path.tobytes() == b.variance_path.tobytes()
+    assert np.isnan(b.final_mean).all()
+
+
 @pytest.mark.parametrize(
     "variances, intervention",
     [

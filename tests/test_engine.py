@@ -358,8 +358,7 @@ def test_batch_step_matches_per_period_reference():
 def test_batch_run_builds_increments_once_and_solves_once_per_period(
     monkeypatch, example2, example2_trap_prior
 ):
-    # The step calls solve's gufunc itself; np.linalg.solve runs only to name a singular
-    # candidate, and this run has none.
+    # The step calls solve's gufunc itself and never np.linalg.solve.
     gesvs, increments, solves = [], [], []
     gesv, einsum, solve = gaussian._gesv, np.einsum, np.linalg.solve
 

@@ -27,6 +27,7 @@ from infotrap import (
     simulate,
     trajectory_deviations,
 )
+from infotrap.scenarios import analysis_fields
 
 from conftest import random_environment, random_pd_prior
 
@@ -324,6 +325,16 @@ def test_optimal_frequency_numeric_raises_at_iteration_cap(monkeypatch, example2
     monkeypatch.setattr(oracle, "MAX_ITERATIONS", 1)
     with pytest.raises(ConvergenceError):
         optimal_frequency_numeric(example2)
+
+
+def test_optimal_frequency_numeric_refuses_an_underflowing_certificate():
+    # Every g_i = |Y' c_i|^2 is about 1e-325, below the smallest float: the certificate's
+    # ratio V / max g cannot be formed, and analysis reports null fields.
+    env = Environment([[1e82]], objective=[(1.0, [3.67e-81]), (1.0, [1.74e-177])])
+    with pytest.raises(ConvergenceError, match="underflows"):
+        optimal_frequency_numeric(env)
+    fields = analysis_fields(env)
+    assert list(fields.values()) == [None] * 4
 
 
 def test_greedy_vs_optimal_trap_ratio(example2, example2_trap_prior):

@@ -28,7 +28,7 @@ from infotrap import (
     run_scenario,
     sweep,
 )
-from infotrap import dynamics, scenarios, spanning
+from infotrap import dynamics, oracle, scenarios, spanning
 from infotrap.cli import main as cli_main
 from infotrap.scenarios import MAX_HORIZON, analysis_fields, scenario_to_dict
 
@@ -591,6 +591,129 @@ def test_cli_simulate_runs_every_scenario_after_a_failure(tmp_path):
         f"Error: worse: {bound}",
     ]
     assert sorted(p.name for p in out.iterdir()) == ["good_report.json", "good_trace.csv"]
+
+
+@pytest.mark.parametrize(
+    "command, message, artifacts",
+    [
+        (
+            ["oracle", "--t", "3"],
+            "a candidate posterior precision is singular",
+            ["good_oracle.json"],
+        ),
+        (
+            ["sweep", "--state", "2", "--grid", "6,12"],
+            "grid: variance 6 gives an invalid prior",
+            ["good_sweep.json"],
+        ),
+        (
+            ["compare", "--t", "3"],
+            "a variance reduction is not finite (inf)",
+            ["good_compare.csv"],
+        ),
+    ],
+    ids=["oracle", "sweep", "compare"],
+)
+def test_cli_runs_every_scenario_after_a_failure(tmp_path, command, message, artifacts):
+    # A prior precision of 1e-154 leaves a singular or overflowing candidate in each run.
+    bad = [[1e154, 0], [0, 1e154]]
+    docs = [
+        _example2_doc(name="bad", horizon=20, prior_cov=bad),
+        _example2_doc(name="good", horizon=20),
+        _example2_doc(name="worse", horizon=20, prior_cov=bad),
+    ]
+    path = tmp_path / "scenarios.json"
+    path.write_text(json.dumps(docs))
+    out = tmp_path / "out"
+    result = CliRunner().invoke(cli_main, [command[0], str(path), *command[1:], "--out", str(out)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    lines = result.output.splitlines()
+    assert len(lines) == 3
+    assert lines[0].startswith("Error: bad: ") and message in lines[0]
+    assert lines[1].startswith("good: ")
+    assert lines[2] == lines[0].replace("bad", "worse", 1)
+    assert sorted(p.name for p in out.iterdir()) == artifacts
+
+
+def test_cli_sweep_refuses_state_zero_once(tmp_path):
+    docs = [_example2_doc(name="first", horizon=20), _example2_doc(name="second", horizon=20)]
+    path = tmp_path / "scenarios.json"
+    path.write_text(json.dumps(docs))
+    result = CliRunner().invoke(
+        cli_main, ["sweep", str(path), "--state", "0", "--grid", "6,12", "--out", str(tmp_path)]
+    )
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.output.count("--state") == 1 and "Traceback" not in result.output
+
+
+def test_cli_oracle_refuses_an_indefinite_candidate(tmp_path):
+    # Cancellation leaves the candidate after one observation with variance -4.4e-170;
+    # the oracle's tie test keeps no row for a negative minimum.
+    doc = {"name": "big", "coefficients": [[1e90, 1e91]], "prior_cov": [[1, 0], [0, 1]]}
+    doc.update(prior_mean=[0, 0], horizon=5)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    result = CliRunner().invoke(
+        cli_main, ["oracle", str(path), "--t", "3", "--out", str(tmp_path / "out")]
+    )
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.output == "Error: big: a candidate posterior precision is singular\n"
+
+
+# A document found by fuzzing: an LU solve calls its final precision singular, while the
+# step's Cholesky solve factors it. Rounded values do not reproduce it.
+_FINAL_MEAN_DOC = {
+    "name": "final_mean",
+    "coefficients": [
+        [-0.014928362606180337, 0.011815941141798606],
+        [-0.013628059664509237, 0.009251175309932613],
+        [-0.007344136045938951, -0.009309370603097675],
+        [-0.022261441931272403, -0.014325311259225851],
+        [-0.01612018897180794, -0.018392593659696185],
+        [0.004715755160667675, 0.02119494260871428],
+        [-0.023602108687502735, -0.005226328533076272],
+    ],
+    "prior_mean": [-1.3708725907667527, 1.0622022401290105],
+    "prior_cov": [
+        [87.65878374981604, 0.18499436866755442],
+        [0.18499436866755442, 0.25983674884978786],
+    ],
+    "horizon": 16,
+    "tie_break": {"random": 78},
+    "intervention": {"free_signals_auto": {"gamma0": 3.1257076720181743e33}},
+    "seed": 0,
+}
+
+
+def test_sample_realizations_moves_only_final_mean(tmp_path):
+    reports = []
+    for flag in (False, True):
+        path = tmp_path / f"doc_{flag}.json"
+        path.write_text(json.dumps(dict(_FINAL_MEAN_DOC, sample_realizations=flag)))
+        out = tmp_path / f"out_{flag}"
+        result = CliRunner().invoke(cli_main, ["simulate", str(path), "--out", str(out)])
+        assert result.exit_code == 0 and result.exception is None, result.output
+        reports.append((out / "final_mean_report.json").read_bytes())
+    assert reports[0] == reports[1]
+    _, trace = scenarios._run_trace(parse_scenario(dict(_FINAL_MEAN_DOC, sample_realizations=True)))
+    assert trace.final_mean.shape == (2,) and np.all(np.isfinite(trace.final_mean))
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_uncertified_multi_target_optimum_reports_nulls(tmp_path, monkeypatch, command):
+    monkeypatch.setattr(oracle, "MAX_ITERATIONS", 1)
+    objective = [{"weight": 1.0, "direction": [1, 0]}, {"weight": 0.5, "direction": [0, 1]}]
+    path = _write_scenario(tmp_path, horizon=20, objective=objective)
+    out = tmp_path / "out"
+    result = CliRunner().invoke(cli_main, [command, str(path), "--out", str(out)])
+    assert result.exit_code == 0 and result.exception is None, result.output
+    (report_path,) = out.glob("example2_*.json")
+    report = json.loads(report_path.read_text())
+    for key in ("phi_best", "best_set", "lambda_star", "assumption_report"):
+        assert report[key] is None
 
 
 @pytest.mark.parametrize("command", ["oracle", "compare"])

@@ -70,7 +70,7 @@ COMPOSITION_BLOCK = 131_072
 # the empirical frequencies to be this close (sup-norm) to the optimal ones.
 EFFICIENT_FREQ_TOL = 0.05
 
-# ``escalate_gamma`` doubles gamma at most this many times.
+# ``escalate_gamma`` doubles or halves gamma at most this many times.
 MAX_DOUBLINGS = 20
 
 
@@ -156,7 +156,7 @@ class FreeSignals:
 
 @dataclass(frozen=True)
 class AutoFreeSignals:
-    """Designed free signals whose norm bound doubles from ``gamma0`` until the run is
+    """Designed free signals whose norm bound moves from ``gamma0`` until the run is
     efficient. Not an ``Intervention`` of one run: ``escalate_gamma`` runs it."""
 
     gamma0: float
@@ -534,18 +534,20 @@ def escalate_gamma(
     sample_realizations: bool = False,
     seed: int = 0,
 ) -> tuple[float, SimulationTrace]:
-    """Double the free-signal precision bound until the run classifies efficient.
+    """Search the free-signal norm bound from ``gamma0`` for a run that classifies efficient.
 
-    Returns the first successful (gamma, trace), or the last failing pair after
-    ``MAX_DOUBLINGS`` doublings. With no signal to release (a single-source best
-    set), every gamma gives the same run, so it runs once and returns ``gamma0``.
+    A ``trap`` run doubles gamma and an ``undetermined`` run halves it. Returns the
+    (gamma, trace) of the first efficient run, of the first run whose label would turn
+    the search around, or of the last run after ``MAX_DOUBLINGS`` steps. With no signal
+    to release (a single-source best set), every gamma gives the same run, so it runs
+    once and returns ``gamma0``.
     """
     if not (gamma0 > 0):
         raise ValueError("gamma0 must be positive")
     # design_free_signals(env, gamma) is gamma times the unit design, bit for bit.
     unit = design_free_signals(env, 1.0)
     gamma = float(gamma0)
-    result = None
+    result = direction = None
     for _ in range(MAX_DOUBLINGS + 1):
         trace = simulate(
             env,
@@ -557,7 +559,10 @@ def escalate_gamma(
             seed=seed,
         )
         result = (gamma, trace)
-        if trace.classification.kind == "efficient" or not unit:
+        kind = trace.classification.kind
+        step = 0.5 if kind == "undetermined" else 2.0
+        if kind == "efficient" or not unit or direction not in (None, step):
             return result
-        gamma *= 2.0
+        direction = step
+        gamma *= step
     return result

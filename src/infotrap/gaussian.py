@@ -257,9 +257,13 @@ class DivisionVector:
         c = np.asarray(self.counts)
         if c.ndim != 1:
             raise DimensionError("counts must be a vector")
-        # Integer dtypes hold integers; the remainder test is for floats and bools.
-        integral = c.dtype.kind in "iu" or np.all(np.equal(np.mod(c, 1), 0))
-        if np.any(c < 0) or not integral:
+        if c.dtype.kind == "i":
+            valid = not np.any(c < 0)
+        elif c.dtype.kind == "u":
+            valid = not np.any(c > np.iinfo(np.int64).max)
+        else:  # the range test first, so that the remainder never sees inf or NaN
+            valid = np.all((c >= 0) & (c < 2.0**63)) and np.all(np.mod(c, 1) == 0)
+        if not valid:
             raise ValueError("counts must be non-negative integers")
         arr = c.astype(np.int64)
         arr.setflags(write=False)

@@ -89,7 +89,8 @@ def optimal_division(env: Environment, prior: GaussianPrior, t: int) -> OptimalD
     if t < 1:
         raise ValueError("t must be >= 1")
     _check_search_bound(env, t)
-    return _scan(env, prior, t, every_budget=False)[0]
+    (value,), rows, _ = _scan(env, prior, t, every_budget=False)
+    return _result(value, rows)
 
 
 def optimal_trajectory(
@@ -106,7 +107,19 @@ def optimal_trajectory(
     if horizon < 1:
         return []
     _check_search_bound(env, horizon)
-    return _scan(env, prior, horizon, every_budget=True)
+    minima, rows, budgets = _scan(env, prior, horizon, every_budget=True)
+    edges = np.searchsorted(budgets, np.arange(1, horizon + 2))
+    return [_result(v, rows[lo:hi]) for v, lo, hi in zip(minima, edges[:-1], edges[1:])]
+
+
+def _result(value: float, rows: np.ndarray) -> OptimalDivisionResult:
+    """One budget's optimum from its minimum variance and its co-optimal rows, lexicographic."""
+    return OptimalDivisionResult(
+        counts=DivisionVector(rows[0]),
+        value=float(value),
+        num_optima=len(rows),
+        all_optima=[DivisionVector(r) for r in rows] if len(rows) <= 16 else None,
+    )
 
 
 def _check_search_bound(env: Environment, t: int) -> None:
@@ -119,14 +132,13 @@ def _check_search_bound(env: Environment, t: int) -> None:
         )
 
 
-def _scan(
-    env: Environment, prior: GaussianPrior, horizon: int, every_budget: bool
-) -> list[OptimalDivisionResult]:
-    """Score each split of ``horizon`` once; return the optima of budget ``horizon``, or,
-    with ``every_budget``, of each budget 1..horizon (the splits get an unused part).
+def _scan(env: Environment, prior: GaussianPrior, horizon: int, every_budget: bool):
+    """Score each split of ``horizon`` once, for budget ``horizon`` or, with ``every_budget``,
+    for each budget 1..horizon (the splits get an unused part).
 
-    Rows within ``VALUE_TIE_TOL`` of their budget's running minimum are kept, in scan
-    order, and pruned against the final minima.
+    Returns each budget's minimum variance (budgets ascending), then the rows within
+    ``VALUE_TIE_TOL`` of their budget's minimum and those budgets, by budget and then
+    lexicographic. Rows near a running minimum are kept in scan order and then pruned.
     """
     n = env.num_sources
     best = np.full(horizon + 1 if every_budget else 1, np.inf)  # by unused budget
@@ -147,17 +159,8 @@ def _scan(
     budgets = horizon - unused
     order = np.argsort(budgets, kind="stable")
     budgets, rows = budgets[order], rows[order]
-    first = 1 if every_budget else horizon
-    edges = np.searchsorted(budgets, np.arange(first, horizon + 2))
-    return [
-        OptimalDivisionResult(
-            counts=DivisionVector(rows[lo]),
-            value=float(best[horizon - t]),
-            num_optima=int(hi - lo),
-            all_optima=[DivisionVector(r) for r in rows[lo:hi]] if hi - lo <= 16 else None,
-        )
-        for t, lo, hi in zip(range(first, horizon + 1), edges[:-1], edges[1:])
-    ]
+    skip = np.searchsorted(budgets, 1)  # the empty split of budget 0
+    return (best[::-1][1:] if every_budget else best), rows[skip:], budgets[skip:]
 
 
 def _near_best(kept, best: np.ndarray):
@@ -182,16 +185,19 @@ def trajectory_deviations(
 def round_to_total(weights, total: int) -> np.ndarray:
     """Integer allocation of ``total`` proportional to ``weights`` (largest remainder).
 
-    Raises ``ValueError`` for a negative ``total`` and for negative or non-finite weights.
+    Raises ``ValueError`` for a ``total`` outside 0..2**53 (the integers that floats
+    hold), for negative or non-finite weights, and for a zero or overflowing sum.
     """
     w = np.asarray(weights, dtype=float)
-    if total < 0:
-        raise ValueError("total must be >= 0")
+    if not 0 <= total <= 2**53:
+        raise ValueError("total must be in 0..2**53")
     if not np.all(np.isfinite(w)) or np.any(w < 0):
         raise ValueError("weights must be finite and non-negative")
-    if w.sum() <= 0:
-        raise ValueError("weights must have positive sum")
-    shares = w / w.sum() * total
+    with np.errstate(over="ignore"):
+        s = w.sum()
+    if not 0 < s < np.inf:
+        raise ValueError("weights must have positive sum, finite in floating point")
+    shares = w / s * total
     base = np.floor(shares).astype(np.int64)
     short = total - int(base.sum())
     if short > 0:
@@ -275,25 +281,17 @@ def optimal_frequency_numeric(env: Environment, full_output: bool = False):
     return refined
 
 
-def greedy_vs_optimal(
-    env: Environment, prior: GaussianPrior, horizon: int
-) -> list[ComparisonRow]:
+def greedy_vs_optimal(env: Environment, prior: GaussianPrior, horizon: int) -> list[ComparisonRow]:
     """Per-period variance of greedy acquisitions against the exact optimum.
 
-    One greedy run (lowest-index ties) and one ``optimal_trajectory`` scan. The search
+    One greedy run (lowest-index ties) and one scan over every budget, whose
+    per-budget minima are read as arrays, so no result object is built. The search
     bound of the largest budget is checked before either starts.
     """
     _check_search_bound(env, horizon)
     trace = simulate(env, prior, horizon, rule=TieBreak.lowest_index())
-    rows = []
-    for t, opt in enumerate(optimal_trajectory(env, prior, horizon), start=1):
-        greedy_v = float(trace.variance_path[t - 1])
-        rows.append(
-            ComparisonRow(
-                t=t,
-                greedy_variance=greedy_v,
-                optimal_variance=opt.value,
-                ratio=greedy_v / opt.value,
-            )
-        )
-    return rows
+    minima = _scan(env, prior, horizon, every_budget=True)[0].tolist()
+    return [
+        ComparisonRow(t=t, greedy_variance=g, optimal_variance=o, ratio=g / o)
+        for t, g, o in zip(range(1, horizon + 1), trace.variance_path.tolist(), minima)
+    ]

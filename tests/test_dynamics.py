@@ -1,5 +1,6 @@
 import math
 from itertools import chain, combinations, islice
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -227,8 +228,46 @@ def test_escalate_gamma_designs_once(monkeypatch, example2, example2_trap_prior)
         lambda env: calls.append(1) or enumerate_sets(env),
     )
     gamma, trace = escalate_gamma(example2, example2_trap_prior, 200, gamma0=32.0)
-    assert gamma == 32.0 * 2**dynamics.MAX_DOUBLINGS  # every doubling ran
+    assert (gamma, trace.classification.kind) == (8.0, "efficient")  # three runs
     assert len(calls) == 1
+
+
+def test_escalate_gamma_halves_after_undetermined_runs(monkeypatch, example2, example2_trap_prior):
+    # Designed signals make example2 efficient for gamma 1-16 and undetermined from 32 up.
+    runs = []
+    run = dynamics.simulate
+    monkeypatch.setattr(dynamics, "simulate", lambda *a, **kw: runs.append(1) or run(*a, **kw))
+    gamma, trace = escalate_gamma(example2, example2_trap_prior, 1000, gamma0=1000.0)
+    assert (gamma, trace.classification.kind, len(runs)) == (15.625, "efficient", 7)
+
+
+@pytest.mark.parametrize(
+    "labels, gamma, runs",
+    [
+        (["trap", "trap", "efficient"], 12.0, 3),
+        (["trap", "trap", "undetermined", "efficient"], 12.0, 3),
+        (["undetermined", "undetermined", "trap", "efficient"], 0.75, 3),
+        (["trap"] * 30, 3.0 * 2**dynamics.MAX_DOUBLINGS, dynamics.MAX_DOUBLINGS + 1),
+        (["undetermined"] * 30, 3.0 / 2**dynamics.MAX_DOUBLINGS, dynamics.MAX_DOUBLINGS + 1),
+    ],
+    ids=["efficient", "trap_then_undetermined", "undetermined_then_trap", "cap_up", "cap_down"],
+)
+def test_escalate_gamma_stops_where_the_label_turns(
+    monkeypatch, example2, example2_trap_prior, labels, gamma, runs
+):
+    scripted = iter(labels)
+    seen = []
+
+    def fake_simulate(*args, intervention, **kwargs):
+        seen.append(intervention)
+        return SimpleNamespace(classification=SimpleNamespace(kind=next(scripted)))
+
+    monkeypatch.setattr(dynamics, "simulate", fake_simulate)
+    got, trace = escalate_gamma(example2, example2_trap_prior, 50, gamma0=3.0)
+    assert (got, len(seen)) == (gamma, runs)
+    assert trace.classification.kind == labels[runs - 1]
+    unit = design_free_signals(example2, 1.0)
+    assert [v.tobytes() for v in seen[-1].vectors] == [(got * v).tobytes() for v in unit]
 
 
 def test_escalate_gamma_without_signals_runs_once(monkeypatch):

@@ -36,6 +36,7 @@ from infotrap import (
     TieBreak,
     bundled_scenario,
     bundled_scenario_names,
+    design_free_signals,
     grad_posterior_variance,
     greedy_step,
     parse_scenario,
@@ -489,11 +490,16 @@ def test_free_signals_fold_into_engine_precision(example2, example2_trap_prior):
 
 def test_large_free_signals_give_a_report():
     # The covariance round trip of the free signals used to fail GaussianPrior's
-    # conditioning check here (NotPositiveDefiniteError after the doublings).
+    # conditioning check on example2 (NotPositiveDefiniteError at gamma 1000 * 2**10
+    # and up). The escalation from gamma0 1000 now halves to an efficient run, so the
+    # designed signals of its old last run, gamma 1000 * 2**20, run directly.
     doc = scenario_to_dict(bundled_scenario("example2"))
     doc["intervention"] = {"free_signals_auto": {"gamma0": 1000}}
     trace, report = run_scenario(parse_scenario(doc))
-    assert report["gamma_final"] >= 1000.0
+    assert (report["gamma_final"], report["classification"]) == (15.625, "efficient")
+    signals = design_free_signals(bundled_scenario("example2").environment, 1000.0 * 2**20)
+    doc["intervention"] = {"free_signals": [v.tolist() for v in signals]}
+    trace, report = run_scenario(parse_scenario(doc))
     assert report["classification"] in ("efficient", "trap", "undetermined")
     assert len(trace.choices) == doc["horizon"]
     assert np.all(np.isfinite(trace.variance_path)) and np.all(trace.variance_path > 0)

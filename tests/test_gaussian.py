@@ -207,6 +207,32 @@ def test_division_vector_accepts_what_the_remainder_test_accepts(values):
         assert counts.dtype == np.int64 and counts.tolist() == values.astype(np.int64).tolist()
 
 
+@pytest.mark.parametrize(
+    "values",
+    [
+        [1e300],
+        [2.0**63],
+        [np.inf],
+        [-np.inf],
+        [1.0, np.nan],
+        np.array([2**63], dtype=np.uint64),
+        np.array([2**64 - 1], dtype=np.uint64),
+    ],
+    ids=["1e300", "2**63", "inf", "-inf", "nan", "uint64-2**63", "uint64-max"],
+)
+def test_division_vector_refuses_counts_beyond_int64_without_a_warning(values):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-negative integers"):
+            DivisionVector(values)
+
+
+def test_division_vector_keeps_the_largest_int64_counts():
+    top = np.iinfo(np.int64).max
+    assert DivisionVector(np.array([top], dtype=np.uint64)).counts.tolist() == [top]
+    assert DivisionVector([2.0**62, 0.0]).counts.tolist() == [2**62, 0]
+
+
 def test_single_objective_matches_first_state_variance(example2, example2_trap_prior):
     # weight-1 objective on the first coordinate is exactly the first diagonal
     # entry of the posterior covariance

@@ -1,12 +1,14 @@
 """Golden outputs: CLI artifacts of the bundled scenarios and numeric-optimizer results.
 
 ``tests/data/golden.json`` holds sha256 digests of every file that
-``infotrap simulate``, ``analyze`` and ``sweep`` write for the four bundled
-scenarios, and of ``optimal_frequency_numeric``'s full output on the
-multi-target environments the other tests use. The digests were recorded
-before the spectral-inverse, evaluator and composition kernels were merged;
-a change that moves any of these outputs by one bit fails here. Regenerate
-them only for a deliberate output change::
+``infotrap simulate``, ``analyze``, ``sweep``, ``oracle --t 30`` and
+``compare --t 30`` write for the four bundled scenarios, and of
+``optimal_frequency_numeric``'s full output on the multi-target environments
+the other tests use. The digests were recorded before the spectral-inverse,
+evaluator and composition kernels were merged; the ``oracle`` and ``compare``
+digests were recorded before the exhaustive scan stopped building result
+objects. A change that moves any of these outputs by one bit fails here.
+Regenerate them only for a deliberate output change::
 
     PYTHONPATH=src python tests/test_golden.py > tests/data/golden.json
 """
@@ -27,6 +29,13 @@ from infotrap.scenarios import bundled_scenario_names
 
 GOLDEN = Path(__file__).parent / "data" / "golden.json"
 SWEEP_ARGS = ["--state", "2", "--grid", "6,7.9,8.1,12"]
+COMMANDS = (
+    ["simulate"],
+    ["analyze"],
+    ["sweep", *SWEEP_ARGS],
+    ["oracle", "--t", "30"],
+    ["compare", "--t", "30"],
+)
 
 # The multi-target objectives of test_gaussian, test_dynamics/test_spanning and test_scenarios.
 NUMERIC_ENVS = {
@@ -44,7 +53,7 @@ def artifact_digests(out: Path) -> dict[str, str]:
     runner = CliRunner()
     for name in bundled_scenario_names():
         path = str(resources.files("infotrap").joinpath("data", f"{name}.json"))
-        for args in (["simulate"], ["analyze"], ["sweep", *SWEEP_ARGS]):
+        for args in COMMANDS:
             result = runner.invoke(cli_main, [*args, path, "--out", str(out), "--quiet"])
             assert result.exit_code == 0, result.output
     return {p.name: _sha(p.read_bytes()) for p in sorted(out.iterdir())}

@@ -164,6 +164,43 @@ def test_greedy_vs_optimal_scans_the_splits_once(monkeypatch, example2, example2
     assert calls == [(12, 4)]
 
 
+def test_greedy_vs_optimal_builds_no_division_vector(monkeypatch, example2, example2_trap_prior):
+    def refuse(*args):
+        raise AssertionError("built a DivisionVector")
+
+    monkeypatch.setattr(oracle, "DivisionVector", refuse)
+    rows = greedy_vs_optimal(example2, example2_trap_prior, 40)
+    assert [r.t for r in rows] == list(range(1, 41))
+
+
+def test_greedy_vs_optimal_rows_are_the_greedy_path_and_the_trajectory_minima():
+    rng = np.random.default_rng(20)
+    budgets = tied = 0
+    for i in range(50):
+        n, k = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+        if i % 2:
+            # Small integer rows, the last a copy of the first: exact and near ties.
+            coefficients = rng.integers(-2, 3, size=(n, k)).astype(float)
+            coefficients[0, 0] = 1.0
+            coefficients[-1] = coefficients[0]
+        else:
+            coefficients = rng.uniform(-3, 3, size=(n, k))
+        env = Environment(coefficients)
+        prior = random_pd_prior(rng, k)
+        horizon = int(rng.integers(1, 16 - 2 * n))
+        rows = greedy_vs_optimal(env, prior, horizon)
+        greedy = simulate(env, prior, horizon).variance_path
+        optima = optimal_trajectory(env, prior, horizon)
+        assert [r.t for r in rows] == list(range(1, horizon + 1))
+        for r, g, opt in zip(rows, greedy, optima, strict=True):
+            assert r.greedy_variance.hex() == float(g).hex()
+            assert r.optimal_variance.hex() == opt.value.hex()
+            assert r.ratio.hex() == (r.greedy_variance / r.optimal_variance).hex()
+            budgets += 1
+            tied += opt.num_optima > 1
+    assert budgets >= 200 and tied >= 40
+
+
 def test_optimal_trajectory_example2_residuals(example2, example2_trap_prior):
     results = optimal_trajectory(example2, example2_trap_prior, 30)
     star = best_set(example2)
@@ -357,6 +394,7 @@ def test_greedy_vs_optimal_efficient_regime(example2):
 
 def test_round_to_total():
     assert list(round_to_total([0.5, 0.5], 3)) == [2, 1]
+    assert round_to_total([1, 2], 2**53).tolist() == [3002399751580331, 6004799503160661]
     assert list(round_to_total([1, 1, 1], 7)) == [3, 2, 2]
     assert round_to_total([0.2, 0.8], 10).sum() == 10
     for weights, total in [([2, -1], 5), ([1.0, np.nan], 3), ([1.0, np.inf], 3), ([1, 1], -1)]:
@@ -399,8 +437,10 @@ def test_modified_alpha_sensitivity():
             "t must be >= 1",
         ),
         (lambda: round_to_total([0, 0], 3), ValueError, "weights must have positive sum"),
+        (lambda: round_to_total([1e308, 1e308], 3), ValueError, "finite in floating point"),
+        (lambda: round_to_total([1, 2], 2**70), ValueError, r"total must be in 0\.\.2\*\*53"),
     ],
-    ids=["division_budget_zero", "round_zero_weights"],
+    ids=["division_budget_zero", "round_zero_weights", "round_sum_overflows", "round_total_huge"],
 )
 def test_oracle_refusals(call, error, fragment):
     with pytest.raises(error, match=fragment) as info:

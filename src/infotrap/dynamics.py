@@ -291,7 +291,16 @@ class _Engine:
         self._w = float(env.weights[0]) if env.weights.size == 1 else None
         self._r = env.weights.size
         self._coefficients = env.coefficients
-        self._outers = env.source_outers
+        # Per run: what a pick adds to the precision, m c_i c_i' per source (a product by 1
+        # is exact; one that overflows is refused by the next step), ones to add the 1 of
+        # each reduction's denominator and to sum the precision's entries, and the tie
+        # threshold's 0-d buffer.
+        with np.errstate(over="ignore"):
+            self._steps = list(self._m * env.source_outers)
+        self._ones = np.ones(env.num_sources)
+        self._flat = self.precision.ravel("K")  # a view: the copy above is contiguous
+        self._flat_ones = np.ones(self._flat.size)
+        self._bound = np.zeros(())
         # Target directions over source rows, (R+N, K), and their Fortran-ordered
         # transpose: the right-hand side of the step's one solve.
         self._rows = np.vstack([env.directions, env.coefficients])
@@ -319,7 +328,9 @@ class _Engine:
         A NaN or +inf top has no score within tolerance, and is refused."""
         i = int(scores.argmax())
         top = float(scores[i])
-        near = scores >= top - TIE_TOL * max(abs(top), 1e-300)
+        bound = self._bound
+        bound[()] = top - TIE_TOL * max(abs(top), 1e-300)
+        near = scores >= bound
         if count_nonzero(near) == 1:
             return i
         tied = np.flatnonzero(near)
@@ -342,11 +353,12 @@ class _Engine:
 
         # One posv solve against targets and sources, the LAPACK work of cho_factor and
         # two cho_solves (same bits); one contraction gives the target variances
-        # u_r' Sigma u_r and the quadratic forms c_i' Sigma c_i together. A sum is
-        # finite only if every entry is; a sum of finite entries may overflow, silently
-        # in the run's error state, and then the exact test decides.
+        # u_r' Sigma u_r and the quadratic forms c_i' Sigma c_i together. The dot of every
+        # entry with 1 is finite only if every entry is, wherever it sits (posv reads only
+        # the lower triangle); a sum of finite entries may overflow, silently in the run's
+        # error state, and then the exact test decides.
         precision = self.precision
-        if not math.isfinite(precision.sum()):
+        if not math.isfinite(self._flat.dot(self._flat_ones)):
             _check_finite(precision)
         sols = _posv_solve(precision, self._rhs)  # (K, R+N)
         both = c_einsum("nk,kn->n", self._rows, sols)  # np.einsum's own C routine
@@ -354,7 +366,8 @@ class _Engine:
         quad = both[r:]
         # Reductions (sum_r w_r gamma_r^2) m / (1 + m quad), with gamma_r = u_r' Sigma c_i.
         # A product by 1 and a sum over one target are exact, so skipping them keeps
-        # every bit; one target's 1-D dot gives the bits of its (N, 1) matmul.
+        # every bit; one target's 1-D dot gives the bits of its (N, 1) matmul. Adding the
+        # per-run ones is the IEEE add of 1.0 + quad, without broadcasting a Python float.
         if w is None:
             gammas = self._coefficients @ sols[:, :r]  # (N, R)
             current = float(np.dot(env.weights, both[:r]))
@@ -366,13 +379,12 @@ class _Engine:
             if w != 1.0:
                 gains = gains * w
         if m == 1.0:
-            reductions = gains / (1.0 + quad)
+            reductions = gains / (quad + self._ones)
         else:
-            reductions = gains * m / (1.0 + m * quad)
+            reductions = gains * m / (m * quad + self._ones)
         i = self._pick(reductions)
         self.counts[i] += 1
-        outer = self._outers[i]
-        precision += outer if m == 1.0 else m * outer
+        precision += self._steps[i]
         return i, current - float(reductions[i])
 
 

@@ -334,8 +334,9 @@ def _check_finite(precision: np.ndarray) -> None:
 
 
 def _posv_solve(precision: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """``_solve_spd`` without its finiteness check, which the caller makes."""
-    _, sols, info = _posv(precision, rhs, lower=True)
+    """``_solve_spd`` without its finiteness check, which the caller makes. ``lower`` goes
+    by position, which spares f2py's keyword parsing on every call."""
+    _, sols, info = _posv(precision, rhs, 1)
     if info > 0:
         raise NotPositiveDefiniteError(f"posterior precision: leading minor {info} is not positive")
     return sols

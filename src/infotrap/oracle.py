@@ -185,10 +185,13 @@ def trajectory_deviations(
 def round_to_total(weights, total: int) -> np.ndarray:
     """Integer allocation of ``total`` proportional to ``weights`` (largest remainder).
 
-    Raises ``ValueError`` for a ``total`` outside 0..2**53 (the integers that floats
-    hold), for negative or non-finite weights, and for a zero or overflowing sum.
+    Raises ``ValueError`` for a ``total`` that is a bool, not an integer, or outside
+    0..2**53 (the integers that floats hold), for negative or non-finite weights, and for
+    a zero or overflowing sum.
     """
     w = np.asarray(weights, dtype=float)
+    if isinstance(total, bool) or not isinstance(total, (int, np.integer)):
+        raise ValueError(f"total must be a non-bool integer, not {total!r}")
     if not 0 <= total <= 2**53:
         raise ValueError("total must be in 0..2**53")
     if not np.all(np.isfinite(w)) or np.any(w < 0):

@@ -12,7 +12,9 @@ byte for byte, and a run must make exactly one solve per period. The step's C
 entry points (``c_einsum``, ``count_nonzero``) and one target's ``dot`` must equal
 the numpy wrappers and the matmul they stand for, byte for byte. A precision whose
 finite entries have an overflowing sum steps like the reference; one that
-overflows is refused.
+overflows is refused, and so is an inf or NaN entry in either triangle or on the
+diagonal. A replicated run, whose step adds per-run increments, matches the
+reference byte for byte after every period.
 
 The batch-allocation step builds its candidate increments once per run. It is
 held to a copy of the per-period formulation that rebuilds them every period,
@@ -470,6 +472,26 @@ def test_engine_refuses_bad_precision_in_a_run():
             engine.step()
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=str)
+@pytest.mark.parametrize("where", ["upper", "lower", "diagonal"])
+def test_engine_refuses_a_bad_entry_wherever_it_sits(where, bad):
+    # posv reads only the lower triangle, so the finiteness test must see the upper one.
+    env = Environment([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+    prior = GaussianPrior.from_diagonal([1.0, 2.0, 3.0])
+    cells = {
+        "upper": [(0, 1), (0, 2), (1, 2)],
+        "lower": [(1, 0), (2, 0), (2, 1)],
+        "diagonal": [(0, 0), (1, 1), (2, 2)],
+    }
+    for cell in cells[where]:
+        for intervention in (NoIntervention(), PrecisionReplicate(3)):
+            engine = dynamics._Engine(env, prior, intervention, None)
+            engine.step()
+            engine.precision[cell] = bad
+            with pytest.raises(NotPositiveDefiniteError, match="non-finite"):
+                engine.step()
+
+
 def test_non_finite_reduction_raises():
     # 1e150 has a finite square, but gamma^2 and quad overflow: a reduction is inf / inf.
     env = Environment([[1e150, 0.0], [0.0, 1.0], [1.0, 1.0]])
@@ -572,6 +594,28 @@ def test_fast_step_matches_reference_on_wide_shapes():
     # Up to 60 sources over 50 states, at short horizons.
     for i, (n, k) in enumerate(((60, 50), (60, 7), (25, 50), (50, 50), (33, 20))):
         _assert_engines_agree(*_wide_case(rng, n, k, i), horizon=12)
+
+
+@pytest.mark.parametrize("rule", RULES, ids=lambda r: r.kind)
+@pytest.mark.parametrize("m", [3, 7, 2**40 + 1])
+def test_replicated_step_matches_reference_after_every_period(m, rule):
+    # The step's per-run increments m * c_i c_i' and the ones of 1 + m quad, against the
+    # reference's per-period products, byte for byte after each period.
+    rng = np.random.default_rng(20261022)
+    for i in range(12):
+        n, k = int(rng.integers(10, 14)), int(rng.integers(4, 6))
+        env, prior, _, _ = _wide_case(rng, n, k, i)
+        fast, ref = (
+            dynamics._Engine(env, prior, PrecisionReplicate(m), rule.make_rng()) for _ in range(2)
+        )
+        for _ in range(40):
+            (choice, value), (ref_choice, ref_value) = FAST_STEP(fast), reference_step(ref)
+            assert choice == ref_choice
+            assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
+            assert fast.precision.tobytes() == ref.precision.tobytes()
+            assert fast.counts.tolist() == ref.counts.tolist()
+        if rule.kind == "random":
+            assert fast.tie_rng.bit_generator.state == ref.tie_rng.bit_generator.state
 
 
 def test_precision_overflow_in_a_run_raises_non_finite():

@@ -446,3 +446,15 @@ def test_oracle_refusals(call, error, fragment):
     with pytest.raises(error, match=fragment) as info:
         call()
     assert type(info.value) is error
+
+
+@pytest.mark.parametrize("total", [2.5, 3.0, True], ids=["fraction", "integral_float", "bool"])
+def test_round_to_total_refuses_a_total_that_is_not_an_integer(total):
+    with pytest.raises(ValueError, match="total must be a non-bool integer") as info:
+        round_to_total([1, 1], total)
+    assert type(info.value) is ValueError
+
+
+def test_round_to_total_takes_numpy_integers():
+    for total in (np.int64(7), np.int32(7), np.uint8(7)):
+        assert round_to_total([1, 1, 1], total).tolist() == [3, 2, 2]

@@ -8,25 +8,19 @@ from pathlib import Path
 
 import click
 
-from .dynamics import SearchBoundError
-from .gaussian import NotPositiveDefiniteError
-from .oracle import greedy_vs_optimal, optimal_division
+from .oracle import _comparison_columns, optimal_division
 from .scenarios import (
     MAX_HORIZON,
+    RUN_ERRORS,
     ScenarioError,
     SweepSpec,
     analysis_fields,
     parse_scenario_file,
     run_batch,
     sweep as run_sweep,
+    write_compare_csv,
     write_report_json,
 )
-from .spanning import SpanError
-
-# What a parsed scenario can still raise when it runs: a search beyond its bound, a
-# posterior precision that is not positive definite, no unique best set to design free
-# signals for, a bad sweep grid.
-RUN_ERRORS = (SearchBoundError, NotPositiveDefiniteError, SpanError, ScenarioError)
 
 
 @click.group()
@@ -149,13 +143,10 @@ def sweep(scenario, out: Path, state: int, grid: list[float]) -> str:
 )
 def compare(scenario, out: Path, budget: int) -> str:
     """Greedy-versus-optimal variance table up to the given horizon."""
-    rows = greedy_vs_optimal(scenario.environment, scenario.prior, budget)
-    lines = ["t,greedy_variance,optimal_variance,ratio"]
-    for r in rows:
-        lines.append(f"{r.t},{r.greedy_variance:.17g},{r.optimal_variance:.17g},{r.ratio:.17g}")
+    greedy, optimal = _comparison_columns(scenario.environment, scenario.prior, budget)
     path = out / f"{scenario.name}_compare.csv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return f"{scenario.name}: final ratio {rows[-1].ratio:.4f} -> {path}"
+    ratio = write_compare_csv(path, greedy, optimal)
+    return f"{scenario.name}: final ratio {ratio:.4f} -> {path}"
 
 
 if __name__ == "__main__":

@@ -63,8 +63,9 @@ TIE_TOL = 1e-12
 MAX_BATCH = 12
 MAX_BATCH_SOURCES = 8
 
-# ``compositions`` yields blocks of at most this many rows.
-COMPOSITION_BLOCK = 131_072
+# ``compositions`` yields blocks of at most this many rows, and the trace and compare CSV
+# writers format at most this many rows at a time.
+COMPOSITION_BLOCK = 16_384
 
 # Classification uses the second half of the run; "efficient" additionally requires
 # the empirical frequencies to be this close (sup-norm) to the optimal ones.
@@ -194,24 +195,28 @@ class SimulationTrace:
     final_mean: np.ndarray | None = None
 
     def counts_matrix(self) -> np.ndarray:
-        """(horizon, N) cumulative counts after each period.
+        """(horizon, N) cumulative counts after each period."""
+        start = np.zeros(len(self.final_counts.counts), dtype=np.int64)
+        return _cumulative_counts(np.asarray(self.choices, dtype=np.int64), start)
 
-        A run's choices are all source indices or all per-source count vectors."""
-        picks = np.asarray(self.choices, dtype=np.int64)
-        if picks.ndim == 1:
-            steps = np.zeros((picks.size, len(self.final_counts.counts)), dtype=np.int64)
-            steps[np.arange(picks.size), picks] = 1
-            picks = steps
-        return np.cumsum(picks, axis=0)
+
+def _cumulative_counts(picks: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """(len(picks), N) cumulative counts after each of a run's ``picks``, from the counts
+    ``start``. A run's picks are all source indices or all per-source count vectors."""
+    if picks.ndim == 1:
+        steps = np.zeros((picks.size, start.size), dtype=np.int64)
+        steps[np.arange(picks.size), picks] = 1
+        picks = steps
+    return start + np.cumsum(picks, axis=0)
 
 
 def compositions(total: int, parts: int):
     """Yield every split of ``total`` observations over ``parts`` sources, in lexicographic
     order, as (M, parts) blocks of at most ``COMPOSITION_BLOCK`` rows.
 
-    Rows are built with numpy one part at a time (``_expand``). When the splits of more
-    than two parts overflow a block, the first part is fixed one value at a time;
-    otherwise the first parts go out in runs of at most ``COMPOSITION_BLOCK``.
+    Rows are built with numpy one part at a time (``_expand``). Consecutive first parts
+    share a block while their rows fit in it; a first part whose rows overflow a block by
+    themselves is fixed, and the splits of its rest are blocked the same way.
     """
     if total < 0 or parts < 1:
         raise ValueError("compositions need total >= 0 and parts >= 1")
@@ -223,15 +228,29 @@ def compositions(total: int, parts: int):
 
 def _completions(prefix: tuple, rest: int, parts: int):
     """Blocks of ``prefix`` followed by each split of ``rest`` over ``parts >= 2`` parts."""
-    if parts > 2 and math.comb(rest + parts - 1, parts - 1) > COMPOSITION_BLOCK:
-        for first in range(rest + 1):
+
+    def rows_from(first: int) -> int:  # rows whose first part is ``first`` or more
+        return math.comb(rest - first + parts - 1, parts - 1)
+
+    first = 0
+    while first <= rest:
+        # Bisect for the last first part whose rows, with those from ``first`` on, fit one
+        # block: the rows from ``last + 1`` on must number at least ``floor``.
+        floor = rows_from(first) - COMPOSITION_BLOCK
+        last, high = first - 1, rest
+        while last < high:
+            mid = (last + high + 1) // 2
+            if rows_from(mid + 1) >= floor:
+                last = mid
+            else:
+                high = mid - 1
+        if last < first:  # more than two parts, as two give one row per first part
             yield from _completions(prefix + (first,), rest - first, parts - 1)
-    else:
-        # Two parts give one row per first part; more parts fit one block.
-        for first in range(0, rest + 1, COMPOSITION_BLOCK):
-            firsts = np.arange(first, min(first + COMPOSITION_BLOCK, rest + 1))
+            first += 1
+        else:
             # No named block: the generator frame holds nothing while the caller scores it.
-            yield _expand(prefix, firsts, rest, parts)
+            yield _expand(prefix, np.arange(first, last + 1), rest, parts)
+            first = last + 1
 
 
 def _expand(prefix: tuple, firsts: np.ndarray, rest: int, parts: int) -> np.ndarray:

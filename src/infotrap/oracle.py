@@ -285,16 +285,24 @@ def optimal_frequency_numeric(env: Environment, full_output: bool = False):
 
 
 def greedy_vs_optimal(env: Environment, prior: GaussianPrior, horizon: int) -> list[ComparisonRow]:
-    """Per-period variance of greedy acquisitions against the exact optimum.
+    """Per-period variance of greedy acquisitions against the exact optimum."""
+    greedy, optimal = _comparison_columns(env, prior, horizon)
+    return [
+        ComparisonRow(t=t, greedy_variance=g, optimal_variance=o, ratio=g / o)
+        for t, g, o in zip(range(1, horizon + 1), greedy.tolist(), optimal.tolist())
+    ]
 
-    One greedy run (lowest-index ties) and one scan over every budget, whose
-    per-budget minima are read as arrays, so no result object is built. The search
-    bound of the largest budget is checked before either starts.
+
+def _comparison_columns(
+    env: Environment, prior: GaussianPrior, horizon: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The variance path of one greedy run (lowest-index ties) and each budget's minimum
+    variance, for budgets 1..horizon.
+
+    The minima come from one scan over every budget, read as an array, so no result
+    object is built. The search bound of the largest budget is checked before either
+    starts.
     """
     _check_search_bound(env, horizon)
     trace = simulate(env, prior, horizon, rule=TieBreak.lowest_index())
-    minima = _scan(env, prior, horizon, every_budget=True)[0].tolist()
-    return [
-        ComparisonRow(t=t, greedy_variance=g, optimal_variance=o, ratio=g / o)
-        for t, g, o in zip(range(1, horizon + 1), trace.variance_path.tolist(), minima)
-    ]
+    return trace.variance_path, _scan(env, prior, horizon, every_budget=True)[0]

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import oracle
+from . import dynamics, oracle
 from .gaussian import Environment, GaussianPrior, NotPositiveDefiniteError
 from .spanning import (  # enumerate_minimal_spanning_sets: perfbench/tracing.py wraps it here
     SpanError,
@@ -32,8 +32,10 @@ from .dynamics import (
     Intervention,
     NoIntervention,
     PrecisionReplicate,
+    SearchBoundError,
     SimulationTrace,
     TieBreak,
+    _cumulative_counts,
     escalate_gamma,
     simulate,
 )
@@ -59,6 +61,12 @@ MAX_HORIZON = 10_000_000  # the largest ``horizon``: a run keeps a choice and a 
 
 class ScenarioError(ValueError):
     """A scenario document is malformed; the message carries the offending path."""
+
+
+# What a parsed scenario can still raise when it runs: a search beyond its bound, a
+# posterior precision that is not positive definite, no unique best set to design free
+# signals for, a bad sweep grid.
+RUN_ERRORS = (SearchBoundError, NotPositiveDefiniteError, SpanError, ScenarioError)
 
 
 @dataclass(eq=False)
@@ -373,19 +381,45 @@ def write_trace_csv(path, scenario: Scenario, trace: SimulationTrace) -> None:
     """Trace CSV with per-period choice, variance, and cumulative counts.
 
     Source indices are 1-based in artifacts; batch choices are written as
-    semicolon-joined per-source counts. Floats carry 17 significant digits.
+    semicolon-joined per-source counts. Floats carry 17 significant digits. At most
+    ``COMPOSITION_BLOCK`` periods are formatted at a time.
     """
     n = scenario.environment.num_sources
-    picks = np.asarray(trace.choices, dtype=np.int64)
-    if picks.ndim == 2:
-        labels = [";".join(map(str, row)) for row in picks.tolist()]
-    else:
-        labels = (picks + 1).tolist()
-    row = "%d,%s,%.17g" + ",%d" * n
-    lines = ["t,choice,posterior_variance," + ",".join(f"count_{i+1}" for i in range(n))]
-    columns = zip(labels, trace.variance_path.tolist(), trace.counts_matrix().tolist())
-    lines += [row % (t, label, v, *counts) for t, (label, v, counts) in enumerate(columns, 1)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    line = "%d,%s,%.17g" + ",%d" * n + "\n"
+    counts = np.zeros(n, dtype=np.int64)
+    block = dynamics.COMPOSITION_BLOCK
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("t,choice,posterior_variance," + ",".join(f"count_{i+1}" for i in range(n)) + "\n")
+        for start in range(0, len(trace.choices), block):
+            picks = np.asarray(trace.choices[start : start + block], dtype=np.int64)
+            if picks.ndim == 2:
+                labels = [";".join(map(str, row)) for row in picks.tolist()]
+            else:
+                labels = (picks + 1).tolist()
+            cumulative = _cumulative_counts(picks, counts)
+            counts = cumulative[-1]
+            variances = trace.variance_path[start : start + block].tolist()
+            rows = enumerate(zip(labels, variances, cumulative.tolist()), start + 1)
+            f.write("".join(line % (t, label, v, *k) for t, (label, v, k) in rows))
+
+
+def write_compare_csv(path, greedy: np.ndarray, optimal: np.ndarray) -> float:
+    """Greedy-versus-optimal CSV for budgets 1..len(greedy): the greedy variance, the
+    minimum variance and their ratio, with 17 significant digits. Returns the last ratio.
+
+    A ratio that overflows is inf, as Python's float division gives. At most
+    ``COMPOSITION_BLOCK`` budgets are formatted at a time.
+    """
+    with np.errstate(over="ignore"):
+        ratio = greedy / optimal
+    line = "%d,%.17g,%.17g,%.17g\n"
+    block = dynamics.COMPOSITION_BLOCK
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("t,greedy_variance,optimal_variance,ratio\n")
+        for start in range(0, len(ratio), block):
+            columns = zip(*(c[start : start + block].tolist() for c in (greedy, optimal, ratio)))
+            f.write("".join(line % (t, *row) for t, row in enumerate(columns, start + 1)))
+    return float(ratio[-1])
 
 
 def write_report_json(path, report: dict) -> None:
@@ -395,8 +429,9 @@ def write_report_json(path, report: dict) -> None:
 def run_batch(scenarios: list[Scenario], out_dir) -> list[dict]:
     """Run scenarios in order, writing trace CSV plus report JSON for each as it finishes.
 
-    Writes nothing to the terminal. Classification outcomes never affect success; only
-    execution failures propagate.
+    Writes nothing to the terminal. Classification outcomes never affect success. A
+    scenario that raises one of ``RUN_ERRORS`` does not stop the others; once every
+    scenario has run, the first such error is raised again.
     """
     names = [s.name for s in scenarios]
     if len(set(names)) != len(names):
@@ -404,11 +439,18 @@ def run_batch(scenarios: list[Scenario], out_dir) -> list[dict]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     reports = []
+    failure = None
     for scenario in scenarios:
-        trace, report = run_scenario(scenario)
+        try:
+            trace, report = run_scenario(scenario)
+        except RUN_ERRORS as exc:
+            failure = failure or exc
+            continue
         write_trace_csv(out / f"{scenario.name}_trace.csv", scenario, trace)
         write_report_json(out / f"{scenario.name}_report.json", report)
         reports.append(report)
+    if failure is not None:
+        raise failure
     return reports
 
 

@@ -452,6 +452,32 @@ def test_compositions_small_blocks_match_one_block(monkeypatch, precise_info, pr
     assert result.num_optima == expected.num_optima
 
 
+def unpacked_block_count(total, parts, block):
+    """Blocks of a generator that fixes the first part one value at a time once the splits
+    of more than two parts overflow a block, and otherwise yields runs of at most ``block``
+    first parts: the count to beat by packing first parts into blocks."""
+    if parts == 1:
+        return 1
+    if parts > 2 and math.comb(total + parts - 1, parts - 1) > block:
+        return sum(unpacked_block_count(total - f, parts - 1, block) for f in range(total + 1))
+    return math.ceil((total + 1) / block)
+
+
+def test_compositions_pack_first_parts_into_blocks(monkeypatch):
+    assert [len(list(compositions(t, 5))) for t in (34, 60)] == [6, 51]
+    assert [unpacked_block_count(t, 5, 131_072) for t in (34, 60)] == [1, 61]
+    monkeypatch.setattr(dynamics, "COMPOSITION_BLOCK", 7)
+    packed = unpacked = 0
+    for t in range(15):
+        for n in range(1, 7):
+            sizes = [len(b) for b in compositions(t, n)]
+            assert max(sizes) <= 7
+            assert len(sizes) <= unpacked_block_count(t, n, 7)
+            packed += len(sizes)
+            unpacked += unpacked_block_count(t, n, 7)
+    assert packed < unpacked
+
+
 def test_auto_free_signals_is_not_a_single_run_intervention(example2, example2_trap_prior):
     with pytest.raises(TypeError, match="escalate_gamma"):
         simulate(example2, example2_trap_prior, 10, intervention=AutoFreeSignals(1.0))

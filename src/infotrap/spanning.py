@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 # The least-squares gufunc behind np.linalg.lstsq, which takes one matrix only; the
-# batched scan calls it on a stack, under lstsq's own error state.
+# span test calls it on a stack, under lstsq's own error state.
 from numpy.linalg import _umath_linalg
 from numpy.linalg._linalg import _raise_linalgerror_lstsq
 
@@ -119,11 +119,13 @@ def _target(env: Environment) -> np.ndarray:
         ) from exc
 
 
-def _stacked_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.linalg.lstsq(a[i], b, rcond=None)[0]`` for every matrix of the (M, m, n) stack
-    ``a``, with ``b`` of shape (m, nrhs), as an (M, n, nrhs) array: one call of lstsq's
-    gufunc (the same ``gelsd`` per matrix), with lstsq's default cutoff and error state,
-    so a non-converging SVD raises ``LinAlgError``."""
+def _represent(a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each (K, s) matrix ``a[i]`` and its row ``v[i]`` (the stacks broadcast), the
+    coefficients ``np.linalg.lstsq(a[i], v[i], rcond=None)[0]`` and whether ``a[i]``
+    spans ``v[i]``: the coefficients are finite and every residual entry is within
+    ``SPAN_TOL * max(1, max|v_i|)``. One call of lstsq's gufunc (the same ``gelsd`` per
+    matrix), with lstsq's cutoff and error state, so a non-converging SVD raises
+    ``LinAlgError``."""
     rcond = np.finfo(float).eps * max(a.shape[-2:])
     with np.errstate(
         call=_raise_linalgerror_lstsq,
@@ -132,8 +134,13 @@ def _stacked_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         divide="ignore",
         under="ignore",
     ):
-        x, _, _, _ = _umath_linalg.lstsq(a, b, rcond, signature="ddd->ddid")
-    return x
+        x, _, _, _ = _umath_linalg.lstsq(a, v[..., None], rcond, signature="ddd->ddid")
+    # An overflowing coefficient leaves an inf or NaN residual, which fails the test.
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = np.abs((a @ x)[..., 0] - v).max(axis=-1)
+    x = x[..., 0]
+    tol = SPAN_TOL * np.maximum(1.0, np.abs(v).max(axis=-1))  # relative to the largest |v_k|
+    return x, (residual <= tol) & np.isfinite(x).all(axis=-1)
 
 
 def _report_from(indices: tuple[int, ...], beta: np.ndarray, num_sources: int) -> SpanningSetReport:
@@ -177,11 +184,11 @@ def _test_subsets(
     """Test each row of the (M, s) index array ``subsets`` as a minimal spanning set.
 
     One stacked SVD of the source rows tests independence (smallest singular value
-    above ``SPAN_TOL`` of the largest); one ``_stacked_lstsq`` solve represents the
-    target ``u`` by the independent subsets, which span when the representation is
-    finite with residual within ``SPAN_TOL * max(1, max|u_k|)`` and are minimal when no
-    coefficient is zero. Without an independent subset there is no solve. Returns
-    the (M,) independence mask and a ``_Span`` per spanning subset, in stack order.
+    above ``SPAN_TOL`` of the largest); one ``_represent`` call represents the target
+    ``u`` by the independent subsets and tests whether they span it, and a spanning
+    subset is minimal when no coefficient is zero. Without an independent subset there
+    is no solve. Returns the (M,) independence mask and a ``_Span`` per spanning subset,
+    in stack order.
     """
     rows = c[subsets]  # (M, s, K)
     sv = np.linalg.svd(rows, compute_uv=False)
@@ -190,12 +197,7 @@ def _test_subsets(
     if not candidates.size:
         return independent, []
     a = rows[candidates].transpose(0, 2, 1)  # each matrix is rows.T, (K, s)
-    beta = _stacked_lstsq(a, u[:, None])
-    with np.errstate(over="ignore", invalid="ignore"):
-        residual = np.abs((a @ beta)[:, :, 0] - u).max(axis=1)
-    beta = beta[:, :, 0]
-    tol = SPAN_TOL * max(1.0, float(np.abs(u).max()))  # relative to the largest |u_k|
-    spans = (residual <= tol) & np.isfinite(beta).all(axis=1)
+    beta, spans = _represent(a, u)
     keep = candidates[spans]
     beta, sv = beta[spans], sv[keep]
     magnitude = np.abs(beta)
@@ -275,6 +277,19 @@ def _unique_best(env: Environment) -> list[SpanningSetReport]:
     return reports
 
 
+def _source_indices(env: Environment, indices) -> list[int]:
+    """``indices`` as sorted ints, duplicates kept: SpanError unless it is a flat iterable
+    of Python or numpy integers (not bools), each a source of ``env``."""
+    flat = np.iterable(indices) and not isinstance(indices, (str, bytes))
+    items = list(indices) if flat else [None]
+    if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in items):
+        raise SpanError(f"source indices must be integers, got {indices!r}")
+    subset = sorted(map(int, items))
+    if subset and (subset[0] < 0 or subset[-1] >= env.num_sources):
+        raise SpanError("source indices out of range")
+    return subset
+
+
 def beta_phi_lambda(env: Environment, indices) -> SpanningSetReport:
     """Representation, phi, and optimal frequencies for one minimally spanning set.
 
@@ -282,11 +297,11 @@ def beta_phi_lambda(env: Environment, indices) -> SpanningSetReport:
     it, so the report equals the set's enumerated entry bit for bit.
     """
     u = _target(env)
-    subset = tuple(sorted(int(i) for i in indices))
+    subset = tuple(_source_indices(env, indices))
+    if not subset:
+        raise SpanError("source indices out of range")
     if len(set(subset)) != len(subset):
         raise SpanError("duplicate indices")
-    if not subset or subset[0] < 0 or subset[-1] >= env.num_sources:
-        raise SpanError("source indices out of range")
     independent, spans = _test_subsets(env.coefficients, np.array([subset]), u)
     if not independent[0]:
         raise SpanError(f"sources {subset} are linearly dependent, not minimally spanning")
@@ -398,20 +413,15 @@ def _search_best_set(env: Environment) -> SpanningSetReport:
 
 
 def subspace_closure(env: Environment, indices) -> tuple[int, ...]:
-    """All sources whose coefficient vectors lie in the span of the given sources."""
-    subset = sorted(set(int(i) for i in indices))
-    if subset and (subset[0] < 0 or subset[-1] >= env.num_sources):
-        raise SpanError("source indices out of range")
+    """All sources whose coefficient vectors lie in the span of the given sources, each
+    by the target's span test of ``_represent``."""
+    subset = sorted(set(_source_indices(env, indices)))
     if not subset:
         return ()
     c = env.coefficients
-    rows = c[subset]  # (s, K)
-    coef, *_ = np.linalg.lstsq(rows.T, c.T, rcond=None)
-    # An overflowing coefficient leaves an inf or NaN residual, which fails the test.
-    with np.errstate(over="ignore", invalid="ignore"):
-        residual = np.linalg.norm(rows.T @ coef - c.T, axis=0)
-    scale = np.maximum(np.linalg.norm(c, axis=1), 1e-300)
-    return tuple(int(j) for j in np.flatnonzero(residual <= SPAN_TOL * scale))
+    # Each source is its own right-hand side, so it gets the solve a lone lstsq would.
+    _, spans = _represent(c[subset].T, c)
+    return tuple(np.flatnonzero(spans).tolist())
 
 
 def is_subspace_optimal(env: Environment, indices) -> bool:
@@ -487,8 +497,8 @@ def construct_trap_prior(env: Environment, indices, eps: float) -> GaussianPrior
     set of size K this forces the set to be the global optimum, in which case the
     "trap" is simply the efficient outcome.
     """
-    if not (eps > 0):
-        raise ValueError("eps must be positive")
+    if not (0 < eps < math.inf):
+        raise ValueError("eps must be positive and finite")
     report = beta_phi_lambda(env, indices)
     k, kk = len(report.indices), env.num_states
     if not is_subspace_optimal(env, report.indices):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -89,18 +91,46 @@ def test_beta_phi_lambda_rejects_bad_sets(example2):
         (lambda env: beta_phi_lambda(env, [1, 3]), SpanError, "out of range"),
         (lambda env: beta_phi_lambda(env, [-1, 2]), SpanError, "out of range"),
         (lambda env: beta_phi_lambda(env, []), SpanError, "out of range"),
+        (lambda env: beta_phi_lambda(env, [1.9, 2.2]), SpanError, "must be integers"),
+        (lambda env: beta_phi_lambda(env, [1.0, 2.0]), SpanError, "must be integers"),
+        (lambda env: beta_phi_lambda(env, "01"), SpanError, "must be integers"),
+        (lambda env: beta_phi_lambda(env, [True, False]), SpanError, "must be integers"),
+        (lambda env: beta_phi_lambda(env, [math.nan]), SpanError, "must be integers"),
+        (lambda env: beta_phi_lambda(env, [[1, 2]]), SpanError, "must be integers"),
+        (lambda env: beta_phi_lambda(env, np.array(1)), SpanError, "must be integers"),
         (lambda env: subspace_closure(env, [0, 3]), SpanError, "out of range"),
         (lambda env: subspace_closure(env, [-1]), SpanError, "out of range"),
+        (lambda env: subspace_closure(env, [0.5]), SpanError, "must be integers"),
+        (lambda env: subspace_closure(env, np.array([[0, 1]])), SpanError, "must be integers"),
+        (lambda env: subspace_closure(env, ""), SpanError, "must be integers"),
+        (lambda env: is_subspace_optimal(env, [1.9, 2.2]), SpanError, "must be integers"),
+        (lambda env: construct_trap_prior(env, [0.2], 0.01), SpanError, "must be integers"),
         (lambda env: construct_trap_prior(env, [0], eps=0), ValueError, "eps must be positive"),
+        (lambda env: construct_trap_prior(env, [0], math.inf), ValueError, "positive and finite"),
+        (lambda env: construct_trap_prior(env, [0], math.nan), ValueError, "positive and finite"),
     ],
     ids=[
         "bpl_duplicate",
         "bpl_above_range",
         "bpl_negative",
         "bpl_empty",
+        "bpl_fractional",
+        "bpl_float",
+        "bpl_string",
+        "bpl_bool",
+        "bpl_nan",
+        "bpl_2d",
+        "bpl_scalar",
         "closure_above_range",
         "closure_negative",
+        "closure_fractional",
+        "closure_2d",
+        "closure_string",
+        "subspace_optimal_fractional",
+        "trap_prior_fractional",
         "trap_prior_eps_zero",
+        "trap_prior_eps_inf",
+        "trap_prior_eps_nan",
     ],
 )
 def test_spanning_refusals(call, error, fragment, example2):
@@ -117,6 +147,13 @@ def test_span_residual_bound_is_absolute_below_unit_targets():
 
 def test_subspace_closure_of_no_sources_is_empty(example2):
     assert subspace_closure(example2, []) == ()
+
+
+def test_spanning_accepts_python_and_numpy_integers(example2):
+    report = beta_phi_lambda(example2, [1, 2])
+    for indices in (np.array([2, 1]), [np.int64(1), 2], (np.intp(2), np.int32(1))):
+        assert beta_phi_lambda(example2, indices).beta == report.beta
+        assert subspace_closure(example2, indices) == subspace_closure(example2, [1, 2])
 
 
 @pytest.mark.xfail(

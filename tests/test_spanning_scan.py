@@ -1,20 +1,14 @@
 """The batched one-scan spanning analysis against the per-subset, multi-scan reference.
 
 ``spanning._test_subsets`` tests a stack of same-size subsets with one SVD and one
-least-squares call; ``_spanning_subsets`` passes it each chunk of the scan and
+``_represent`` call; ``_spanning_subsets`` passes it each chunk of the scan and
 ``beta_phi_lambda`` a stack of one set. ``check_assumptions`` reads every subspace
 check from the scan's one list of spanning subsets, ``is_subspace_optimal`` filters
-one enumeration by the closure, and ``subspace_closure`` makes one least-squares
-solve for all sources. The reference below tests and solves subset by subset
-(``_independent`` and ``_solve_representation``), rescans the subsets of each
-closure and solves source by source; the outputs must be equal bit for bit, not
-close.
-
-``subspace_closure`` is the exception on ill-conditioned subsets: its one solve
-and the per-source reference disagree on 3 of the 6,224 subsets of the 60
-near-dependent environments in ``test_batched_scan_matches_per_subset_reference``.
-So closures are compared with the reference only on the random environments and
-the fixtures (``_assert_same_analysis``); that test leaves them out.
+one enumeration by the closure, and ``subspace_closure`` makes one ``_represent`` call
+with each source as its own right-hand side. The reference below tests and solves
+subset by subset (``_independent`` and ``_solve_representation``), rescans the subsets
+of each closure and tests the closure source by source with the same span test; the
+outputs must be equal bit for bit, not close.
 """
 
 from itertools import combinations
@@ -97,16 +91,8 @@ def _ref_closure(env, indices):
     subset = sorted(set(int(i) for i in indices))
     if not subset:
         return ()
-    rows = env.coefficients[subset]
-    closure = []
-    for j in range(env.num_sources):
-        cj = env.coefficients[j]
-        coef, *_ = np.linalg.lstsq(rows.T, cj, rcond=None)
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing coef is not in
-            residual = np.linalg.norm(rows.T @ coef - cj)
-        if residual <= SPAN_TOL * max(float(np.linalg.norm(cj)), 1e-300):
-            closure.append(j)
-    return tuple(closure)
+    c = env.coefficients
+    return tuple(j for j in range(len(c)) if _solve_representation(c[subset], c[j]) is not None)
 
 
 def _ref_is_subspace_optimal(env, indices):
@@ -220,11 +206,16 @@ def _assert_same_analysis(env, every_set=True):
     # worst set keep the test fast and cover ties and dominated sets.
     for r in ref if every_set else ref[:2] + ref[2:][-1:]:
         assert is_subspace_optimal(env, r.indices) == _ref_is_subspace_optimal(env, r.indices)
+    _assert_same_closures(env)
+    return expected
+
+
+def _assert_same_closures(env):
+    """Every subset's closure equals the source-by-source reference."""
     n = env.num_sources
     for size in range(1, n + 1):
         for subset in combinations(range(n), size):
-            assert subspace_closure(env, subset) == _ref_closure(env, subset)
-    return expected
+            assert subspace_closure(env, subset) == _ref_closure(env, subset), (env, subset)
 
 
 def test_one_scan_matches_multi_scan_on_random_environments():
@@ -267,6 +258,8 @@ def test_batched_scan_matches_per_subset_reference():
     assert any(env.num_sources < env.num_states for env in envs)
     assert max(env.num_sources for env in envs) == 12
     skipped = missed = 0
+    for env in envs[60:]:
+        _assert_same_closures(env)
     for env in envs:
         _assert_same_scan(env)
         n, k = env.num_sources, env.num_states
@@ -310,6 +303,8 @@ def test_beta_phi_lambda_matches_per_subset_reference_on_every_subset():
                 if got[0] == "SpanError":
                     kind = next(r for r in _REFUSALS if r in got[1])
                 seen.add((kind, size > env.num_states))
+    for env in envs[400:]:
+        _assert_same_closures(env)
     # Every outcome occurs, and sets of more than K sources give reports and refusals.
     assert {kind for kind, _ in seen} == {"report", *_REFUSALS}
     assert {("report", True), ("linearly dependent", True), ("not minimal", True)} <= seen
@@ -366,8 +361,10 @@ def test_check_assumptions_stacks_each_subset_once(name, request, monkeypatch):
 
 
 @pytest.mark.parametrize("layout", ["c", "transposed"])
-def test_stacked_lstsq_matches_lstsq_bit_for_bit(layout):
+def test_represent_matches_lstsq_bit_for_bit(layout):
+    """The coefficients are lstsq's bits, and the span flag is the reference's test."""
     rng = np.random.default_rng(9)
+    spanned = set()
     for k in range(1, 7):
         for s in range(1, k + 1):
             if layout == "c":
@@ -377,19 +374,48 @@ def test_stacked_lstsq_matches_lstsq_bit_for_bit(layout):
             a[::3] = np.round(a[::3])
             a[1::4, :, -1] = a[1::4, :, 0]  # rank-deficient, or (K, 1) when s == 1
             a[2::8] = 0.0
-            for b in (rng.uniform(-5, 5, size=(k, 1)), rng.uniform(-5, 5, size=(k, 3))):
-                x = spanning._stacked_lstsq(a, b)
-                assert x.shape == (len(a), s, b.shape[1])
-                for ai, xi in zip(a, x):
-                    ref, *_ = np.linalg.lstsq(ai, b, rcond=None)
-                    assert xi.tobytes() == ref.tobytes()
+            v = rng.uniform(-5, 5, size=(24, k))
+            v[::2] = (a[::2] @ rng.uniform(-5, 5, size=(12, s, 1)))[:, :, 0]  # in the span
+            x, spans = spanning._represent(a, v)
+            assert x.shape == (len(a), s) and spans.shape == (len(a),)
+            for ai, vi, xi, si in zip(a, v, x, spans):
+                ref, *_ = np.linalg.lstsq(ai, vi, rcond=None)
+                assert xi.tobytes() == ref.tobytes()
+                assert si == (_solve_representation(ai.T, vi) is not None)
+                spanned.add(bool(si))
+    assert spanned == {False, True}
 
 
-def test_stacked_lstsq_keeps_lstsq_error_state():
+def test_represent_keeps_lstsq_error_state():
     a = np.ones((2, 3, 2))
     a[1, 0, 0] = np.nan  # the SVD does not converge
     with np.errstate(all="ignore"), pytest.raises(np.linalg.LinAlgError):
-        spanning._stacked_lstsq(a, np.ones((3, 1)))
+        spanning._represent(a, np.ones((2, 3)))
+
+
+def test_closure_uses_the_targets_span_test():
+    """A source within ``SPAN_TOL`` of the span is in the closure, as the scan calls the
+    pair dependent."""
+    env = Environment([[1, 0], [0, 1e-10], [1, 1]])
+    assert (0, 1) in spanning._spanning_subsets(env)[1]
+    assert subspace_closure(env, [0]) == (0, 1)
+
+
+def test_span_analysis_does_not_call_np_linalg_lstsq(example3, monkeypatch):
+    def analysis():
+        star = best_set(example3).indices
+        return (
+            subspace_closure(example3, [0]),
+            is_subspace_optimal(example3, star),
+            check_assumptions(example3).to_dict(),
+        )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.lstsq called")
+
+    expected = analysis()
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    assert analysis() == expected
 
 
 def test_pivoted_qr_matches_scipy_qr_bit_for_bit():

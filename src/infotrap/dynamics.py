@@ -21,6 +21,7 @@ from .gaussian import (
     FrequencyVector,
     GaussianPrior,
     NotPositiveDefiniteError,
+    _SINGULAR,
     _check_finite,
     _per_source,
     _posv_solve,
@@ -331,30 +332,35 @@ class _Engine:
                     f"and <= {MAX_BATCH_SOURCES} sources"
                 )
             self._comps = np.vstack(list(compositions(intervention.batch, env.num_sources)))
-            # Per run: the (M, K, K) candidate increments, the targets as the right-hand
-            # side of M solves, and buffers for the M candidate precisions and solutions.
+            self._comps.setflags(write=False)
+            # Per run: the read-only rows a step returns, the (M, K, K) increments, negated
+            # targets to solve for (scores are negated variances), and buffers.
+            self._choices = list(self._comps)
             self._increments = block_increments(env, self._comps)
             shape = (len(self._comps),) + env.directions.T.shape
-            self._batch_rhs = np.broadcast_to(env.directions.T, shape)
-            self._candidates = np.empty_like(self._increments)
+            self._batch_rhs = np.broadcast_to(-env.directions.T, shape)
+            self._buffers = (np.empty_like(self._increments), np.empty_like(self._increments))
             self._sols = np.empty(shape)
+            self._ceiling, self._refusal = 0.0, _SINGULAR
         else:
             self._comps = None
+            self._ceiling, self._refusal = math.inf, "a variance reduction is not finite ({})"
 
     def _pick(self, scores: np.ndarray) -> int:
         """Index of the largest of ``scores``; scores within ``TIE_TOL`` (relative) of it
-        tie, and the rule picks among them. A unique winner draws nothing from the RNG.
-        A NaN or +inf top has no score within tolerance, and is refused."""
+        tie, and the rule picks among them. A unique winner draws nothing from the RNG. A
+        top not below the run's ceiling is refused: a NaN or +inf reduction, or a NaN or
+        non-negative negated variance (a singular or indefinite candidate)."""
         i = int(scores.argmax())
         top = float(scores[i])
+        if not top < self._ceiling:
+            raise NotPositiveDefiniteError(self._refusal.format(top))
         bound = self._bound
         bound[()] = top - TIE_TOL * max(abs(top), 1e-300)
         near = scores >= bound
         if count_nonzero(near) == 1:
             return i
         tied = np.flatnonzero(near)
-        if not tied.size:
-            raise NotPositiveDefiniteError(f"a variance reduction is not finite ({top})")
         if self.tie_rng is None:
             return int(tied[0])
         return int(self.tie_rng.choice(tied))
@@ -363,12 +369,15 @@ class _Engine:
         """Choose this period's allocation; returns (choice, variance after update)."""
         env = self.env
         if self._comps is not None:
-            np.add(self.precision, self._increments, out=self._candidates)
-            values = _stacked_variances(env, self._candidates, self._batch_rhs, self._sols)
-            j = self._pick(-values)
-            self.counts += self._comps[j]
-            self.precision += self._increments[j]
-            return np.array(self._comps[j]), float(values[j])
+            # The candidate picked becomes the precision, so the next go to the other buffer.
+            held, candidates = self._buffers
+            self._buffers = candidates, held
+            np.add(self.precision, self._increments, out=candidates)
+            scores = _stacked_variances(env, candidates, self._batch_rhs, self._sols)
+            j = self._pick(scores)
+            self.counts += self._choices[j]
+            self.precision = candidates[j]
+            return self._choices[j], -float(scores[j])
 
         # One posv solve against targets and sources, the LAPACK work of cho_factor and
         # two cho_solves (same bits); one contraction gives the target variances
@@ -416,8 +425,8 @@ def greedy_step(
 ):
     """The allocation a single myopic agent picks at the given history.
 
-    Returns a source index, or a count vector summing to the batch size under
-    batch allocation.
+    Returns a source index, or a read-only count vector summing to the batch size
+    under batch allocation.
     """
     engine = _Engine(env, prior, intervention, rule.make_rng())
     # As in simulate. The counts' precision may overflow too, and the step refuses it.
@@ -460,6 +469,29 @@ def _classify(
     return Classification("undetermined"), None, freq
 
 
+def _run(env: Environment, prior: GaussianPrior, horizon: int, rule: TieBreak, intervention):
+    """``simulate``'s run, unclassified: (engine, choices, variance path, half-mark counts)."""
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    engine = _Engine(env, prior, intervention, rule.make_rng())
+    choices: list = []
+    variance_path = np.empty(horizon)
+    half_mark = horizon // 2
+    counts_half = np.zeros(env.num_sources, dtype=np.int64)
+
+    # An overflowing reduction and a singular or indefinite batch candidate are refused by
+    # _pick, which names them, and the step's finiteness pre-test sums the precision, which
+    # may overflow: numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for t in range(horizon):
+            choice, value = engine.step()
+            choices.append(choice)
+            variance_path[t] = value
+            if t + 1 == half_mark:
+                counts_half = engine.counts.copy()
+    return engine, choices, variance_path, counts_half
+
+
 def simulate(
     env: Environment,
     prior: GaussianPrior,
@@ -476,25 +508,7 @@ def simulate(
     optimal support and frequencies (sup-norm 0.05) is efficient; anything else
     is left undetermined rather than forced into a bucket.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    engine = _Engine(env, prior, intervention, rule.make_rng())
-    choices: list = []
-    variance_path = np.empty(horizon)
-    half_mark = horizon // 2
-    counts_half = np.zeros(env.num_sources, dtype=np.int64)
-
-    # An overflowing reduction is refused by _pick, which names it, the step's finiteness
-    # pre-test sums the precision, which may overflow, and a singular batch candidate is
-    # refused by the stacked scorer: numpy need not warn.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for t in range(horizon):
-            choice, value = engine.step()
-            choices.append(choice)
-            variance_path[t] = value
-            if t + 1 == half_mark:
-                counts_half = engine.counts.copy()
-
+    engine, choices, variance_path, counts_half = _run(env, prior, horizon, rule, intervention)
     classification, ratio, freq = _classify(env, engine.counts, counts_half)
     final_mean = None
     if sample_realizations:

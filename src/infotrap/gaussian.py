@@ -98,6 +98,8 @@ _posv = _flapack.dposv
 # singular matrix does not raise: its rows of the solution are NaN.
 _gesv = _umath_linalg.solve
 
+_SINGULAR = "a candidate posterior precision is singular"  # by the oracle and the batch step
+
 
 class DimensionError(ValueError):
     """Shapes of environment, prior, or count/frequency vectors disagree."""
@@ -397,11 +399,10 @@ def _stacked_variances(
     The solve is the gufunc of ``np.linalg.solve`` and the contraction ``np.einsum``'s C
     routine, so the bits are theirs. The targets are summed in order, one column at a
     time, so a row's value does not depend on M or on its place in the stack (a
-    matrix-vector product takes another BLAS kernel for one row than for several). A
-    singular precision leaves NaN scores and sets numpy's invalid flag, which the caller's
-    error state must ignore. A stack whose smallest score is NaN (a singular member) or
-    not positive (a numerically indefinite one) is refused as not positive definite; a
-    score of +inf is returned as it is.
+    matrix-vector product takes another BLAS kernel for one row than for several). Both are
+    linear, and IEEE rounding commutes with negation: negated directions in ``rhs`` negate
+    every score, bit for bit. A singular precision leaves NaN scores, which the caller
+    refuses, and sets numpy's invalid flag, which its error state must ignore.
     """
     _gesv(precisions, rhs, out=sols, signature="dd->d")
     per_target = c_einsum("rk,mkr->mr", env.directions, sols)
@@ -409,8 +410,6 @@ def _stacked_variances(
     values = per_target[:, 0] if w == 1.0 else per_target[:, 0] * w  # a product by 1 is exact
     for r in range(1, len(env.weights)):
         values += per_target[:, r] * env.weights[r]
-    if not np.minimum.reduce(values) > 0:
-        raise NotPositiveDefiniteError("a candidate posterior precision is singular")
     return values
 
 
@@ -420,14 +419,17 @@ def block_variances(env: Environment, precision: np.ndarray, block: np.ndarray) 
     The exhaustive oracle scores its allocations with it. The greedy batch step builds
     ``block_increments`` once per run and scores its candidates with ``_stacked_variances``
     into a buffer of its own. A singular or numerically indefinite candidate precision is
-    refused as not positive definite.
+    refused as not positive definite; a score of +inf is returned as it is.
     """
     rhs = np.broadcast_to(env.directions.T, (len(block),) + env.directions.T.shape)
     precisions = block_increments(env, block)
     precisions += precision  # in place: one (M, K, K) stack alive, not two
     # Neither a singular candidate (refused) nor an overflowing score (+inf) warns.
     with np.errstate(invalid="ignore", over="ignore"):
-        return _stacked_variances(env, precisions, rhs, np.empty(rhs.shape))
+        values = _stacked_variances(env, precisions, rhs, np.empty(rhs.shape))
+    if not np.minimum.reduce(values) > 0:
+        raise NotPositiveDefiniteError(_SINGULAR)
+    return values
 
 
 def spectral_inverse(env: Environment, lam: np.ndarray) -> tuple[float, np.ndarray, bool, bool]:

@@ -24,7 +24,8 @@ from .gaussian import (
     block_variances,
 )
 from .spanning import SpanError, beta_phi_lambda
-from .dynamics import SearchBoundError, compositions, simulate, TieBreak
+from .dynamics import NoIntervention, SearchBoundError, TieBreak, _run, compositions
+from .dynamics import simulate  # noqa: F401  (unused here: perfbench/tracing.py wraps it)
 
 __all__ = [
     "ConvergenceError",
@@ -163,6 +164,14 @@ def _scan(env: Environment, prior: GaussianPrior, horizon: int, every_budget: bo
     return (best[::-1][1:] if every_budget else best), rows[skip:], budgets[skip:]
 
 
+def _minima(env: Environment, prior: GaussianPrior, horizon: int) -> np.ndarray:
+    """``_scan(env, prior, horizon, True)[0]``, bit for bit, with no split kept."""
+    best = np.full(horizon + 1, np.inf)  # by unused budget
+    for block in compositions(horizon, env.num_sources + 1):
+        np.minimum.at(best, block[:, -1], block_variances(env, prior.precision, block[:, :-1]))
+    return best[::-1][1:]
+
+
 def _near_best(kept, best: np.ndarray):
     """The kept rows still within ``VALUE_TIE_TOL`` of their budget's minimum."""
     unused, values, rows = (np.concatenate(parts) for parts in zip(*kept))
@@ -299,10 +308,10 @@ def _comparison_columns(
     """The variance path of one greedy run (lowest-index ties) and each budget's minimum
     variance, for budgets 1..horizon.
 
-    The minima come from one scan over every budget, read as an array, so no result
-    object is built. The search bound of the largest budget is checked before either
-    starts.
+    The run is not classified. The minima come from one scan over every budget that keeps
+    no split, so no result object is built. The search bound of the largest budget is
+    checked before either starts.
     """
     _check_search_bound(env, horizon)
-    trace = simulate(env, prior, horizon, rule=TieBreak.lowest_index())
-    return trace.variance_path, _scan(env, prior, horizon, every_budget=True)[0]
+    variance_path = _run(env, prior, horizon, TieBreak.lowest_index(), NoIntervention())[2]
+    return variance_path, _minima(env, prior, horizon)

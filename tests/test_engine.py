@@ -18,7 +18,9 @@ reference byte for byte after every period.
 
 The batch-allocation step builds its candidate increments once per run. It is
 held to a copy of the per-period formulation that rebuilds them every period,
-and must make one batched solve per period.
+ties near the tolerance included, and must make one batched solve per period.
+It returns read-only rows of the run's candidates, so a caller cannot change
+the run through them.
 """
 
 import math
@@ -188,12 +190,12 @@ def test_fast_step_matches_scipy_step_in_greedy_step(monkeypatch, example2, exam
     rng = np.random.default_rng(5)
     for _ in range(30):
         counts = rng.integers(0, 50, size=3)
-        for intervention in (NoIntervention(), PrecisionReplicate(10)):
+        for intervention in (NoIntervention(), PrecisionReplicate(10), BatchAllocate(3)):
             fast, ref = _both(
                 monkeypatch,
                 lambda: greedy_step(example2, example2_trap_prior, counts, intervention=intervention),
             )
-            assert fast == ref
+            assert np.array_equal(fast, ref)
 
 
 def _engine_run(step, env, prior, intervention, rule, horizon):
@@ -256,6 +258,49 @@ def test_near_ties_at_the_tolerance(rule, gap, tied):
         assert choices == [0 if tied else 1] and rng_state == fresh_state
     assert _assert_engines_agree(env, prior, NoIntervention(), rule, 1) == int(tied)
     _assert_engines_agree(env, prior, NoIntervention(), rule, 40)
+
+
+@pytest.mark.parametrize("rule", RULES, ids=lambda r: r.kind)
+@pytest.mark.parametrize("gap,tied", [(0.9 * TIE_TOL, True), (1.1 * TIE_TOL, False)])
+def test_batch_near_ties_at_the_tolerance(rule, gap, tied):
+    # One observation of source c leaves the variance 1 / (1 + c^2): the candidates' variances
+    # differ by gap / (1 - gap) relative. The better source comes second, as candidate
+    # [1, 0] after [0, 1], so a tie under the lowest index picks the worse one.
+    env, prior = _near_tie_env(gap)
+    env = Environment(env.coefficients[::-1])
+    batch = BatchAllocate(1)
+    choices, _, _, _, rng_state = _engine_run(FAST_STEP, env, prior, batch, rule, 1)
+    fresh = rule.make_rng()
+    fresh_state = None if fresh is None else fresh.bit_generator.state
+    if tied and rule.kind == "random":
+        assert rng_state != fresh_state  # the tie drew from the RNG
+    else:
+        assert choices == [[0, 1] if tied else [1, 0]] and rng_state == fresh_state
+    assert _assert_engines_agree(env, prior, batch, rule, 1) == int(tied)
+    _assert_engines_agree(env, prior, batch, rule, 40)
+
+
+def test_batch_choices_cannot_change_the_run(example2, example2_trap_prior):
+    # A batch step returns a read-only row of the run's candidates, not a copy.
+    batch = BatchAllocate(3)
+    trace = simulate(example2, example2_trap_prior, 30, intervention=batch)
+    expected = [c.tolist() for c in trace.choices]
+    final, matrix = trace.final_counts.counts.tolist(), trace.counts_matrix().tolist()
+    with pytest.raises(ValueError, match="read-only"):
+        trace.choices[3][0] += 1
+    assert [c.tolist() for c in trace.choices] == expected
+    assert trace.final_counts.counts.tolist() == final
+    assert trace.counts_matrix().tolist() == matrix
+    engine = dynamics._Engine(example2, example2_trap_prior, batch, None)
+    candidates = engine._comps.tolist()
+    steps = [engine.step() for _ in range(30)]
+    for choice, _ in steps[:5]:
+        with pytest.raises(ValueError, match="read-only"):
+            choice[:] = 0
+    assert engine._comps.tolist() == candidates
+    assert [c.tolist() for c, _ in steps] == expected
+    assert np.array([v for _, v in steps]).tobytes() == trace.variance_path.tobytes()
+    assert engine.counts.tolist() == final
 
 
 EXAMPLE3 = [[10, 1, 0, 0], [0, 1, 0, 0], [1, 0, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]]

@@ -337,6 +337,23 @@ def test_stacked_variances_match_solve_and_einsum_bit_for_bit():
         assert second.tobytes() == _reference_stacked_variances(env, second_stack, rhs).tobytes()
 
 
+def test_stacked_variances_negate_with_the_right_hand_side():
+    # The batch step solves against the negated targets and reads negated variances: the
+    # solve and the contraction are linear, and IEEE rounding commutes with negation.
+    rng = np.random.default_rng(2410)
+    for case in range(120):
+        m, k, r = int(rng.integers(1, 130)), int(rng.integers(1, 7)), int(rng.integers(1, 4))
+        objective = [(float(rng.uniform(0.1, 3.0)), rng.standard_normal(k)) for _ in range(r)]
+        if case % 2:
+            objective[0] = (1.0, objective[0][1])
+        env = Environment(rng.standard_normal((k + 1, k)), objective=objective)
+        stack = _random_stack(rng, m, k)
+        rhs = np.broadcast_to(env.directions.T, (m, k, r))
+        values = _stacked_variances(env, stack, rhs, np.empty((m, k, r)))
+        negated = _stacked_variances(env, stack, -rhs, np.empty((m, k, r)))
+        assert (-negated).tobytes() == values.tobytes()
+
+
 def test_stacked_variances_keep_a_non_finite_score_of_a_regular_stack():
     # 1 / 1e-310 overflows, but the matrix is regular: the score is inf, as np.linalg.solve's.
     env = Environment([[1.0, 0.0], [0.0, 1.0]])

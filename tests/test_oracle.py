@@ -12,6 +12,7 @@ from infotrap import (
     Environment,
     GaussianPrior,
     SearchBoundError,
+    TieBreak,
     beta_phi_lambda,
     best_set,
     construct_trap_prior,
@@ -147,6 +148,7 @@ def test_trajectories_check_the_bound_first(monkeypatch, example2, example2_trap
         raise AssertionError("ran before the search-bound check")
 
     monkeypatch.setattr(oracle, "simulate", no_work)
+    monkeypatch.setattr(oracle, "_run", no_work)
     monkeypatch.setattr(oracle, "compositions", no_work)
     assert optimal_trajectory(example2, example2_trap_prior, 0) == []
     # 4470 is the largest budget with at most MAX_COMPOSITIONS splits over three sources.
@@ -186,6 +188,51 @@ def test_optimal_division_holds_one_block_of_splits():
     finally:
         tracemalloc.stop()
     assert peak < 6 * 2**20
+
+
+def test_comparison_minima_keep_no_split():
+    # One source: each of 200,000 budgets has one split, and the scan that keeps every
+    # budget's co-optimal rows peaks near 18 MB traced. The comparison keeps the minima:
+    # 1.6 MB of them, one block of splits and its scores.
+    env, prior = Environment([[2.0]]), GaussianPrior.from_diagonal([1.0])
+    horizon = 200_000
+    tracemalloc.start()
+    try:
+        minima = oracle._minima(env, prior, horizon)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert minima.tobytes() == oracle._scan(env, prior, horizon, every_budget=True)[0].tobytes()
+
+
+def test_greedy_column_is_the_unclassified_run(monkeypatch):
+    # The greedy column is simulate's variance path, bit for bit, with no classification.
+    rng = np.random.default_rng(24)
+    cases = []
+    for i in range(40):
+        n, k = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        if i % 2:
+            # Small integer rows, the last a copy of the first: exact ties between sources.
+            coefficients = rng.integers(-2, 3, size=(n, k)).astype(float)
+            coefficients[0, 0] = 1.0
+            coefficients[-1] = coefficients[0]
+        else:
+            coefficients = rng.standard_normal((n, k))
+        env, prior = Environment(coefficients), random_pd_prior(rng, k)
+        horizon = int(rng.integers(1, 16 - 2 * n))
+        greedy = simulate(env, prior, horizon, rule=TieBreak.lowest_index()).variance_path
+        cases.append((env, prior, horizon, greedy.tobytes()))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("classified the greedy run")
+
+    monkeypatch.setattr(dynamics, "best_set", refuse)
+    monkeypatch.setattr(dynamics, "beta_phi_lambda", refuse)
+    for env, prior, horizon, greedy in cases:
+        assert oracle._comparison_columns(env, prior, horizon)[0].tobytes() == greedy
+        rows = greedy_vs_optimal(env, prior, horizon)
+        assert np.array([r.greedy_variance for r in rows]).tobytes() == greedy
 
 
 def test_greedy_vs_optimal_rows_are_the_greedy_path_and_the_trajectory_minima():

@@ -23,6 +23,8 @@ from .gaussian import (
     NotPositiveDefiniteError,
     _SINGULAR,
     _check_finite,
+    _as_int,
+    _check_prior,
     _per_source,
     _posv_solve,
     _signal_precision,
@@ -97,7 +99,10 @@ class SearchBoundError(ValueError):
 
 @dataclass(frozen=True)
 class TieBreak:
-    """Tie resolution rule: deterministic lowest index, or seeded-random choice."""
+    """Tie resolution rule: deterministic lowest index, or seeded-random choice. Under
+    ``BatchAllocate`` the candidates are count vectors in lexicographic order, so
+    ``lowest_index`` takes the lexicographically smallest tied vector, not the lowest
+    source: over two copies of source 0, ``BatchAllocate(1)`` takes ``[0, 1, 0]``."""
 
     kind: str = "lowest_index"
     seed: int | None = None
@@ -294,6 +299,7 @@ class _Engine:
                 f"cannot run {intervention!r} in one greedy run; "
                 "AutoFreeSignals runs through escalate_gamma"
             )
+        _check_prior(env, prior)
         self.env = env
         self.tie_rng = tie_rng
         self.free_signals = intervention.vectors if isinstance(intervention, FreeSignals) else ()
@@ -471,6 +477,7 @@ def _classify(
 
 def _run(env: Environment, prior: GaussianPrior, horizon: int, rule: TieBreak, intervention):
     """``simulate``'s run, unclassified: (engine, choices, variance path, half-mark counts)."""
+    horizon = _as_int("horizon", horizon)
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     engine = _Engine(env, prior, intervention, rule.make_rng())

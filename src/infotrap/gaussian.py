@@ -330,6 +330,13 @@ def _check_prior(env: Environment, prior: GaussianPrior) -> None:
         )
 
 
+def _as_int(name: str, value) -> int:
+    """``value`` as a Python int (numpy's ``uint8`` would wrap); refuses a bool or a non-integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be a non-bool integer, not {value!r}")
+    return int(value)
+
+
 def _check_finite(precision: np.ndarray) -> None:
     if not np.isfinite(precision).all():
         raise NotPositiveDefiniteError("posterior precision has non-finite entries")

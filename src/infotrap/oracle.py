@@ -19,6 +19,8 @@ from .gaussian import (
     FrequencyVector,
     GaussianPrior,
     SPAN_TOL,
+    _as_int,
+    _check_prior,
     _solve_spd,
     asymptotic_variance,
     block_variances,
@@ -84,46 +86,51 @@ def optimal_division(env: Environment, prior: GaussianPrior, t: int) -> OptimalD
     """Exact minimizer of posterior variance over all splits of t observations.
 
     Ties (relative 1e-12) are enumerated; the reported representative is the
-    lexicographically smallest count vector. Raises ``SearchBoundError`` when there
-    are more than ``MAX_COMPOSITIONS`` splits.
+    lexicographically smallest count vector. Raises ``ValueError`` for a bool,
+    non-integer or non-positive ``t``, ``DimensionError`` for a prior of the wrong
+    size, and ``SearchBoundError`` for more than ``MAX_COMPOSITIONS`` splits.
     """
+    t = _check_search_bound(env, prior, t)
     if t < 1:
         raise ValueError("t must be >= 1")
-    _check_search_bound(env, t)
-    (value,), rows, _ = _scan(env, prior, t, every_budget=False)
-    return _result(value, rows)
+    # The running minimum, and the splits near it in scan (lexicographic) order, pruned.
+    best = math.inf
+    kept: list[tuple[np.ndarray, np.ndarray]] = []  # (values, counts)
+    size = pruned = 0
+    for block in compositions(t, env.num_sources):
+        values = block_variances(env, prior.precision, block)
+        best = min(best, float(values.min()))
+        near = values <= best * (1 + VALUE_TIE_TOL)
+        kept.append((values[near], block[near]))
+        size += len(kept[-1][0])
+        if size > 2 * pruned + len(block):  # amortized: memory stays near the ties
+            kept = [_near_best(kept, best)]
+            size = pruned = len(kept[0][0])
+    rows = _near_best(kept, best)[1]
+    listed = [DivisionVector(r) for r in rows] if len(rows) <= 16 else None
+    return OptimalDivisionResult(DivisionVector(rows[0]), best, len(rows), listed)
+
+
+def _near_best(kept, best: float):
+    """The kept values and rows still within ``VALUE_TIE_TOL`` of the minimum."""
+    values, rows = (np.concatenate(parts) for parts in zip(*kept))
+    near = values <= best * (1 + VALUE_TIE_TOL)
+    return values[near], rows[near]
 
 
 def optimal_trajectory(
     env: Environment, prior: GaussianPrior, horizon: int
 ) -> list[OptimalDivisionResult]:
-    """Exact optimal divisions for every budget t = 1..horizon, from one scan.
-
-    The scan runs over the splits of ``horizon`` over the sources plus one unused
-    part, so each budget's splits are scored once and come in lexicographic order;
-    each result equals ``optimal_division(env, prior, t)``. Raises
-    ``SearchBoundError``, before any work, when the largest budget has more than
-    ``MAX_COMPOSITIONS`` splits.
-    """
-    if horizon < 1:
-        return []
-    _check_search_bound(env, horizon)
-    minima, rows, budgets = _scan(env, prior, horizon, every_budget=True)
-    edges = np.searchsorted(budgets, np.arange(1, horizon + 2))
-    return [_result(v, rows[lo:hi]) for v, lo, hi in zip(minima, edges[:-1], edges[1:])]
+    """``optimal_division(env, prior, t)`` for t = 1..horizon; raises ``SearchBoundError``,
+    before any work, when the largest budget has more than ``MAX_COMPOSITIONS`` splits."""
+    horizon = _check_search_bound(env, prior, horizon)
+    return [optimal_division(env, prior, t) for t in range(1, horizon + 1)]
 
 
-def _result(value: float, rows: np.ndarray) -> OptimalDivisionResult:
-    """One budget's optimum from its minimum variance and its co-optimal rows, lexicographic."""
-    return OptimalDivisionResult(
-        counts=DivisionVector(rows[0]),
-        value=float(value),
-        num_optima=len(rows),
-        all_optima=[DivisionVector(r) for r in rows] if len(rows) <= 16 else None,
-    )
-
-
-def _check_search_bound(env: Environment, t: int) -> None:
+def _check_search_bound(env: Environment, prior: GaussianPrior, t: int) -> int:
+    """The oracle's gate: ``t`` as an int, after the type, prior and search-bound checks."""
+    t = _as_int("budget", t)
+    _check_prior(env, prior)
     n = env.num_sources
     total_count = math.comb(max(t, 0) + n - 1, n - 1)
     if total_count > MAX_COMPOSITIONS:
@@ -131,52 +138,16 @@ def _check_search_bound(env: Environment, t: int) -> None:
             f"{total_count} allocations of {t} observations over {n} sources "
             f"exceeds the exhaustive-search bound {MAX_COMPOSITIONS}"
         )
-
-
-def _scan(env: Environment, prior: GaussianPrior, horizon: int, every_budget: bool):
-    """Score each split of ``horizon`` once, for budget ``horizon`` or, with ``every_budget``,
-    for each budget 1..horizon (the splits get an unused part).
-
-    Returns each budget's minimum variance (budgets ascending), then the rows within
-    ``VALUE_TIE_TOL`` of their budget's minimum and those budgets, by budget and then
-    lexicographic. Rows near a running minimum are kept in scan order and then pruned.
-    """
-    n = env.num_sources
-    best = np.full(horizon + 1 if every_budget else 1, np.inf)  # by unused budget
-    kept: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (unused, value, counts)
-    size = pruned = 0
-    for block in compositions(horizon, n + 1 if every_budget else n):
-        unused = block[:, n] if every_budget else np.zeros(len(block), dtype=np.int64)
-        values = block_variances(env, prior.precision, block[:, :n])
-        np.minimum.at(best, unused, values)
-        near = values <= best[unused] * (1 + VALUE_TIE_TOL)
-        kept.append((unused[near], values[near], block[near, :n]))
-        size += len(kept[-1][0])
-        if size > 2 * pruned + len(block):  # amortized: memory stays near the ties
-            kept = [_near_best(kept, best)]
-            size = pruned = len(kept[0][0])
-    unused, _, rows = _near_best(kept, best)
-    # Budgets ascending; a stable sort keeps each budget's rows lexicographic.
-    budgets = horizon - unused
-    order = np.argsort(budgets, kind="stable")
-    budgets, rows = budgets[order], rows[order]
-    skip = np.searchsorted(budgets, 1)  # the empty split of budget 0
-    return (best[::-1][1:] if every_budget else best), rows[skip:], budgets[skip:]
+    return t
 
 
 def _minima(env: Environment, prior: GaussianPrior, horizon: int) -> np.ndarray:
-    """``_scan(env, prior, horizon, True)[0]``, bit for bit, with no split kept."""
+    """Each budget's minimum variance, budgets 1..horizon, from one scan of the splits of
+    ``horizon`` over the sources plus an unused part; no split is kept."""
     best = np.full(horizon + 1, np.inf)  # by unused budget
     for block in compositions(horizon, env.num_sources + 1):
         np.minimum.at(best, block[:, -1], block_variances(env, prior.precision, block[:, :-1]))
     return best[::-1][1:]
-
-
-def _near_best(kept, best: np.ndarray):
-    """The kept rows still within ``VALUE_TIE_TOL`` of their budget's minimum."""
-    unused, values, rows = (np.concatenate(parts) for parts in zip(*kept))
-    near = values <= best[unused] * (1 + VALUE_TIE_TOL)
-    return unused[near], values[near], rows[near]
 
 
 def trajectory_deviations(
@@ -199,8 +170,7 @@ def round_to_total(weights, total: int) -> np.ndarray:
     a zero or overflowing sum.
     """
     w = np.asarray(weights, dtype=float)
-    if isinstance(total, bool) or not isinstance(total, (int, np.integer)):
-        raise ValueError(f"total must be a non-bool integer, not {total!r}")
+    total = _as_int("total", total)
     if not 0 <= total <= 2**53:
         raise ValueError("total must be in 0..2**53")
     if not np.all(np.isfinite(w)) or np.any(w < 0):
@@ -312,6 +282,6 @@ def _comparison_columns(
     no split, so no result object is built. The search bound of the largest budget is
     checked before either starts.
     """
-    _check_search_bound(env, horizon)
+    horizon = _check_search_bound(env, prior, horizon)
     variance_path = _run(env, prior, horizon, TieBreak.lowest_index(), NoIntervention())[2]
     return variance_path, _minima(env, prior, horizon)

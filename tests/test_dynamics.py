@@ -8,6 +8,7 @@ import pytest
 from infotrap import (
     AutoFreeSignals,
     BatchAllocate,
+    DimensionError,
     DivisionVector,
     Environment,
     FreeSignals,
@@ -485,6 +486,16 @@ def test_auto_free_signals_is_not_a_single_run_intervention(example2, example2_t
         greedy_step(example2, example2_trap_prior, [0, 0, 0], intervention=AutoFreeSignals(1.0))
 
 
+# A horizon that is a bool or not an integer.
+_NOT_INTEGERS = {
+    "bool": True,
+    "fraction": 2.5,
+    "integral_float": 3.0,
+    "numpy_float": np.float64(3.0),
+    "string": "3",
+}
+
+
 @pytest.mark.parametrize(
     "call, error, fragment",
     [
@@ -501,6 +512,20 @@ def test_auto_free_signals_is_not_a_single_run_intervention(example2, example2_t
         ),
         (lambda env, prior: design_free_signals(env, 0), ValueError, "gamma must be positive"),
         (lambda env, prior: escalate_gamma(env, prior, 10, gamma0=0), ValueError, "gamma0 must"),
+        (
+            lambda env, prior: simulate(env, GaussianPrior.from_diagonal([1.0] * 3), 10),
+            DimensionError,
+            "prior has 3 states, environment has 2",
+        ),
+        (
+            lambda env, prior: greedy_step(env, GaussianPrior.from_diagonal([1.0] * 3), [0] * 3),
+            DimensionError,
+            "prior has 3 states, environment has 2",
+        ),
+    ]
+    + [
+        (lambda env, prior, h=h: simulate(env, prior, h), ValueError, "horizon must be a non-bool")
+        for h in _NOT_INTEGERS.values()
     ],
     ids=[
         "tie_break_kind",
@@ -512,9 +537,34 @@ def test_auto_free_signals_is_not_a_single_run_intervention(example2, example2_t
         "free_signal_length",
         "design_gamma_zero",
         "escalate_gamma0_zero",
-    ],
+        "simulate_prior_size",
+        "greedy_step_prior_size",
+    ]
+    + [f"horizon_{kind}" for kind in _NOT_INTEGERS],
 )
 def test_dynamics_refusals(call, error, fragment, example2, example2_trap_prior):
     with pytest.raises(error, match=fragment) as info:
         call(example2, example2_trap_prior)
     assert type(info.value) is error
+
+
+def test_simulate_takes_numpy_integer_horizons(example2, example2_trap_prior):
+    want = simulate(example2, example2_trap_prior, 200).variance_path
+    for horizon in (np.int64(200), np.uint8(200)):
+        got = simulate(example2, example2_trap_prior, horizon).variance_path
+        assert got.tobytes() == want.tobytes()
+
+
+def test_batch_ties_go_to_the_lexicographically_smallest_count_vector():
+    # Sources 0 and 1 are copies. The lowest-index rule picks source 0 of a single pick,
+    # but a batch's candidates are count vectors in lexicographic order, so it picks the
+    # smallest tied vector: all of the batch on source 1.
+    env = Environment([[1, 0], [1, 0], [0, 1]])
+    prior = GaussianPrior.from_diagonal([1.0, 1.0])
+    assert greedy_step(env, prior, [0, 0, 0]) == 0
+    assert simulate(env, prior, 3).choices == [0, 0, 0]
+    for batch, want in ((1, [0, 1, 0]), (2, [0, 2, 0])):
+        got = greedy_step(env, prior, [0, 0, 0], intervention=BatchAllocate(batch))
+        assert got.tolist() == want
+        run = simulate(env, prior, 3, intervention=BatchAllocate(batch))
+        assert [c.tolist() for c in run.choices] == [want] * 3

@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import math
 import sys
 import tracemalloc
@@ -9,6 +10,7 @@ import pytest
 
 from infotrap import (
     ConvergenceError,
+    DimensionError,
     Environment,
     GaussianPrior,
     SearchBoundError,
@@ -143,6 +145,43 @@ def test_optimal_trajectory_matches_optimal_division(monkeypatch):
     assert budgets >= 2000 and tied >= 400
 
 
+def test_optimal_division_matches_an_itertools_reference(monkeypatch):
+    # Blocks of 7 splits, so the running minimum prunes kept splits across blocks. The
+    # reference scores every split, built with itertools, in one call.
+    monkeypatch.setattr(dynamics, "COMPOSITION_BLOCK", 7)
+    rng = np.random.default_rng(25)
+    tied = 0
+    for i in range(300):
+        n, k = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+        if i % 2:
+            # Small integer rows, the last a copy of the first: exact and near ties.
+            coefficients = rng.integers(-2, 3, size=(n, k)).astype(float)
+            coefficients[0, 0] = 1.0
+            coefficients[-1] = coefficients[0]
+        else:
+            coefficients = rng.uniform(-3, 3, size=(n, k))
+        objective = None
+        if i % 3 == 0:
+            objective = [(float(rng.uniform(0.5, 2)), rng.standard_normal(k)) for _ in range(2)]
+        env = Environment(coefficients, objective)
+        prior = random_pd_prior(rng, k)
+        t = int(rng.integers(1, 16 - 2 * n))
+        splits = np.array([s for s in itertools.product(range(t + 1), repeat=n) if sum(s) == t])
+        values = oracle.block_variances(env, prior.precision, splits)
+        best = float(values.min())
+        optima = splits[values <= best * (1 + oracle.VALUE_TIE_TOL)]
+        got = optimal_division(env, prior, t)
+        assert got.value.hex() == best.hex()
+        assert got.counts.counts.tolist() == optima[0].tolist()
+        assert got.num_optima == len(optima)
+        if len(optima) > 16:
+            assert got.all_optima is None
+        else:
+            assert [d.counts.tolist() for d in got.all_optima] == optima.tolist()
+        tied += len(optima) > 1
+    assert tied >= 75
+
+
 def test_trajectories_check_the_bound_first(monkeypatch, example2, example2_trap_prior):
     def no_work(*args, **kwargs):
         raise AssertionError("ran before the search-bound check")
@@ -203,7 +242,7 @@ def test_comparison_minima_keep_no_split():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
-    assert minima.tobytes() == oracle._scan(env, prior, horizon, every_budget=True)[0].tobytes()
+    assert minima.tobytes() == oracle.block_variances(env, prior.precision, np.arange(1, horizon + 1)[:, None]).tobytes()
 
 
 def test_greedy_column_is_the_unclassified_run(monkeypatch):
@@ -488,6 +527,22 @@ def test_modified_alpha_sensitivity():
     assert trap.inefficiency_ratio > 5.0
 
 
+# A budget or horizon that is a bool or not an integer, and the oracle's three entries.
+_NOT_INTEGERS = {
+    "bool": True,
+    "fraction": 2.5,
+    "integral_float": 3.0,
+    "numpy_float": np.float64(3.0),
+    "string": "3",
+}
+_ORACLE_ENTRIES = {
+    "division": optimal_division,
+    "trajectory": optimal_trajectory,
+    "comparison": greedy_vs_optimal,
+}
+_PAIR = (Environment([[1, 0], [0, 1]]), GaussianPrior.from_diagonal([1.0, 1.0]))
+
+
 @pytest.mark.parametrize(
     "call, error, fragment",
     [
@@ -501,13 +556,35 @@ def test_modified_alpha_sensitivity():
         (lambda: round_to_total([0, 0], 3), ValueError, "weights must have positive sum"),
         (lambda: round_to_total([1e308, 1e308], 3), ValueError, "finite in floating point"),
         (lambda: round_to_total([1, 2], 2**70), ValueError, r"total must be in 0\.\.2\*\*53"),
+    ]
+    + [
+        (lambda entry=entry, t=t: entry(*_PAIR, t), ValueError, "budget must be a non-bool integer")
+        for entry in _ORACLE_ENTRIES.values()
+        for t in _NOT_INTEGERS.values()
+    ]
+    + [
+        (
+            lambda entry=entry: entry(_PAIR[0], GaussianPrior.from_diagonal([1.0] * 3), 3),
+            DimensionError,
+            "prior has 3 states, environment has 2",
+        )
+        for entry in _ORACLE_ENTRIES.values()
     ],
-    ids=["division_budget_zero", "round_zero_weights", "round_sum_overflows", "round_total_huge"],
+    ids=["division_budget_zero", "round_zero_weights", "round_sum_overflows", "round_total_huge"]
+    + [f"{name}_budget_{kind}" for name in _ORACLE_ENTRIES for kind in _NOT_INTEGERS]
+    + [f"{name}_prior_size" for name in _ORACLE_ENTRIES],
 )
 def test_oracle_refusals(call, error, fragment):
     with pytest.raises(error, match=fragment) as info:
         call()
     assert type(info.value) is error
+
+
+def test_oracle_takes_numpy_integer_budgets():
+    env, prior = _PAIR
+    assert optimal_division(env, prior, np.int64(4)).value == optimal_division(env, prior, 4).value
+    assert len(optimal_trajectory(env, prior, np.int32(3))) == 3
+    assert [r.t for r in greedy_vs_optimal(env, prior, np.uint8(5))] == [1, 2, 3, 4, 5]
 
 
 @pytest.mark.parametrize("total", [2.5, 3.0, True], ids=["fraction", "integral_float", "bool"])

@@ -15,18 +15,19 @@ from typing import Union
 import numpy as np
 from numpy._core.multiarray import c_einsum, count_nonzero
 
+from . import gaussian  # gaussian._posv is looked up per call, so a test can count solves
 from .gaussian import (
     DivisionVector,
     Environment,
     FrequencyVector,
     GaussianPrior,
     NotPositiveDefiniteError,
+    _MINOR,
     _SINGULAR,
     _check_finite,
     _as_int,
     _check_prior,
     _per_source,
-    _posv_solve,
     _signal_precision,
     _solve_spd,
     _stacked_variances,
@@ -73,6 +74,11 @@ COMPOSITION_BLOCK = 16_384
 # Classification uses the second half of the run; "efficient" additionally requires
 # the empirical frequencies to be this close (sup-norm) to the optimal ones.
 EFFICIENT_FREQ_TOL = 0.05
+
+# A precision whose entries are all at most this large in magnitude is finite, with room
+# for the rounding of the sums that built it: the engine runs no finiteness test while
+# no entry can have grown past it.
+_ENTRY_CEILING = 8e307
 
 # ``escalate_gamma`` doubles or halves gamma at most this many times.
 MAX_DOUBLINGS = 20
@@ -224,6 +230,7 @@ def compositions(total: int, parts: int):
     share a block while their rows fit in it; a first part whose rows overflow a block by
     themselves is fixed, and the splits of its rest are blocked the same way.
     """
+    total, parts = _as_int("total", total), _as_int("parts", parts)
     if total < 0 or parts < 1:
         raise ValueError("compositions need total >= 0 and parts >= 1")
     if parts == 1:
@@ -283,8 +290,10 @@ def _expand(prefix: tuple, firsts: np.ndarray, rest: int, parts: int) -> np.ndar
 class _Engine:
     """Shared per-run state: posterior precision, counts, candidate evaluation.
 
-    The prior precision gains ``v v'`` for each free signal ``v`` once, here; the
-    signals are kept for drawing their realizations.
+    ``advance`` runs a stretch of periods in one Python frame, and ``step`` is one period
+    of it. A refused period raises before it changes the engine. The prior precision
+    gains ``v v'`` for each free signal ``v`` once, here; the signals are kept for
+    drawing their realizations.
     """
 
     def __init__(
@@ -312,25 +321,7 @@ class _Engine:
         self.replication = (
             intervention.batch if isinstance(intervention, PrecisionReplicate) else 1
         )
-        # The step's replication and, for one target, its weight (None for several).
-        self._m = float(self.replication)
-        self._w = float(env.weights[0]) if env.weights.size == 1 else None
-        self._r = env.weights.size
-        self._coefficients = env.coefficients
-        # Per run: what a pick adds to the precision, m c_i c_i' per source (a product by 1
-        # is exact; one that overflows is refused by the next step), ones to add the 1 of
-        # each reduction's denominator and to sum the precision's entries, and the tie
-        # threshold's 0-d buffer.
-        with np.errstate(over="ignore"):
-            self._steps = list(self._m * env.source_outers)
-        self._ones = np.ones(env.num_sources)
-        self._flat = self.precision.ravel("K")  # a view: the copy above is contiguous
-        self._flat_ones = np.ones(self._flat.size)
-        self._bound = np.zeros(())
-        # Target directions over source rows, (R+N, K), and their Fortran-ordered
-        # transpose: the right-hand side of the step's one solve.
-        self._rows = np.vstack([env.directions, env.coefficients])
-        self._rhs = self._rows.T
+        self._bound = np.zeros(())  # the tie threshold's 0-d buffer
         if isinstance(intervention, BatchAllocate):
             if intervention.batch > MAX_BATCH or env.num_sources > MAX_BATCH_SOURCES:
                 raise SearchBoundError(
@@ -339,7 +330,7 @@ class _Engine:
                 )
             self._comps = np.vstack(list(compositions(intervention.batch, env.num_sources)))
             self._comps.setflags(write=False)
-            # Per run: the read-only rows a step returns, the (M, K, K) increments, negated
+            # Per run: the read-only rows a period returns, the (M, K, K) increments, negated
             # targets to solve for (scores are negated variances), and buffers.
             self._choices = list(self._comps)
             self._increments = block_increments(env, self._comps)
@@ -348,9 +339,20 @@ class _Engine:
             self._buffers = (np.empty_like(self._increments), np.empty_like(self._increments))
             self._sols = np.empty(shape)
             self._ceiling, self._refusal = 0.0, _SINGULAR
-        else:
-            self._comps = None
-            self._ceiling, self._refusal = math.inf, "a variance reduction is not finite ({})"
+            return
+        self._comps = None
+        self._ceiling, self._refusal = math.inf, "a variance reduction is not finite ({})"
+        # Per run: what a pick adds to the precision, m c_i c_i' per source (a product by 1
+        # is exact; one that overflows is refused by the next period's finiteness test),
+        # and its largest entry, which bounds how fast the precision can grow.
+        with np.errstate(over="ignore"):
+            steps = float(self.replication) * env.source_outers
+        self._steps = list(steps)
+        self._step_max = float(np.abs(steps).max())
+        # Target directions over source rows, (R+N, K), and their Fortran-ordered
+        # transpose: the right-hand side of each period's one solve.
+        self._rows = np.vstack([env.directions, env.coefficients])
+        self._rhs = self._rows.T
 
     def _pick(self, scores: np.ndarray) -> int:
         """Index of the largest of ``scores``; scores within ``TIE_TOL`` (relative) of it
@@ -366,60 +368,110 @@ class _Engine:
         near = scores >= bound
         if count_nonzero(near) == 1:
             return i
-        tied = np.flatnonzero(near)
         if self.tie_rng is None:
-            return int(tied[0])
-        return int(self.tie_rng.choice(tied))
+            return int(near.argmax())  # the first tied index
+        return int(self.tie_rng.choice(np.flatnonzero(near)))
 
     def step(self) -> tuple[object, float]:
         """Choose this period's allocation; returns (choice, variance after update)."""
-        env = self.env
-        if self._comps is not None:
-            # The candidate picked becomes the precision, so the next go to the other buffer.
-            held, candidates = self._buffers
-            self._buffers = candidates, held
-            np.add(self.precision, self._increments, out=candidates)
-            scores = _stacked_variances(env, candidates, self._batch_rhs, self._sols)
-            j = self._pick(scores)
-            self.counts += self._choices[j]
-            self.precision = candidates[j]
-            return self._choices[j], -float(scores[j])
+        values = np.empty(1)
+        return self.advance(values)[0], float(values[0])
 
-        # One posv solve against targets and sources, the LAPACK work of cho_factor and
-        # two cho_solves (same bits); one contraction gives the target variances
-        # u_r' Sigma u_r and the quadratic forms c_i' Sigma c_i together. The dot of every
-        # entry with 1 is finite only if every entry is, wherever it sits (posv reads only
-        # the lower triangle); a sum of finite entries may overflow, silently in the run's
-        # error state, and then the exact test decides.
-        precision = self.precision
-        if not math.isfinite(self._flat.dot(self._flat_ones)):
-            _check_finite(precision)
-        sols = _posv_solve(precision, self._rhs)  # (K, R+N)
-        both = c_einsum("nk,kn->n", self._rows, sols)  # np.einsum's own C routine
-        r, m, w = self._r, self._m, self._w
-        quad = both[r:]
-        # Reductions (sum_r w_r gamma_r^2) m / (1 + m quad), with gamma_r = u_r' Sigma c_i.
-        # A product by 1 and a sum over one target are exact, so skipping them keeps
-        # every bit; one target's 1-D dot gives the bits of its (N, 1) matmul. Adding the
-        # per-run ones is the IEEE add of 1.0 + quad, without broadcasting a Python float.
-        if w is None:
-            gammas = self._coefficients @ sols[:, :r]  # (N, R)
-            current = float(np.dot(env.weights, both[:r]))
-            gains = (gammas**2) @ env.weights
-        else:
-            gammas = self._coefficients.dot(sols[:, 0])  # (N,)
-            current = w * float(both[0])
-            gains = gammas * gammas
-            if w != 1.0:
-                gains = gains * w
-        if m == 1.0:
-            reductions = gains / (quad + self._ones)
-        else:
-            reductions = gains * m / (m * quad + self._ones)
-        i = self._pick(reductions)
-        self.counts[i] += 1
-        precision += self._steps[i]
-        return i, current - float(reductions[i])
+    def advance(self, values: np.ndarray) -> list:
+        """Run ``len(values)`` periods; returns their choices and writes each period's
+        variance after its update into ``values``."""
+        picks: list[int] = []
+        try:
+            if self._comps is None:
+                self._single_periods(picks, values)
+            else:
+                self._batch_periods(picks, values)
+        finally:
+            if picks:  # the periods run, up to a refusal
+                if self._comps is None:
+                    self.counts += np.bincount(picks, minlength=self.counts.size)
+                else:
+                    self.counts += np.bincount(picks, minlength=len(self._comps)) @ self._comps
+        return picks if self._comps is None else [self._choices[j] for j in picks]
+
+    def _unchecked_periods(self) -> float:
+        """Periods from now whose precision cannot hold an inf or a NaN, so they need no
+        finiteness test: after t picks every entry is at most max|P| + t max|step| in
+        size, and up to ``_ENTRY_CEILING`` that, with its rounding, stays finite. 0 when an
+        entry of the precision or of a step is already inf or NaN."""
+        top = float(np.abs(self.precision).max())
+        if not (math.isfinite(top) and math.isfinite(self._step_max)):
+            return 0.0
+        if self._step_max == 0.0:
+            return math.inf
+        return max(0.0, (_ENTRY_CEILING - top) // self._step_max)
+
+    def _single_periods(self, picks: list, values: np.ndarray) -> None:
+        """The single-source periods. Each makes one posv solve against targets and
+        sources, the LAPACK work of cho_factor and two cho_solves (same bits); one
+        contraction gives the target variances u_r' Sigma u_r and the quadratic forms
+        c_i' Sigma c_i together, into a buffer of the call."""
+        env, precision, steps, pick = self.env, self.precision, self._steps, self._pick
+        coefficients, rows, rhs = env.coefficients, self._rows, self._rhs
+        r, n = env.weights.size, env.num_sources
+        m = float(self.replication)
+        w = float(env.weights[0]) if r == 1 else None
+        both = np.empty(r + n)
+        both_targets, quad = both[:r], both[r:]
+        reductions = np.empty(n)
+        ones = np.ones(n)  # adds the 1 of each denominator without broadcasting a float
+        # The dot of every entry with 1 is finite only if every entry is, wherever it sits
+        # (posv reads only the lower triangle); a sum of finite entries may overflow,
+        # silently in the run's error state, and then the exact test decides.
+        flat = precision.ravel("K")  # a view: the engine's precision is contiguous
+        flat_ones = np.ones(flat.size)
+        unchecked = self._unchecked_periods()
+        posv = gaussian._posv
+        for t in range(len(values)):
+            if t >= unchecked and not math.isfinite(flat.dot(flat_ones)):
+                _check_finite(precision)
+            _, x, info = posv(precision, rhs, 1)
+            if info > 0:
+                raise NotPositiveDefiniteError(_MINOR.format(info))
+            c_einsum("nk,kn->n", rows, x, out=both)  # np.einsum's own C routine
+            # Reductions (sum_r w_r gamma_r^2) m / (1 + m quad), with gamma_r = u_r' Sigma c_i.
+            # A product by 1 and a sum over one target are exact, so skipping them keeps
+            # every bit; one target's 1-D dot gives the bits of its (N, 1) matmul.
+            if w is None:
+                current = float(np.dot(env.weights, both_targets))
+                gains = (coefficients @ x[:, :r]) ** 2 @ env.weights  # (N, R) gammas
+            else:
+                current = w * float(both[0])
+                gains = coefficients.dot(x[:, 0])  # (N,) gammas
+                gains *= gains
+                if w != 1.0:
+                    gains *= w
+            if m == 1.0:
+                np.add(quad, ones, out=reductions)
+            else:
+                gains *= m
+                np.multiply(quad, m, out=reductions)
+                reductions += ones
+            np.divide(gains, reductions, out=reductions)
+            i = pick(reductions)
+            picks.append(i)
+            values[t] = current - float(reductions[i])
+            precision += steps[i]
+
+    def _batch_periods(self, picks: list, values: np.ndarray) -> None:
+        """The batch-allocation periods: every candidate precision from the per-run
+        increments, scored by one batched solve."""
+        env, increments, rhs, sols = self.env, self._increments, self._batch_rhs, self._sols
+        for t in range(len(values)):
+            held, candidates = self._buffers
+            np.add(self.precision, increments, out=candidates)
+            scores = _stacked_variances(env, candidates, rhs, sols)
+            j = self._pick(scores)
+            picks.append(j)
+            values[t] = -float(scores[j])
+            # The candidate picked becomes the precision, so the next go to the other buffer.
+            self.precision = candidates[j]
+            self._buffers = candidates, held
 
 
 def greedy_step(
@@ -476,26 +528,22 @@ def _classify(
 
 
 def _run(env: Environment, prior: GaussianPrior, horizon: int, rule: TieBreak, intervention):
-    """``simulate``'s run, unclassified: (engine, choices, variance path, half-mark counts)."""
+    """``simulate``'s run, unclassified: (engine, choices, variance path, half-mark counts).
+    The engine runs the periods up to the half mark in one ``advance`` call, and the rest
+    in another."""
     horizon = _as_int("horizon", horizon)
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     engine = _Engine(env, prior, intervention, rule.make_rng())
-    choices: list = []
     variance_path = np.empty(horizon)
     half_mark = horizon // 2
-    counts_half = np.zeros(env.num_sources, dtype=np.int64)
-
     # An overflowing reduction and a singular or indefinite batch candidate are refused by
-    # _pick, which names them, and the step's finiteness pre-test sums the precision, which
-    # may overflow: numpy need not warn.
+    # _pick, which names them, and the finiteness pre-test sums the precision, which may
+    # overflow: numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for t in range(horizon):
-            choice, value = engine.step()
-            choices.append(choice)
-            variance_path[t] = value
-            if t + 1 == half_mark:
-                counts_half = engine.counts.copy()
+        choices = engine.advance(variance_path[:half_mark])
+        counts_half = engine.counts.copy()
+        choices += engine.advance(variance_path[half_mark:])
     return engine, choices, variance_path, counts_half
 
 

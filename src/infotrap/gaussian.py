@@ -99,6 +99,7 @@ _posv = _flapack.dposv
 _gesv = _umath_linalg.solve
 
 _SINGULAR = "a candidate posterior precision is singular"  # by the oracle and the batch step
+_MINOR = "posterior precision: leading minor {} is not positive"  # posv's info > 0
 
 
 class DimensionError(ValueError):
@@ -304,12 +305,19 @@ class FrequencyVector:
 
 def _per_source(env: Environment, values, name: str) -> np.ndarray:
     """``values`` (a DivisionVector, a FrequencyVector or a sequence) as a float array of
-    one finite, non-negative entry per source; ``name`` labels the errors."""
+    one finite, non-negative entry per source; ``name`` labels the errors. A bool entry is
+    refused, not read as 0 or 1."""
     if isinstance(values, DivisionVector):
         values = values.counts
     elif isinstance(values, FrequencyVector):
         values = values.weights
-    q = np.asarray(values, dtype=float)
+    # A list mixing bools and numbers converts to numbers, so its entries are looked at.
+    raw = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
+    if raw.dtype == bool or (
+        raw.dtype == object and any(isinstance(v, (bool, np.bool_)) for v in raw.flat)
+    ):
+        raise ValueError(f"{name} vector holds a bool; its entries must be numbers")
+    q = np.asarray(raw, dtype=float)
     if q.shape != (env.num_sources,):
         raise DimensionError(f"{name} vector has length {q.shape}, expected {env.num_sources}")
     if not np.all(np.isfinite(q)) or np.any(q < 0):
@@ -347,7 +355,7 @@ def _posv_solve(precision: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     by position, which spares f2py's keyword parsing on every call."""
     _, sols, info = _posv(precision, rhs, 1)
     if info > 0:
-        raise NotPositiveDefiniteError(f"posterior precision: leading minor {info} is not positive")
+        raise NotPositiveDefiniteError(_MINOR.format(info))
     return sols
 
 

@@ -299,7 +299,7 @@ def beta_phi_lambda(env: Environment, indices) -> SpanningSetReport:
     u = _target(env)
     subset = tuple(_source_indices(env, indices))
     if not subset:
-        raise SpanError("source indices out of range")
+        raise SpanError("the source set is empty")
     if len(set(subset)) != len(subset):
         raise SpanError("duplicate indices")
     independent, spans = _test_subsets(env.coefficients, np.array([subset]), u)

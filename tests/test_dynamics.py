@@ -504,6 +504,8 @@ _NOT_INTEGERS = {
         (lambda env, prior: PrecisionReplicate(0), ValueError, "batch size must be >= 1"),
         (lambda env, prior: FreeSignals(([1.0, np.nan],)), ValueError, "finite 1-d arrays"),
         (lambda env, prior: next(compositions(-1, 2)), ValueError, "total >= 0 and parts >= 1"),
+        (lambda env, prior: next(compositions(True, 2)), ValueError, "total must be a non-bool"),
+        (lambda env, prior: next(compositions(5, 3.0)), ValueError, "parts must be a non-bool"),
         (lambda env, prior: simulate(env, prior, horizon=0), ValueError, "horizon must be >= 1"),
         (
             lambda env, prior: simulate(env, prior, 10, intervention=FreeSignals(([1.0, 0, 0],))),
@@ -533,6 +535,8 @@ _NOT_INTEGERS = {
         "replicate_zero",
         "free_signal_nan",
         "compositions_negative",
+        "compositions_bool_total",
+        "compositions_float_parts",
         "horizon_zero",
         "free_signal_length",
         "design_gamma_zero",
@@ -553,6 +557,13 @@ def test_simulate_takes_numpy_integer_horizons(example2, example2_trap_prior):
     for horizon in (np.int64(200), np.uint8(200)):
         got = simulate(example2, example2_trap_prior, horizon).variance_path
         assert got.tobytes() == want.tobytes()
+
+
+def test_compositions_take_numpy_integers():
+    # A uint8 total used to wrap (OverflowError) in the block arithmetic.
+    want = [b.tolist() for b in compositions(5, 3)]
+    for total, parts in ((np.uint8(5), 3), (np.int64(5), np.uint8(3))):
+        assert [b.tolist() for b in compositions(total, parts)] == want
 
 
 def test_batch_ties_go_to_the_lexicographically_smallest_count_vector():

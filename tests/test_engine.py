@@ -1,26 +1,33 @@
-"""The single-source engine step against the scipy ``cho_factor``/``cho_solve`` path it replaces.
+"""The engine's period loop against the scipy ``cho_factor``/``cho_solve`` step it replaces.
 
-The step makes one LAPACK ``posv`` call against the targets and source rows
-stacked, gets the target variances and the quadratic forms from one
-contraction, skips products by 1 and sums over one target, and finds a unique
-winner with one count. These tests run a reference copy of the plain
-scipy-wrapper step, with its own copy of the tie rule, on the same engine state
-and require identical choices, bit-identical variance paths and precisions,
-the same tie RNG state, and the same ``NotPositiveDefiniteError`` on bad
-precisions. The solve helper itself must equal ``cho_solve(cho_factor(...))``
-byte for byte, and a run must make exactly one solve per period. The step's C
-entry points (``c_einsum``, ``count_nonzero``) and one target's ``dot`` must equal
-the numpy wrappers and the matmul they stand for, byte for byte. A precision whose
-finite entries have an overflowing sum steps like the reference; one that
-overflows is refused, and so is an inf or NaN entry in either triangle or on the
-diagonal. A replicated run, whose step adds per-run increments, matches the
-reference byte for byte after every period.
+``_Engine.advance`` runs a stretch of periods in one frame; ``simulate`` calls it up
+to the half mark and then for the rest, and ``greedy_step``'s ``step()`` is one
+period of it. A single-source period makes one LAPACK ``posv`` call against the
+targets and source rows stacked, gets the target variances and the quadratic
+forms from one contraction, skips products by 1 and sums over one target, and
+finds a unique winner with one count. These tests run a reference copy of the
+plain scipy-wrapper step, one period at a time with its own copy of the tie rule,
+on the same engine state, and require identical choices, bit-identical variance
+paths and precisions, the same counts and tie RNG state, and the same
+``NotPositiveDefiniteError`` on bad precisions. Where ``simulate`` or
+``greedy_step`` runs under the reference, the reference takes ``advance``'s place
+and must be seen to run. The solve helper itself must equal
+``cho_solve(cho_factor(...))`` byte for byte, and a run must make exactly one
+solve per period. The loop's C entry points (``c_einsum``, ``count_nonzero``) and
+one target's ``dot`` must equal the numpy wrappers and the matmul they stand for,
+byte for byte. A precision whose finite entries have an overflowing sum steps
+like the reference; one that overflows is refused, and so is an inf or NaN entry
+in either triangle or on the diagonal. The loop skips its finiteness test while
+no entry can have overflowed, so a precision that overflows after those periods
+must still be refused in the period the reference refuses it. A replicated run,
+whose periods add per-run increments, matches the reference byte for byte after
+every period.
 
-The batch-allocation step builds its candidate increments once per run. It is
-held to a copy of the per-period formulation that rebuilds them every period,
-ties near the tolerance included, and must make one batched solve per period.
-It returns read-only rows of the run's candidates, so a caller cannot change
-the run through them.
+The batch-allocation periods use candidate increments built once per run. They
+are held to a copy of the per-period formulation that rebuilds them every
+period, ties near the tolerance included, and must make one batched solve per
+period. They return read-only rows of the run's candidates, so a caller cannot
+change the run through them.
 """
 
 import math
@@ -54,7 +61,7 @@ from infotrap.scenarios import scenario_to_dict
 
 from conftest import random_pd_prior
 
-FAST_STEP = dynamics._Engine.step
+FAST_ADVANCE = dynamics._Engine.advance
 
 # The reference's own copy of the tie tolerance, so a change to the engine's shows.
 TIE_TOL = 1e-12
@@ -117,12 +124,29 @@ def reference_step(self, ties=None):
     return int(i), current - float(reductions[i])
 
 
+def reference_advance(self, values, ties=None):
+    """``_Engine.advance`` as one reference step per period."""
+    choices = []
+    for t in range(len(values)):
+        choice, values[t] = reference_step(self, ties)
+        choices.append(choice)
+    return choices
+
+
 def _both(monkeypatch, run, ties=None):
-    """``run()`` with the fast step, then with the reference step."""
+    """``run()`` with the engine's loop, then with the reference in its place, which
+    ``simulate`` and ``greedy_step`` must then have called."""
     fast = run()
+    calls = []
+
+    def reference(self, values):
+        calls.append(len(values))
+        return reference_advance(self, values, ties)
+
     with monkeypatch.context() as m:
-        m.setattr(dynamics._Engine, "step", lambda self: reference_step(self, ties))
+        m.setattr(dynamics._Engine, "advance", reference)
         ref = run()
+    assert sum(calls) >= 1
     return fast, ref
 
 
@@ -198,15 +222,24 @@ def test_fast_step_matches_scipy_step_in_greedy_step(monkeypatch, example2, exam
             assert np.array_equal(fast, ref)
 
 
-def _engine_run(step, env, prior, intervention, rule, horizon):
-    """``horizon`` steps of a fresh engine: choices, variance bytes, counts, precision bytes
-    and the tie RNG state after the run."""
+def fast_run(engine, horizon):
+    """``horizon`` periods of the engine's loop, in the two calls ``simulate`` makes:
+    (choices, variance path)."""
+    values = np.empty(horizon)
+    choices = FAST_ADVANCE(engine, values[: horizon // 2])
+    choices += FAST_ADVANCE(engine, values[horizon // 2 :])
+    return choices, values
+
+
+def _engine_run(run, env, prior, intervention, rule, horizon):
+    """``run(engine, horizon)`` on a fresh engine: choices, variance bytes, counts,
+    precision bytes and the tie RNG state after the run."""
     rng = rule.make_rng()
     engine = dynamics._Engine(env, prior, intervention, rng)
-    steps = [step(engine) for _ in range(horizon)]
+    choices, values = run(engine, horizon)
     return (
-        [np.asarray(c).tolist() for c, _ in steps],
-        np.array([v for _, v in steps]).tobytes(),
+        [np.asarray(c).tolist() for c in choices],
+        values.tobytes(),
         engine.counts.tolist(),
         engine.precision.tobytes(),
         None if rng is None else rng.bit_generator.state,
@@ -214,10 +247,16 @@ def _engine_run(step, env, prior, intervention, rule, horizon):
 
 
 def _assert_engines_agree(env, prior, intervention, rule, horizon=80) -> int:
-    """The fast and the reference step agree on a run; returns the number of tied periods."""
+    """The engine's loop and the reference step agree on a run; returns the number of
+    tied periods."""
     ties: list[int] = []
-    fast = _engine_run(FAST_STEP, env, prior, intervention, rule, horizon)
-    ref = _engine_run(lambda e: reference_step(e, ties), env, prior, intervention, rule, horizon)
+
+    def reference_run(engine, horizon):
+        values = np.empty(horizon)
+        return reference_advance(engine, values, ties), values
+
+    fast = _engine_run(fast_run, env, prior, intervention, rule, horizon)
+    ref = _engine_run(reference_run, env, prior, intervention, rule, horizon)
     assert fast == ref
     return sum(ties)
 
@@ -249,7 +288,7 @@ def _near_tie_env(gap):
 @pytest.mark.parametrize("gap,tied", [(0.9 * TIE_TOL, True), (1.1 * TIE_TOL, False)])
 def test_near_ties_at_the_tolerance(rule, gap, tied):
     env, prior = _near_tie_env(gap)
-    choices, _, _, _, rng_state = _engine_run(FAST_STEP, env, prior, NoIntervention(), rule, 1)
+    choices, _, _, _, rng_state = _engine_run(fast_run, env, prior, NoIntervention(), rule, 1)
     fresh = rule.make_rng()
     fresh_state = None if fresh is None else fresh.bit_generator.state
     if tied and rule.kind == "random":
@@ -269,7 +308,7 @@ def test_batch_near_ties_at_the_tolerance(rule, gap, tied):
     env, prior = _near_tie_env(gap)
     env = Environment(env.coefficients[::-1])
     batch = BatchAllocate(1)
-    choices, _, _, _, rng_state = _engine_run(FAST_STEP, env, prior, batch, rule, 1)
+    choices, _, _, _, rng_state = _engine_run(fast_run, env, prior, batch, rule, 1)
     fresh = rule.make_rng()
     fresh_state = None if fresh is None else fresh.bit_generator.state
     if tied and rule.kind == "random":
@@ -654,9 +693,9 @@ def test_replicated_step_matches_reference_after_every_period(m, rule):
             dynamics._Engine(env, prior, PrecisionReplicate(m), rule.make_rng()) for _ in range(2)
         )
         for _ in range(40):
-            (choice, value), (ref_choice, ref_value) = FAST_STEP(fast), reference_step(ref)
-            assert choice == ref_choice
-            assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
+            (choices, values), (ref_choice, ref_value) = fast_run(fast, 1), reference_step(ref)
+            assert choices == [ref_choice]
+            assert values.tobytes() == np.float64(ref_value).tobytes()
             assert fast.precision.tobytes() == ref.precision.tobytes()
             assert fast.counts.tolist() == ref.counts.tolist()
         if rule.kind == "random":
@@ -674,6 +713,35 @@ def test_precision_overflow_in_a_run_raises_non_finite():
         simulate(env, prior, 2, intervention=replicate)
     with pytest.raises(NotPositiveDefiniteError, match="non-finite"):
         greedy_step(env, prior, [1, 0], intervention=replicate)
+
+
+def test_overflow_after_the_unchecked_periods_is_refused_in_its_period(monkeypatch):
+    # Each pick of the one source adds c^2 = 1.6e307 to the precision, a finite increment:
+    # the loop runs no finiteness test for its first 8e307 / 1.6e307 periods, and the
+    # twelfth pick overflows. The reference refuses the precision in the period after it.
+    env = Environment([[4e153, 0.0]])
+    prior = GaussianPrior.from_diagonal([1.0, 1.0])
+    reference = dynamics._Engine(env, prior, NoIntervention(), None)
+    refused = 0
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="infs or NaNs"):
+        while True:  # scipy's cho_factor refuses a non-finite precision
+            reference_step(reference)
+            refused += 1
+    engine = dynamics._Engine(env, prior, NoIntervention(), None)
+    assert 0 < engine._unchecked_periods() < refused == 12
+    # One call spans the unchecked periods and the overflow: refused in the same period.
+    with np.errstate(over="ignore"), pytest.raises(NotPositiveDefiniteError, match="non-finite"):
+        engine.advance(np.empty(3 * refused))
+    assert engine.counts.tolist() == [refused]
+    fast, ref = _both(monkeypatch, lambda: simulate(env, prior, refused))
+    _assert_same(fast, ref)
+    for horizon in (refused + 1, 3 * refused):
+        with pytest.raises(NotPositiveDefiniteError, match="non-finite"):
+            simulate(env, prior, horizon)
+    fast, ref = _both(monkeypatch, lambda: greedy_step(env, prior, [refused - 1]))
+    assert fast == ref == 0
+    with pytest.raises(NotPositiveDefiniteError, match="non-finite"):
+        greedy_step(env, prior, [refused])
 
 
 # Free signals put 1e308 + 1 on the first two diagonal entries: every entry is finite,

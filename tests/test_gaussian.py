@@ -398,6 +398,11 @@ def test_gesv_is_the_gufunc_np_linalg_solve_runs(monkeypatch):
     assert calls == [{"signature": "dd->d"}]
 
 
+# Two sources, each observing one of two states, and a unit prior.
+_PAIR = Environment([[1, 0], [0, 1]])
+_UNIT = GaussianPrior.from_diagonal([1.0, 1.0])
+
+
 @pytest.mark.parametrize(
     "call, error, fragment",
     [
@@ -421,6 +426,9 @@ def test_gesv_is_the_gufunc_np_linalg_solve_runs(monkeypatch):
         (lambda: DivisionVector([[1, 2]]), DimensionError, "counts must be a vector"),
         (lambda: FrequencyVector([[0.5, 0.5]]), DimensionError, "weights must be a vector"),
         (lambda: FrequencyVector([-0.5, 1.5]), ValueError, "non-negative and finite"),
+        (lambda: asymptotic_variance(_PAIR, [True, False]), ValueError, "frequency vector holds"),
+        (lambda: posterior_variance(_PAIR, _UNIT, np.ones(2, bool)), ValueError, "count vector holds"),
+        (lambda: posterior_variance(_PAIR, _UNIT, [2, np.True_]), ValueError, "count vector holds"),
     ],
     ids=[
         "coefficients_1d",
@@ -431,6 +439,9 @@ def test_gesv_is_the_gufunc_np_linalg_solve_runs(monkeypatch):
         "counts_2d",
         "frequencies_2d",
         "frequency_negative",
+        "frequencies_bool",
+        "counts_bool_array",
+        "counts_mixed_bool",
     ],
 )
 def test_gaussian_refusals(call, error, fragment):

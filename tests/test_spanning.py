@@ -90,7 +90,7 @@ def test_beta_phi_lambda_rejects_bad_sets(example2):
         (lambda env: beta_phi_lambda(env, [1, 1, 2]), SpanError, "duplicate indices"),
         (lambda env: beta_phi_lambda(env, [1, 3]), SpanError, "out of range"),
         (lambda env: beta_phi_lambda(env, [-1, 2]), SpanError, "out of range"),
-        (lambda env: beta_phi_lambda(env, []), SpanError, "out of range"),
+        (lambda env: beta_phi_lambda(env, []), SpanError, "the source set is empty"),
         (lambda env: beta_phi_lambda(env, [1.9, 2.2]), SpanError, "must be integers"),
         (lambda env: beta_phi_lambda(env, [1.0, 2.0]), SpanError, "must be integers"),
         (lambda env: beta_phi_lambda(env, "01"), SpanError, "must be integers"),

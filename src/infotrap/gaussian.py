@@ -15,8 +15,9 @@ and its scale-free limit for observation frequencies ``lam``:
 
     Vinf(lam) = sum_r w_r * u_r' (C' diag(lam) C)^-1 u_r
 
-where the inverse in ``Vinf`` is the spectral continuous extension to singular
-matrices (zero eigenvalues contribute 0 for orthogonal targets, +inf otherwise).
+With A = C' diag(sqrt(lam)), each term is ||x_r||^2 for the minimum-norm x_r with
+A x_r = u_r, which extends Vinf continuously to singular information: a target outside
+the span of A's columns (by ``_represent``, the span test of ``spanning`` too) makes it +inf.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from functools import cached_property
 import numpy as np
 from numpy._core.multiarray import c_einsum
 from numpy.linalg import _umath_linalg
+from numpy.linalg._linalg import _raise_linalgerror_lstsq
 
 __all__ = [
     "DimensionError",
@@ -48,15 +50,35 @@ __all__ = [
     "grad_asymptotic_variance",
 ]
 
-# Relative eigenvalue cutoff for rank decisions in the continuous-extension inverse.
-# The scale is floored at 1 so that uniformly tiny matrices are treated as rank zero.
-EIGENVALUE_CUTOFF = 1e-10
-
 # Relative tolerance for "this vector component is exactly zero" span decisions.
 SPAN_TOL = 1e-9
 
 _LARGEST_ROOT = math.sqrt(np.finfo(float).max)  # the largest float with a finite square
 _HALF_MAX = np.finfo(float).max / 2  # the largest float whose double is finite
+
+
+def _represent(a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each (K, s) matrix ``a[i]`` and its row ``v[i]`` (the stacks broadcast), the
+    coefficients ``np.linalg.lstsq(a[i], v[i], rcond=None)[0]`` and whether ``a[i]``
+    spans ``v[i]``: the coefficients are finite and every residual entry is within
+    ``SPAN_TOL * max(1, max|v_i|)``. One call of lstsq's gufunc (the same ``gelsd`` per
+    matrix), with lstsq's cutoff and error state, so a non-converging SVD raises
+    ``LinAlgError``."""
+    rcond = np.finfo(float).eps * max(a.shape[-2:])
+    with np.errstate(
+        call=_raise_linalgerror_lstsq,
+        invalid="call",
+        over="ignore",
+        divide="ignore",
+        under="ignore",
+    ):
+        x, _, _, _ = _umath_linalg.lstsq(a, v[..., None], rcond, signature="ddd->ddid")
+    # An overflowing coefficient leaves an inf or NaN residual, which fails the test.
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = np.abs((a @ x)[..., 0] - v).max(axis=-1)
+    x = x[..., 0]
+    tol = SPAN_TOL * np.maximum(1.0, np.abs(v).max(axis=-1))  # relative to the largest |v_k|
+    return x, (residual <= tol) & np.isfinite(x).all(axis=-1)
 
 
 def _load_flapack():
@@ -257,6 +279,7 @@ class DivisionVector:
     counts: np.ndarray
 
     def __post_init__(self) -> None:
+        _refuse_bool(self.counts, "count")
         c = np.asarray(self.counts)
         if c.ndim != 1:
             raise DimensionError("counts must be a vector")
@@ -288,6 +311,7 @@ class FrequencyVector:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
+        _refuse_bool(self.weights, "frequency")
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1:
             raise DimensionError("weights must be a vector")
@@ -303,6 +327,16 @@ class FrequencyVector:
         return tuple(int(i) for i in np.nonzero(self.weights > tol)[0])
 
 
+def _refuse_bool(values, name: str) -> None:
+    """Refuse a bool entry, in a bool array or mixed into a sequence (where the numbers
+    around it would make it 0 or 1); ``name`` labels the error."""
+    raw = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
+    if raw.dtype == bool or (
+        raw.dtype == object and any(isinstance(v, (bool, np.bool_)) for v in raw.flat)
+    ):
+        raise ValueError(f"{name} vector holds a bool; its entries must be numbers")
+
+
 def _per_source(env: Environment, values, name: str) -> np.ndarray:
     """``values`` (a DivisionVector, a FrequencyVector or a sequence) as a float array of
     one finite, non-negative entry per source; ``name`` labels the errors. A bool entry is
@@ -311,13 +345,8 @@ def _per_source(env: Environment, values, name: str) -> np.ndarray:
         values = values.counts
     elif isinstance(values, FrequencyVector):
         values = values.weights
-    # A list mixing bools and numbers converts to numbers, so its entries are looked at.
-    raw = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
-    if raw.dtype == bool or (
-        raw.dtype == object and any(isinstance(v, (bool, np.bool_)) for v in raw.flat)
-    ):
-        raise ValueError(f"{name} vector holds a bool; its entries must be numbers")
-    q = np.asarray(raw, dtype=float)
+    _refuse_bool(values, name)
+    q = np.asarray(values, dtype=float)
     if q.shape != (env.num_sources,):
         raise DimensionError(f"{name} vector has length {q.shape}, expected {env.num_sources}")
     if not np.all(np.isfinite(q)) or np.any(q < 0):
@@ -447,45 +476,39 @@ def block_variances(env: Environment, precision: np.ndarray, block: np.ndarray) 
     return values
 
 
-def spectral_inverse(env: Environment, lam: np.ndarray) -> tuple[float, np.ndarray, bool, bool]:
-    """Vinf at frequencies ``lam``, its gradient, and two rank flags, from one ``eigh``.
-
-    Eigenvalues of the information matrix at or below
-    ``EIGENVALUE_CUTOFF * max(largest, 1)`` are cut; value and gradient go
-    through the pseudo-inverse on the kept eigenspace. Returns
-    ``(value, grad, outside, cut)``: ``outside`` when some target has a
-    component above ``SPAN_TOL`` times its norm on a cut eigenvector (z/0 :=
-    +inf, so Vinf is infinite there; 0/0 := 0 otherwise), and ``cut`` when any
-    eigenvalue was cut (Vinf has a kink there).
-    """
-    c = env.coefficients
-    eigvals, eigvecs = np.linalg.eigh(_signal_precision(env, lam))
-    cutoff = EIGENVALUE_CUTOFF * max(float(eigvals[-1]), 1.0)
-    keep = eigvals > cutoff
-    inv_vals = np.where(keep, 1.0 / np.where(keep, eigvals, 1.0), 0.0)
-    pinv = (eigvecs * inv_vals) @ eigvecs.T
-    value = 0.0
-    grad = np.zeros(env.num_sources)
-    for w, d in env.objective:
-        x = pinv @ d
-        value += w * float(d @ x)
-        grad -= w * (c @ x) ** 2
-    cut = not keep.all()
-    outside = cut and any(
-        np.any(np.abs((eigvecs.T @ d)[~keep]) > SPAN_TOL * max(float(np.linalg.norm(d)), 1e-300))
-        for _, d in env.objective
-    )
-    return value, grad, bool(outside), cut
+def _limit(env: Environment, frequencies) -> tuple[float, np.ndarray | None]:
+    """Vinf at ``frequencies`` and its gradient (None unless A spans every state) from one
+    ``_represent`` call on A = C' diag(sqrt(lam)), whose A A' is the information M: of the
+    targets, each scaled to a largest |entry| of 1 so that its span test is relative to
+    itself, and of the K unit states, whose rows X_e give M^-1 = X_e X_e'. C and lam enter
+    over their largest entries and the scales are divided out one at a time, so a result
+    that overflows is +inf, one that underflows is 0, and neither warns."""
+    lam = _per_source(env, frequencies, "frequency")
+    c_scale = float(np.abs(env.coefficients).max()) or 1.0  # an all-zero C spans nothing
+    lam_scale = float(lam.max()) or 1.0
+    c = env.coefficients / c_scale
+    size = np.abs(env.directions).max(axis=1)
+    r = len(size)
+    with np.errstate(over="ignore", under="ignore"):
+        targets = np.concatenate([env.directions / size[:, None], np.eye(env.num_states)])
+        x, spans = _represent(c.T * np.sqrt(lam / lam_scale), targets)
+        value = math.inf
+        if spans[:r].all():
+            root = np.linalg.norm(x[:r], axis=1) * size / c_scale / math.sqrt(lam_scale)
+            value = float(env.weights @ root**2)
+        if not spans[r:].all():
+            return value, None
+        gammas = c @ (x[r:] @ x[:r].T) * size / c_scale / lam_scale  # (N, R)
+        return value, -(gammas**2) @ env.weights
 
 
 def asymptotic_variance(env: Environment, frequencies) -> float:
     """Scale-free limit of t * V at observation frequencies ``lam``.
 
-    Returns +inf when some target direction has a component outside the span of
-    the positively weighted sources. Homogeneous of degree -1 in ``lam``.
+    Returns +inf when some target direction is not in the span of the positively
+    weighted sources (or when the value overflows). Homogeneous of degree -1 in ``lam``.
     """
-    value, _, outside, _ = spectral_inverse(env, _per_source(env, frequencies, "frequency"))
-    return math.inf if outside else value
+    return _limit(env, frequencies)[0]
 
 
 def grad_posterior_variance(env: Environment, prior: GaussianPrior, counts) -> np.ndarray:
@@ -502,11 +525,11 @@ def grad_posterior_variance(env: Environment, prior: GaussianPrior, counts) -> n
 def grad_asymptotic_variance(env: Environment, frequencies) -> np.ndarray:
     """Partial derivatives of ``asymptotic_variance`` at frequencies with full-rank information.
 
-    Raises ``NonDifferentiableError`` when the information matrix is singular:
-    the asymptotic variance has kinks there and no silent number is returned.
+    Raises ``NonDifferentiableError`` when the positively weighted sources do not span
+    every state: the asymptotic variance has kinks there and no silent number is returned.
     """
-    _, grad, _, cut = spectral_inverse(env, _per_source(env, frequencies, "frequency"))
-    if cut:
+    grad = _limit(env, frequencies)[1]
+    if grad is None:
         raise NonDifferentiableError(
             "information matrix is singular at these frequencies; "
             "the asymptotic variance is not differentiable here"

@@ -20,10 +20,6 @@ from itertools import chain, combinations, islice
 from typing import NamedTuple
 
 import numpy as np
-# The least-squares gufunc behind np.linalg.lstsq, which takes one matrix only; the
-# span test calls it on a stack, under lstsq's own error state.
-from numpy.linalg import _umath_linalg
-from numpy.linalg._linalg import _raise_linalgerror_lstsq
 
 from .gaussian import (
     Environment,
@@ -31,6 +27,7 @@ from .gaussian import (
     GaussianPrior,
     SPAN_TOL,
     _flapack,
+    _represent,
 )
 
 __all__ = [
@@ -117,30 +114,6 @@ def _target(env: Environment) -> np.ndarray:
             "spanning-set enumeration supports only a single target direction; "
             "use the numeric frequency optimizer for weighted multi-target objectives"
         ) from exc
-
-
-def _represent(a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each (K, s) matrix ``a[i]`` and its row ``v[i]`` (the stacks broadcast), the
-    coefficients ``np.linalg.lstsq(a[i], v[i], rcond=None)[0]`` and whether ``a[i]``
-    spans ``v[i]``: the coefficients are finite and every residual entry is within
-    ``SPAN_TOL * max(1, max|v_i|)``. One call of lstsq's gufunc (the same ``gelsd`` per
-    matrix), with lstsq's cutoff and error state, so a non-converging SVD raises
-    ``LinAlgError``."""
-    rcond = np.finfo(float).eps * max(a.shape[-2:])
-    with np.errstate(
-        call=_raise_linalgerror_lstsq,
-        invalid="call",
-        over="ignore",
-        divide="ignore",
-        under="ignore",
-    ):
-        x, _, _, _ = _umath_linalg.lstsq(a, v[..., None], rcond, signature="ddd->ddid")
-    # An overflowing coefficient leaves an inf or NaN residual, which fails the test.
-    with np.errstate(over="ignore", invalid="ignore"):
-        residual = np.abs((a @ x)[..., 0] - v).max(axis=-1)
-    x = x[..., 0]
-    tol = SPAN_TOL * np.maximum(1.0, np.abs(v).max(axis=-1))  # relative to the largest |v_k|
-    return x, (residual <= tol) & np.isfinite(x).all(axis=-1)
 
 
 def _report_from(indices: tuple[int, ...], beta: np.ndarray, num_sources: int) -> SpanningSetReport:

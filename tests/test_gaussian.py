@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.linalg import _linalg
 
 from infotrap import (
@@ -17,6 +19,7 @@ from infotrap import (
     asymptotic_variance,
     grad_asymptotic_variance,
     grad_posterior_variance,
+    optimal_frequency_numeric,
     posterior_variance,
     simulate,
     variance_reduction,
@@ -57,6 +60,76 @@ def test_asymptotic_variance_example2(example2):
     assert asymptotic_variance(example2, [1, 0, 0]) == pytest.approx(1.0, abs=1e-12)
     assert asymptotic_variance(example2, [0, 0.5, 0.5]) == pytest.approx(4 / 9, abs=1e-12)
     assert math.isinf(asymptotic_variance(example2, [0, 1, 0]))
+    # Homogeneous of degree -1 down to tiny frequencies, with no absolute rank cut.
+    uniform = asymptotic_variance(example2, [1 / 3] * 3)
+    assert asymptotic_variance(example2, [1e-160] * 3) == pytest.approx(uniform / 3e-160, rel=1e-15)
+
+
+@pytest.mark.parametrize("s", [1.0, 1e4, 1e5, 1e6])
+def test_asymptotic_variance_does_not_depend_on_state_units(s):
+    # States measured in units diag(s, 1/s): coefficients C diag(s, 1/s), target s e1.
+    env = Environment(np.array([[1, 0], [0, 1], [1, 1]]) * [s, 1 / s], [(1.0, [s, 0])])
+    assert asymptotic_variance(env, [1 / 3] * 3) == pytest.approx(2.0, rel=1e-12)
+
+
+def test_tiny_coefficients_keep_a_finite_limit_and_gradient():
+    env = Environment([[1e-100, 0], [0, 1e-100], [1e-100, 1e-100]])
+    assert asymptotic_variance(env, [1 / 3] * 3) == pytest.approx(2e200, rel=1e-12)
+    grad = grad_asymptotic_variance(env, [1 / 3] * 3)
+    assert grad == pytest.approx([-4e200, -1e200, -1e200], rel=1e-12)
+    freq, info = optimal_frequency_numeric(env, full_output=True)
+    assert freq.weights.tolist() == [1.0, 0.0, 0.0] and info["exact"]
+
+
+def test_tiny_targets_of_zero_coefficients_are_not_spanned():
+    # Each target's span test is relative to its own size, not to 1.
+    env = Environment(np.zeros((3, 2)), [(1.0, [1.9e-273, 0]), (1.0, [0, 1.9e-273])])
+    assert asymptotic_variance(env, [1 / 3] * 3) == math.inf
+    with pytest.raises(NonDifferentiableError):
+        grad_asymptotic_variance(env, [1 / 3] * 3)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    shape=st.tuples(st.integers(1, 4), st.integers(1, 3)),
+    data=st.data(),
+    c_exp=st.integers(-160, 153),
+    lam_exp=st.integers(-300, 300),
+)
+def test_asymptotic_variance_at_extreme_scales_does_not_warn(shape, data, c_exp, lam_exp):
+    # Integer coefficients (|c| <= 4, so up to 4e153) and frequencies times a power of ten:
+    # Vinf(s C, t lam) is Vinf(C, lam) / (s^2 t), and its gradient is divided by s^2 t^2.
+    # Every call returns a number or raises NonDifferentiableError, without a warning.
+    n, k = shape
+    ints = st.lists(st.integers(-4, 4), min_size=k, max_size=k)
+    rows = np.array(data.draw(st.lists(ints, min_size=n, max_size=n)), dtype=float)
+    lam = np.array(data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)), dtype=float)
+    directions = data.draw(st.lists(ints.filter(any), min_size=1, max_size=2))
+    objective = [(1.0 + r, d) for r, d in enumerate(directions)]
+    s, t = 10.0**c_exp, 10.0**lam_exp
+    base, env = Environment(rows, objective), Environment(rows * s, objective)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = asymptotic_variance(env, lam * t)
+        try:
+            grad = grad_asymptotic_variance(env, lam * t)
+        except NonDifferentiableError:
+            grad = None
+    assert value >= 0 and (grad is None or np.all(grad <= 0))  # no NaN
+    # Compared where the scale factor keeps the result in the normal range of floats.
+    value_exp, grad_exp = -2 * c_exp - lam_exp, -2 * c_exp - 2 * lam_exp
+    if abs(value_exp) <= 280:
+        expected = asymptotic_variance(base, lam) * 10.0**value_exp
+        assert value == pytest.approx(expected, rel=1e-9)
+    try:
+        reference = grad_asymptotic_variance(base, lam)
+    except NonDifferentiableError:
+        assert grad is None
+        return
+    assert grad is not None
+    if abs(grad_exp) <= 280:
+        expected = reference * 10.0**grad_exp
+        assert np.abs(grad - expected).max() <= 1e-9 * np.abs(expected).max()
 
 
 def test_asymptotic_variance_rejects_negative(example2):
@@ -197,9 +270,12 @@ def test_division_and_frequency_vectors():
     ids=lambda v: f"{v.dtype}-{v.tolist()}",
 )
 def test_division_vector_accepts_what_the_remainder_test_accepts(values):
-    # Integer dtypes skip the remainder test, which they always pass.
+    # Integer dtypes skip the remainder test, which they always pass; bools are refused.
     refused = bool(np.any(values < 0) or not np.all(np.equal(np.mod(values, 1), 0)))
-    if refused:
+    if values.dtype == bool:
+        with pytest.raises(ValueError, match="^count vector holds a bool"):
+            DivisionVector(values)
+    elif refused:
         with pytest.raises(ValueError, match="non-negative integers"):
             DivisionVector(values)
     else:
@@ -429,6 +505,9 @@ _UNIT = GaussianPrior.from_diagonal([1.0, 1.0])
         (lambda: asymptotic_variance(_PAIR, [True, False]), ValueError, "frequency vector holds"),
         (lambda: posterior_variance(_PAIR, _UNIT, np.ones(2, bool)), ValueError, "count vector holds"),
         (lambda: posterior_variance(_PAIR, _UNIT, [2, np.True_]), ValueError, "count vector holds"),
+        (lambda: FrequencyVector([True, False]), ValueError, "frequency vector holds"),
+        (lambda: FrequencyVector(np.ones(2, bool)), ValueError, "frequency vector holds"),
+        (lambda: DivisionVector([2, True]), ValueError, "count vector holds"),
     ],
     ids=[
         "coefficients_1d",
@@ -442,6 +521,9 @@ _UNIT = GaussianPrior.from_diagonal([1.0, 1.0])
         "frequencies_bool",
         "counts_bool_array",
         "counts_mixed_bool",
+        "frequency_vector_bool",
+        "frequency_vector_bool_array",
+        "division_vector_mixed_bool",
     ],
 )
 def test_gaussian_refusals(call, error, fragment):

@@ -841,6 +841,14 @@ _UNIDENTIFIED = {
         "prior_mean": [0, 0, 0],
         "prior_cov": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
     },
+    # no source observes anything, and the targets are tiny: still not spanned
+    "unidentified_tiny": {
+        "coefficients": [[0, 0], [0, 0], [0, 0]],
+        "objective": [
+            {"weight": 1.0, "direction": [1.9e-273, 0]},
+            {"weight": 1.0, "direction": [0, 1.9e-273]},
+        ],
+    },
 }
 
 

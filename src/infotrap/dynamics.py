@@ -9,6 +9,7 @@ sampled, only move the posterior mean and never the choices.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -64,8 +65,8 @@ __all__ = [
 # best are treated as tied; the process is defined up to arbitrary tie resolution.
 TIE_TOL = 1e-12
 
-MAX_BATCH = 12
-MAX_BATCH_SOURCES = 8
+# The candidates a ``BatchAllocate`` period scores, at most: the splits of 12 over 8 sources.
+MAX_BATCH_CANDIDATES = math.comb(12 + 8 - 1, 8 - 1)
 
 # ``compositions`` yields blocks of at most this many rows, and the trace and compare CSV
 # writers format at most this many rows at a time.
@@ -141,8 +142,10 @@ class _Batched:
     batch: int
 
     def __post_init__(self) -> None:
-        if self.batch < 1:
-            raise ValueError("batch size must be >= 1")
+        object.__setattr__(self, "batch", _as_int("batch", self.batch))
+        # A replication count scales the precision as a float, so it must fit one.
+        if not 1 <= self.batch <= sys.float_info.max:  # an exact int-float comparison
+            raise ValueError("batch size must be >= 1 and at most the largest float")
 
 
 @dataclass(frozen=True)
@@ -220,6 +223,14 @@ def _cumulative_counts(picks: np.ndarray, start: np.ndarray) -> np.ndarray:
         steps[np.arange(picks.size), picks] = 1
         picks = steps
     return start + np.cumsum(picks, axis=0)
+
+
+def _check_splits(total: int, parts: int, bound: int, splits_of: str, search: str) -> None:
+    """Raise ``SearchBoundError``, before any work, when the splits of ``total`` over ``parts``
+    parts, C(total + parts - 1, parts - 1) of them, number more than ``bound``."""
+    count = math.comb(max(total, 0) + parts - 1, parts - 1)
+    if count > bound:
+        raise SearchBoundError(f"{count} splits of {splits_of} exceed the {search} bound {bound}")
 
 
 def compositions(total: int, parts: int):
@@ -323,12 +334,10 @@ class _Engine:
         )
         self._bound = np.zeros(())  # the tie threshold's 0-d buffer
         if isinstance(intervention, BatchAllocate):
-            if intervention.batch > MAX_BATCH or env.num_sources > MAX_BATCH_SOURCES:
-                raise SearchBoundError(
-                    f"batch allocation search supports batch <= {MAX_BATCH} "
-                    f"and <= {MAX_BATCH_SOURCES} sources"
-                )
-            self._comps = np.vstack(list(compositions(intervention.batch, env.num_sources)))
+            batch, n = intervention.batch, env.num_sources
+            splits_of = f"a batch of {batch} observations over {n} sources"
+            _check_splits(batch, n, MAX_BATCH_CANDIDATES, splits_of, "batch-allocation")
+            self._comps = np.vstack(list(compositions(batch, n)))
             self._comps.setflags(write=False)
             # Per run: the read-only rows a period returns, the (M, K, K) increments, negated
             # targets to solve for (scores are negated variances), and buffers.
@@ -420,15 +429,10 @@ class _Engine:
         both_targets, quad = both[:r], both[r:]
         reductions = np.empty(n)
         ones = np.ones(n)  # adds the 1 of each denominator without broadcasting a float
-        # The dot of every entry with 1 is finite only if every entry is, wherever it sits
-        # (posv reads only the lower triangle); a sum of finite entries may overflow,
-        # silently in the run's error state, and then the exact test decides.
-        flat = precision.ravel("K")  # a view: the engine's precision is contiguous
-        flat_ones = np.ones(flat.size)
         unchecked = self._unchecked_periods()
         posv = gaussian._posv
         for t in range(len(values)):
-            if t >= unchecked and not math.isfinite(flat.dot(flat_ones)):
+            if t >= unchecked:
                 _check_finite(precision)
             _, x, info = posv(precision, rhs, 1)
             if info > 0:

@@ -379,19 +379,13 @@ def _check_finite(precision: np.ndarray) -> None:
         raise NotPositiveDefiniteError("posterior precision has non-finite entries")
 
 
-def _posv_solve(precision: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """``_solve_spd`` without its finiteness check, which the caller makes. ``lower`` goes
-    by position, which spares f2py's keyword parsing on every call."""
+def _solve_spd(precision: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``cho_solve(cho_factor(precision, lower=True), rhs)``, bit for bit, in one call."""
+    _check_finite(precision)
     _, sols, info = _posv(precision, rhs, 1)
     if info > 0:
         raise NotPositiveDefiniteError(_MINOR.format(info))
     return sols
-
-
-def _solve_spd(precision: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """``cho_solve(cho_factor(precision, lower=True), rhs)``, bit for bit, in one call."""
-    _check_finite(precision)
-    return _posv_solve(precision, rhs)
 
 
 def _posterior_solve(env: Environment, prior: GaussianPrior, counts) -> np.ndarray:

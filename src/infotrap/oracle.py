@@ -26,7 +26,7 @@ from .gaussian import (
     block_variances,
 )
 from .spanning import SpanError, beta_phi_lambda
-from .dynamics import NoIntervention, SearchBoundError, TieBreak, _run, compositions
+from .dynamics import NoIntervention, TieBreak, _check_splits, _run, compositions
 from .dynamics import simulate  # noqa: F401  (unused here: perfbench/tracing.py wraps it)
 
 __all__ = [
@@ -90,7 +90,7 @@ def optimal_division(env: Environment, prior: GaussianPrior, t: int) -> OptimalD
     non-integer or non-positive ``t``, ``DimensionError`` for a prior of the wrong
     size, and ``SearchBoundError`` for more than ``MAX_COMPOSITIONS`` splits.
     """
-    t = _check_search_bound(env, prior, t)
+    t = _check_search_bound(env, prior, t, every_budget=False)
     if t < 1:
         raise ValueError("t must be >= 1")
     # The running minimum, and the splits near it in scan (lexicographic) order, pruned.
@@ -122,22 +122,20 @@ def optimal_trajectory(
     env: Environment, prior: GaussianPrior, horizon: int
 ) -> list[OptimalDivisionResult]:
     """``optimal_division(env, prior, t)`` for t = 1..horizon; raises ``SearchBoundError``,
-    before any work, when the largest budget has more than ``MAX_COMPOSITIONS`` splits."""
-    horizon = _check_search_bound(env, prior, horizon)
+    before any work, when all budgets' splits number more than ``MAX_COMPOSITIONS``."""
+    horizon = _check_search_bound(env, prior, horizon, every_budget=True)
     return [optimal_division(env, prior, t) for t in range(1, horizon + 1)]
 
 
-def _check_search_bound(env: Environment, prior: GaussianPrior, t: int) -> int:
-    """The oracle's gate: ``t`` as an int, after the type, prior and search-bound checks."""
+def _check_search_bound(env: Environment, prior: GaussianPrior, t: int, every_budget: bool) -> int:
+    """``t`` as an int, after the type, prior and search-bound checks: the splits of t over
+    the sources, plus an unused part with ``every_budget`` (budgets 1..t), are bounded."""
     t = _as_int("budget", t)
     _check_prior(env, prior)
     n = env.num_sources
-    total_count = math.comb(max(t, 0) + n - 1, n - 1)
-    if total_count > MAX_COMPOSITIONS:
-        raise SearchBoundError(
-            f"{total_count} allocations of {t} observations over {n} sources "
-            f"exceeds the exhaustive-search bound {MAX_COMPOSITIONS}"
-        )
+    budgets = f"every budget up to {t}" if every_budget else str(t)
+    splits_of = f"{budgets} observations over {n} sources"
+    _check_splits(t, n + every_budget, MAX_COMPOSITIONS, splits_of, "exhaustive-search")
     return t
 
 
@@ -279,9 +277,9 @@ def _comparison_columns(
     variance, for budgets 1..horizon.
 
     The run is not classified. The minima come from one scan over every budget that keeps
-    no split, so no result object is built. The search bound of the largest budget is
-    checked before either starts.
+    no split, so no result object is built. The bound on the splits that scan scores, those
+    of every budget, is checked before either starts.
     """
-    horizon = _check_search_bound(env, prior, horizon)
+    horizon = _check_search_bound(env, prior, horizon, every_budget=True)
     variance_path = _run(env, prior, horizon, TieBreak.lowest_index(), NoIntervention())[2]
     return variance_path, _minima(env, prior, horizon)

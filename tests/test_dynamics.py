@@ -48,8 +48,42 @@ def test_greedy_step_batch(example2, example2_trap_prior):
 
 
 def test_greedy_step_batch_bounds(example2, example2_trap_prior):
-    with pytest.raises(SearchBoundError):
-        greedy_step(example2, example2_trap_prior, [0, 0, 0], intervention=BatchAllocate(13))
+    # The gate counts the candidates, C(B + N - 1, N - 1): 105 for a batch of 13 over three
+    # sources, 80,601 for a batch of 400.
+    choice = greedy_step(example2, example2_trap_prior, [0, 0, 0], intervention=BatchAllocate(13))
+    assert choice.sum() == 13
+    with pytest.raises(SearchBoundError, match="80601 splits of a batch of 400 observations"):
+        greedy_step(example2, example2_trap_prior, [0, 0, 0], intervention=BatchAllocate(400))
+
+
+def test_batch_bound_keeps_every_batch_up_to_12_over_up_to_8_sources():
+    admitted = [math.comb(b + n - 1, n - 1) for b in range(1, 13) for n in range(1, 9)]
+    assert max(admitted) == dynamics.MAX_BATCH_CANDIDATES == 50_388
+    rng = np.random.default_rng(28)
+    env = Environment(rng.standard_normal((8, 2)))
+    prior = GaussianPrior.from_diagonal([1.0, 1.0])
+    assert greedy_step(env, prior, [0] * 8, intervention=BatchAllocate(12)).sum() == 12
+
+
+@pytest.mark.parametrize("call", [simulate, greedy_step], ids=["simulate", "greedy_step"])
+def test_batch_gate_refuses_above_the_bound_before_any_work(
+    monkeypatch, call, example2, example2_trap_prior
+):
+    def run(batch):
+        start = 3 if call is simulate else [0, 0, 0]
+        return call(example2, example2_trap_prior, start, intervention=BatchAllocate(batch))
+
+    # A batch of 4 over three sources has 15 candidates, one of 5 has 21.
+    monkeypatch.setattr(dynamics, "MAX_BATCH_CANDIDATES", 15)
+    run(4)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before the batch-allocation bound check")
+
+    monkeypatch.setattr(dynamics, "compositions", no_work)
+    monkeypatch.setattr(dynamics, "block_increments", no_work)
+    with pytest.raises(SearchBoundError, match="21 splits of a batch of 5 observations over 3"):
+        run(5)
 
 
 def test_greedy_step_random_tie_break_reproducible():
@@ -502,6 +536,7 @@ _NOT_INTEGERS = {
         (lambda env, prior: TieBreak("highest"), ValueError, "unknown tie-break kind 'highest'"),
         (lambda env, prior: TieBreak("random"), ValueError, "random tie-break needs a seed"),
         (lambda env, prior: PrecisionReplicate(0), ValueError, "batch size must be >= 1"),
+        (lambda env, prior: BatchAllocate(0), ValueError, "batch size must be >= 1"),
         (lambda env, prior: FreeSignals(([1.0, np.nan],)), ValueError, "finite 1-d arrays"),
         (lambda env, prior: next(compositions(-1, 2)), ValueError, "total >= 0 and parts >= 1"),
         (lambda env, prior: next(compositions(True, 2)), ValueError, "total must be a non-bool"),
@@ -528,11 +563,21 @@ _NOT_INTEGERS = {
     + [
         (lambda env, prior, h=h: simulate(env, prior, h), ValueError, "horizon must be a non-bool")
         for h in _NOT_INTEGERS.values()
+    ]
+    + [
+        (lambda env, prior, kind=kind, b=b: kind(b), ValueError, "batch must be a non-bool")
+        for kind in (PrecisionReplicate, BatchAllocate)
+        for b in _NOT_INTEGERS.values()
+    ]
+    + [
+        (lambda env, prior, kind=kind: kind(10**400), ValueError, "at most the largest float")
+        for kind in (PrecisionReplicate, BatchAllocate)
     ],
     ids=[
         "tie_break_kind",
         "random_without_seed",
         "replicate_zero",
+        "batch_allocate_zero",
         "free_signal_nan",
         "compositions_negative",
         "compositions_bool_total",
@@ -544,7 +589,9 @@ _NOT_INTEGERS = {
         "simulate_prior_size",
         "greedy_step_prior_size",
     ]
-    + [f"horizon_{kind}" for kind in _NOT_INTEGERS],
+    + [f"horizon_{kind}" for kind in _NOT_INTEGERS]
+    + [f"{name}_{kind}" for name in ("replicate", "batch_allocate") for kind in _NOT_INTEGERS]
+    + ["replicate_overflowing", "batch_allocate_overflowing"],
 )
 def test_dynamics_refusals(call, error, fragment, example2, example2_trap_prior):
     with pytest.raises(error, match=fragment) as info:

@@ -620,7 +620,7 @@ def _engine_operands(rng, n, k, targets=1):
     )
     engine = dynamics._Engine(env, random_pd_prior(rng, k), NoIntervention(), None)
     engine.precision += _signal_precision(env, rng.integers(0, 9, n).astype(float))
-    return env, engine._rows, gaussian._posv_solve(engine.precision, engine._rhs)
+    return env, engine._rows, _solve_spd(engine.precision, engine._rhs)
 
 
 def test_c_entry_points_match_numpy_wrappers():

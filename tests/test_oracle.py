@@ -24,6 +24,7 @@ from infotrap import (
     optimal_frequency_numeric,
     optimal_trajectory,
     dynamics,
+    gaussian,
     oracle,
     parse_scenario,
     posterior_variance,
@@ -190,11 +191,36 @@ def test_trajectories_check_the_bound_first(monkeypatch, example2, example2_trap
     monkeypatch.setattr(oracle, "_run", no_work)
     monkeypatch.setattr(oracle, "compositions", no_work)
     assert optimal_trajectory(example2, example2_trap_prior, 0) == []
-    # 4470 is the largest budget with at most MAX_COMPOSITIONS splits over three sources.
-    with pytest.raises(SearchBoundError, match="4471 observations"):
-        optimal_trajectory(example2, example2_trap_prior, 4471)
-    with pytest.raises(SearchBoundError, match="5000 observations"):
+    # Both score every budget: 389 is the largest horizon whose budgets have at most
+    # MAX_COMPOSITIONS splits over three sources, C(389 + 3, 3) = 9,962,680 of them.
+    with pytest.raises(SearchBoundError, match="10039316 splits of every budget up to 390 "):
+        optimal_trajectory(example2, example2_trap_prior, 390)
+    with pytest.raises(SearchBoundError, match="every budget up to 5000 observations"):
         greedy_vs_optimal(example2, example2_trap_prior, 5000)
+
+
+@pytest.mark.parametrize(
+    "entry, every_budget",
+    [(optimal_division, False), (optimal_trajectory, True), (greedy_vs_optimal, True)],
+    ids=["division", "trajectory", "comparison"],
+)
+def test_each_oracle_entry_is_bounded_by_the_splits_it_scores(
+    monkeypatch, entry, every_budget, example2, example2_trap_prior
+):
+    # A budget of 12 over three sources has C(14, 2) = 91 splits; every budget up to 12
+    # has C(15, 3) = 455, the splits of 12 over the sources and an unused part.
+    bound = math.comb(12 + 2 + every_budget, 2 + every_budget)
+    monkeypatch.setattr(oracle, "MAX_COMPOSITIONS", bound)
+    entry(example2, example2_trap_prior, 12)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before the search-bound check")
+
+    monkeypatch.setattr(oracle, "_run", no_work)
+    monkeypatch.setattr(oracle, "compositions", no_work)
+    monkeypatch.setattr(gaussian, "block_increments", no_work)
+    with pytest.raises(SearchBoundError, match=f"exceed the exhaustive-search bound {bound}$"):
+        entry(example2, example2_trap_prior, 13)
 
 
 def test_greedy_vs_optimal_scans_the_splits_once(monkeypatch, example2, example2_trap_prior):

@@ -531,7 +531,7 @@ def test_cli_rejects_bad_options_without_traceback(tmp_path, args, option):
 @pytest.mark.parametrize(
     "overrides, message",
     [
-        ({"intervention": {"batch": 13}}, "batch allocation search supports"),
+        ({"intervention": {"batch": 400}}, "exceed the batch-allocation bound"),
         ({"intervention": {"free_signals_auto": {"gamma0": 1e100}}}, "not positive"),
         (
             {
@@ -578,9 +578,9 @@ def test_cli_singular_candidate_precision_names_the_scenario(tmp_path, command, 
 
 def test_cli_simulate_runs_every_scenario_after_a_failure(tmp_path):
     docs = [
-        _example2_doc(name="bad", horizon=20, intervention={"batch": 13}),
+        _example2_doc(name="bad", horizon=20, intervention={"batch": 400}),
         _example2_doc(name="good", horizon=20),
-        _example2_doc(name="worse", horizon=20, intervention={"batch": 13}),
+        _example2_doc(name="worse", horizon=20, intervention={"batch": 400}),
     ]
     path = tmp_path / "scenarios.json"
     path.write_text(json.dumps(docs))
@@ -588,7 +588,10 @@ def test_cli_simulate_runs_every_scenario_after_a_failure(tmp_path):
     result = CliRunner().invoke(cli_main, ["simulate", str(path), "--out", str(out)])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit), result.exception
-    bound = "batch allocation search supports batch <= 12 and <= 8 sources"
+    bound = (
+        "80601 splits of a batch of 400 observations over 3 sources "
+        "exceed the batch-allocation bound 50388"
+    )
     assert result.output.splitlines() == [
         f"Error: bad: {bound}",
         f"good: trap on sources [1] (inefficiency 1.5) -> {out / 'good_report.json'}",
@@ -599,7 +602,7 @@ def test_cli_simulate_runs_every_scenario_after_a_failure(tmp_path):
 
 def test_run_batch_runs_every_scenario_and_raises_the_first_failure(tmp_path):
     docs = [
-        _example2_doc(name="bad", horizon=20, intervention={"batch": 13}),
+        _example2_doc(name="bad", horizon=20, intervention={"batch": 400}),
         _example2_doc(name="good", horizon=20),
         _example2_doc(
             name="worse",
@@ -608,7 +611,7 @@ def test_run_batch_runs_every_scenario_and_raises_the_first_failure(tmp_path):
             intervention={"free_signals_auto": {"gamma0": 1.0}},
         ),
     ]
-    with pytest.raises(dynamics.SearchBoundError, match="batch allocation search supports"):
+    with pytest.raises(dynamics.SearchBoundError, match="exceed the batch-allocation bound"):
         run_batch([parse_scenario(d) for d in docs], tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["good_report.json", "good_trace.csv"]
     run_batch([parse_scenario(docs[1])], tmp_path / "alone")
@@ -749,6 +752,35 @@ def test_cli_search_bound_exits_before_any_work(tmp_path, command):
     assert isinstance(result.exception, SystemExit), result.exception
     assert result.output.startswith("Error: example2: ") and "exhaustive-search bound" in result.output
     assert result.output.count("\n") == 1
+
+
+def test_cli_compare_is_bounded_by_the_splits_of_every_budget(monkeypatch, tmp_path):
+    # Every budget up to 12 over example2's three sources has C(15, 3) = 455 splits; up
+    # to 13, C(16, 3) = 560.
+    monkeypatch.setattr(oracle, "MAX_COMPOSITIONS", 455)
+    path = _write_scenario(tmp_path, horizon=20)
+
+    def compare(t):
+        args = ["compare", str(path), "--t", str(t), "--out", str(tmp_path / "out")]
+        return CliRunner().invoke(cli_main, args)
+
+    result = compare(12)
+    assert result.exit_code == 0, result.output
+    assert len((tmp_path / "out" / "example2_compare.csv").read_text().splitlines()) == 13
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before the search-bound check")
+
+    monkeypatch.setattr(oracle, "_run", no_work)
+    monkeypatch.setattr(oracle, "compositions", no_work)
+    monkeypatch.setattr(infotrap.gaussian, "block_increments", no_work)
+    result = compare(13)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.output == (
+        "Error: example2: 560 splits of every budget up to 13 observations over 3 sources "
+        "exceed the exhaustive-search bound 455\n"
+    )
 
 
 def test_run_scenario_multi_direction_report(tmp_path):

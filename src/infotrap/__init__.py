@@ -68,10 +68,11 @@ from .scenarios import (
     emit_scenario,
     parse_scenario,
     parse_scenario_file,
-    run_batch,
     run_scenario,
     scenario_to_dict,
     sweep,
+    write_report_json,
+    write_trace_csv,
 )
 
 __version__ = "0.1.0"

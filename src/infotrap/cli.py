@@ -8,18 +8,19 @@ from pathlib import Path
 
 import click
 
+from .dynamics import MAX_HORIZON
 from .oracle import _comparison_columns, optimal_division
 from .scenarios import (
-    MAX_HORIZON,
     RUN_ERRORS,
     ScenarioError,
     SweepSpec,
     analysis_fields,
     parse_scenario_file,
-    run_batch,
+    run_scenario,
     sweep as run_sweep,
     write_compare_csv,
     write_report_json,
+    write_trace_csv,
 )
 
 
@@ -88,13 +89,15 @@ def analyze(scenario, out: Path) -> str:
 @scenario_command
 def simulate(scenario, out: Path) -> str:
     """Run each scenario, writing a trace CSV and a report JSON."""
-    (report,) = run_batch([scenario], out)
+    trace, report = run_scenario(scenario)
+    write_trace_csv(out / f"{scenario.name}_trace.csv", scenario, trace)
+    path = out / f"{scenario.name}_report.json"
+    write_report_json(path, report)
     ratio = report["inefficiency_ratio"]
     ratio_txt = "n/a" if ratio is None else f"{ratio:.6g}"
     label = report["classification"]
     if report["trapped_set"]:
         label += f" on sources {report['trapped_set']}"
-    path = out / f"{scenario.name}_report.json"
     return f"{scenario.name}: {label} (inefficiency {ratio_txt}) -> {path}"
 
 

@@ -9,6 +9,7 @@ sampled, only move the posterior mean and never the choices.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Union
@@ -84,6 +85,8 @@ _ENTRY_CEILING = 8e307
 # ``escalate_gamma`` doubles or halves gamma at most this many times.
 MAX_DOUBLINGS = 20
 
+MAX_HORIZON = 10_000_000  # the largest ``horizon``: a run keeps a choice and a variance per period
+
 
 # scipy's cho_factor/cho_solve, imported on first call so that importing this module
 # does not import scipy.linalg. Nothing here calls them: perfbench/tracing.py and
@@ -117,7 +120,11 @@ class TieBreak:
     def __post_init__(self) -> None:
         if self.kind not in ("lowest_index", "random"):
             raise ValueError(f"unknown tie-break kind {self.kind!r}")
-        if self.kind == "random" and self.seed is None:
+        if self.seed is not None:
+            object.__setattr__(self, "seed", _as_int("seed", self.seed))
+            if self.seed < 0:
+                raise ValueError(f"seed must be >= 0, not {self.seed}")
+        elif self.kind == "random":
             raise ValueError("random tie-break needs a seed")
 
     @classmethod
@@ -126,7 +133,7 @@ class TieBreak:
 
     @classmethod
     def random(cls, seed: int) -> "TieBreak":
-        return cls("random", int(seed))
+        return cls("random", seed)
 
     def make_rng(self) -> np.random.Generator | None:
         return np.random.default_rng(self.seed) if self.kind == "random" else None
@@ -178,9 +185,14 @@ class AutoFreeSignals:
     gamma0: float
 
     def __post_init__(self) -> None:
-        # The released signals add gamma^2 to the prior precision.
-        if not (self.gamma0 > 0 and math.isfinite(self.gamma0 * self.gamma0)):
+        g = self.gamma0
+        if isinstance(g, bool) or not isinstance(g, numbers.Real):
+            raise ValueError(f"gamma0 must be a non-bool real number, not {g!r}")
+        # The released signals add gamma^2 to the prior precision. An int compares exactly
+        # with a float, so float(g) cannot overflow once the bound holds (a NaN fails it).
+        if not (0 < g <= sys.float_info.max and math.isfinite(float(g) * float(g))):
             raise ValueError("gamma0 must be positive and finite, with a finite square")
+        object.__setattr__(self, "gamma0", float(g))
 
 
 Intervention = Union[NoIntervention, PrecisionReplicate, BatchAllocate, FreeSignals]
@@ -326,8 +338,10 @@ class _Engine:
         if any(v.shape != (env.num_states,) for v in self.free_signals):
             raise ValueError("free-signal vector dimension must match the state count")
         self.precision = np.array(prior.precision)
-        for v in self.free_signals:
-            self.precision += np.outer(v, v)
+        # An overflowing fold is refused by the first period's finiteness test.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for v in self.free_signals:
+                self.precision += np.outer(v, v)
         self.counts = np.zeros(env.num_sources, dtype=np.int64)
         self.replication = (
             intervention.batch if isinstance(intervention, PrecisionReplicate) else 1
@@ -536,14 +550,14 @@ def _run(env: Environment, prior: GaussianPrior, horizon: int, rule: TieBreak, i
     The engine runs the periods up to the half mark in one ``advance`` call, and the rest
     in another."""
     horizon = _as_int("horizon", horizon)
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    if not 1 <= horizon <= MAX_HORIZON:
+        raise ValueError(f"horizon must be >= 1 and at most {MAX_HORIZON}, not {horizon}")
     engine = _Engine(env, prior, intervention, rule.make_rng())
     variance_path = np.empty(horizon)
     half_mark = horizon // 2
     # An overflowing reduction and a singular or indefinite batch candidate are refused by
-    # _pick, which names them, and the finiteness pre-test sums the precision, which may
-    # overflow: numpy need not warn.
+    # _pick, which names them, and an overflowing precision by the next period's finiteness
+    # test: numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         choices = engine.advance(variance_path[:half_mark])
         counts_half = engine.counts.copy()
@@ -646,11 +660,9 @@ def escalate_gamma(
     to release (a single-source best set), every gamma gives the same run, so it runs
     once and returns ``gamma0``.
     """
-    if not (gamma0 > 0):
-        raise ValueError("gamma0 must be positive")
+    gamma = AutoFreeSignals(gamma0).gamma0
     # design_free_signals(env, gamma) is gamma times the unit design, bit for bit.
     unit = design_free_signals(env, 1.0)
-    gamma = float(gamma0)
     result = direction = None
     for _ in range(MAX_DOUBLINGS + 1):
         trace = simulate(

@@ -1,4 +1,4 @@
-"""Scenario files, batch execution, prior sweeps, and report emission.
+"""Scenario files, scenario runs, prior sweeps, and report emission.
 
 A scenario is a JSON document pinning everything a run needs: coefficients,
 objective, prior, horizon, tie-break rule, intervention, and seeds. Outputs are
@@ -26,6 +26,7 @@ from .spanning import (  # enumerate_minimal_spanning_sets: perfbench/tracing.py
     enumerate_minimal_spanning_sets,  # noqa: F401
 )
 from .dynamics import (
+    MAX_HORIZON,
     AutoFreeSignals,
     BatchAllocate,
     FreeSignals,
@@ -49,14 +50,14 @@ __all__ = [
     "emit_scenario",
     "scenario_to_dict",
     "run_scenario",
-    "run_batch",
+    "write_trace_csv",
+    "write_report_json",
     "sweep",
     "bundled_scenario",
     "bundled_scenario_names",
 ]
 
 _FLOAT_MAX = sys.float_info.max
-MAX_HORIZON = 10_000_000  # the largest ``horizon``: a run keeps a choice and a variance per period
 
 
 class ScenarioError(ValueError):
@@ -163,7 +164,7 @@ def _parse_intervention(raw, path: str):
     if kind != "free_signals_auto":
         raise ScenarioError(f"{path}: unknown intervention kind {kind!r}")
     try:
-        return AutoFreeSignals(float(_numbers(value, "gamma0", f"{path}.{kind}", 0)))
+        return AutoFreeSignals(_require(value, "gamma0", f"{path}.{kind}"))
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"{path}.{kind}: {exc}") from exc
 
@@ -424,34 +425,6 @@ def write_compare_csv(path, greedy: np.ndarray, optimal: np.ndarray) -> float:
 
 def write_report_json(path, report: dict) -> None:
     Path(path).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-
-
-def run_batch(scenarios: list[Scenario], out_dir) -> list[dict]:
-    """Run scenarios in order, writing trace CSV plus report JSON for each as it finishes.
-
-    Writes nothing to the terminal. Classification outcomes never affect success. A
-    scenario that raises one of ``RUN_ERRORS`` does not stop the others; once every
-    scenario has run, the first such error is raised again.
-    """
-    names = [s.name for s in scenarios]
-    if len(set(names)) != len(names):
-        raise ScenarioError("batch: scenario names must be unique")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    reports = []
-    failure = None
-    for scenario in scenarios:
-        try:
-            trace, report = run_scenario(scenario)
-        except RUN_ERRORS as exc:
-            failure = failure or exc
-            continue
-        write_trace_csv(out / f"{scenario.name}_trace.csv", scenario, trace)
-        write_report_json(out / f"{scenario.name}_report.json", report)
-        reports.append(report)
-    if failure is not None:
-        raise failure
-    return reports
 
 
 def _with_prior_variance(scenario: Scenario, state: int, value: float) -> Scenario:

@@ -14,6 +14,7 @@ from infotrap import (
     FreeSignals,
     GaussianPrior,
     NoIntervention,
+    NotPositiveDefiniteError,
     PrecisionReplicate,
     SearchBoundError,
     SpanError,
@@ -93,6 +94,10 @@ def test_greedy_step_random_tie_break_reproducible():
     assert picks == {0, 1}
     again = [greedy_step(env, prior, [0, 0, 0], rule=TieBreak.random(3)) for _ in range(5)]
     assert len(set(again)) == 1
+    # A numpy integer seed is kept as the Python int it equals.
+    for seed in (np.int64(3), np.uint8(3)):
+        rule = TieBreak.random(seed)
+        assert rule == TieBreak.random(3) and type(rule.seed) is int
 
 
 def test_simulate_trap_example2(example2, example2_trap_prior):
@@ -513,6 +518,20 @@ def test_compositions_pack_first_parts_into_blocks(monkeypatch):
     assert packed < unpacked
 
 
+def test_run_refuses_a_horizon_above_the_bound_before_any_work(
+    monkeypatch, example2, example2_trap_prior
+):
+    monkeypatch.setattr(dynamics, "MAX_HORIZON", 5)
+    assert len(simulate(example2, example2_trap_prior, 5).variance_path) == 5
+
+    def no_engine(*args, **kwargs):
+        raise AssertionError("the engine was built")
+
+    monkeypatch.setattr(dynamics, "_Engine", no_engine)
+    with pytest.raises(ValueError, match="horizon must be >= 1 and at most 5, not 6"):
+        simulate(example2, example2_trap_prior, 6)
+
+
 def test_auto_free_signals_is_not_a_single_run_intervention(example2, example2_trap_prior):
     with pytest.raises(TypeError, match="escalate_gamma"):
         simulate(example2, example2_trap_prior, 10, intervention=AutoFreeSignals(1.0))
@@ -549,6 +568,26 @@ _NOT_INTEGERS = {
         ),
         (lambda env, prior: design_free_signals(env, 0), ValueError, "gamma must be positive"),
         (lambda env, prior: escalate_gamma(env, prior, 10, gamma0=0), ValueError, "gamma0 must"),
+        (lambda env, prior: escalate_gamma(env, prior, 10, True), ValueError, "gamma0 must"),
+        (lambda env, prior: escalate_gamma(env, prior, 10, 1e200), ValueError, "gamma0 must"),
+        (lambda env, prior: AutoFreeSignals(True), ValueError, "gamma0 must be a non-bool real"),
+        (lambda env, prior: AutoFreeSignals("3"), ValueError, "gamma0 must be a non-bool real"),
+        (lambda env, prior: TieBreak.random(2.7), ValueError, "seed must be a non-bool integer"),
+        (lambda env, prior: TieBreak.random(True), ValueError, "seed must be a non-bool integer"),
+        (lambda env, prior: TieBreak.random(-1), ValueError, "seed must be >= 0"),
+        (lambda env, prior: TieBreak("random", 2.5), ValueError, "seed must be a non-bool integer"),
+        (
+            lambda env, prior: simulate(env, prior, 10, intervention=FreeSignals(([1e200, 0],))),
+            NotPositiveDefiniteError,
+            "non-finite entries",
+        ),
+        (
+            lambda env, prior: greedy_step(
+                env, prior, [0] * 3, intervention=FreeSignals(([1e200, 0],))
+            ),
+            NotPositiveDefiniteError,
+            "non-finite entries",
+        ),
         (
             lambda env, prior: simulate(env, GaussianPrior.from_diagonal([1.0] * 3), 10),
             DimensionError,
@@ -586,6 +625,16 @@ _NOT_INTEGERS = {
         "free_signal_length",
         "design_gamma_zero",
         "escalate_gamma0_zero",
+        "escalate_gamma0_bool",
+        "escalate_gamma0_square_overflow",
+        "auto_free_signals_bool",
+        "auto_free_signals_string",
+        "tie_break_seed_fraction",
+        "tie_break_seed_bool",
+        "tie_break_seed_negative",
+        "tie_break_constructor_seed_fraction",
+        "simulate_overflowing_free_signal",
+        "greedy_step_overflowing_free_signal",
         "simulate_prior_size",
         "greedy_step_prior_size",
     ]

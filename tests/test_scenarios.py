@@ -26,9 +26,10 @@ from infotrap import (
     emit_scenario,
     parse_scenario,
     parse_scenario_file,
-    run_batch,
     run_scenario,
     sweep,
+    write_report_json,
+    write_trace_csv,
 )
 from infotrap import dynamics, oracle, scenarios, spanning
 from infotrap.dynamics import Classification, SimulationTrace
@@ -135,10 +136,6 @@ def _example2_doc(**overrides):
             lambda out: parse_scenario(_example2_doc(intervention="precision")),
             'intervention: expected "none" or an object',
         ),
-        (
-            lambda out: run_batch([bundled_scenario("example2")] * 2, out),
-            "batch: scenario names must be unique",
-        ),
     ],
     ids=[
         "invalid_json",
@@ -149,7 +146,6 @@ def _example2_doc(**overrides):
         "unknown_tie_break",
         "non_boolean_realizations",
         "intervention_string",
-        "duplicate_batch_names",
     ],
 )
 def test_scenario_refusals(call, fragment, tmp_path):
@@ -263,16 +259,18 @@ def test_duplicate_names_rejected(tmp_path):
         parse_scenario_file(path)
 
 
-def test_run_batch_empty(tmp_path):
-    out = tmp_path / "out"
-    assert run_batch([], out) == []
-    assert not any(out.iterdir())
+def _run_and_write(scenario, out):
+    """Run one scenario and write its trace CSV and report JSON under ``out``, as
+    ``infotrap simulate`` does; returns the report."""
+    out.mkdir(parents=True, exist_ok=True)
+    trace, report = run_scenario(scenario)
+    write_trace_csv(out / f"{scenario.name}_trace.csv", scenario, trace)
+    write_report_json(out / f"{scenario.name}_report.json", report)
+    return report
 
 
 def test_run_batch_example2_report(tmp_path, capsys):
-    s = bundled_scenario("example2")
-    reports = run_batch([s], tmp_path)
-    report = reports[0]
+    report = _run_and_write(bundled_scenario("example2"), tmp_path)
     assert report["classification"] == "trap"
     assert report["trapped_set"] == [1]
     assert report["inefficiency_ratio"] == pytest.approx(1.5, abs=1e-9)
@@ -299,9 +297,8 @@ def test_regression_all_bundled_classifications(tmp_path):
         "example3": ("trap", [3, 4, 5]),
         "precise_info": ("trap", [1, 2]),
     }
-    scenarios = [bundled_scenario(n) for n in expected]
-    reports = run_batch(scenarios, tmp_path)
-    for report in reports:
+    for name in expected:
+        report = _run_and_write(bundled_scenario(name), tmp_path)
         kind, trapped = expected[report["name"]]
         assert report["classification"] == kind
         assert report["trapped_set"] == trapped
@@ -315,8 +312,8 @@ def test_reports_byte_identical(tmp_path):
     doc["seed"] = 123
     s = parse_scenario(doc)
     a, b = tmp_path / "a", tmp_path / "b"
-    run_batch([s], a)
-    run_batch([s], b)
+    _run_and_write(s, a)
+    _run_and_write(s, b)
     for suffix in ("_trace.csv", "_report.json"):
         assert (a / f"example2{suffix}").read_bytes() == (b / f"example2{suffix}").read_bytes()
 
@@ -326,7 +323,7 @@ def test_batch_trace_csv_choice_format(tmp_path):
     doc["name"] = "example2_batch"
     doc["horizon"] = 5
     doc["intervention"] = {"batch": 2}
-    run_batch([parse_scenario(doc)], tmp_path)
+    _run_and_write(parse_scenario(doc), tmp_path)
     lines = (tmp_path / "example2_batch_trace.csv").read_text().splitlines()
     assert lines[1].split(",")[1] == "0;1;1"  # semicolon-joined per-source counts
     assert lines[1].split(",")[3:] == ["0", "1", "1"]
@@ -337,10 +334,9 @@ def test_free_signal_escalation_scenario(tmp_path):
     doc["name"] = "example2_auto"
     doc["horizon"] = 2000
     doc["intervention"] = {"free_signals_auto": {"gamma0": 1.0}}
-    s = parse_scenario(doc)
-    reports = run_batch([s], tmp_path)
-    assert reports[0]["classification"] == "efficient"
-    assert reports[0]["gamma_final"] == 1.0
+    report = _run_and_write(parse_scenario(doc), tmp_path)
+    assert report["classification"] == "efficient"
+    assert report["gamma_final"] == 1.0
 
 
 def test_sweep_threshold_example2():
@@ -533,6 +529,7 @@ def test_cli_rejects_bad_options_without_traceback(tmp_path, args, option):
     [
         ({"intervention": {"batch": 400}}, "exceed the batch-allocation bound"),
         ({"intervention": {"free_signals_auto": {"gamma0": 1e100}}}, "not positive"),
+        ({"intervention": {"free_signals": [[1e200, 0]]}}, "non-finite entries"),
         (
             {
                 "coefficients": [[1, 1], [1, -1], [1, 0]],
@@ -545,7 +542,13 @@ def test_cli_rejects_bad_options_without_traceback(tmp_path, args, option):
             "variance reduction is not finite",
         ),
     ],
-    ids=["batch_bound", "huge_gamma0", "tied_best_set", "non_finite_reduction"],
+    ids=[
+        "batch_bound",
+        "huge_gamma0",
+        "overflowing_free_signal",
+        "tied_best_set",
+        "non_finite_reduction",
+    ],
 )
 @pytest.mark.parametrize("command", [["simulate"], ["sweep", "--state", "2", "--grid", "6,12"]])
 def test_cli_run_errors_name_the_scenario(tmp_path, overrides, message, command):
@@ -598,25 +601,13 @@ def test_cli_simulate_runs_every_scenario_after_a_failure(tmp_path):
         f"Error: worse: {bound}",
     ]
     assert sorted(p.name for p in out.iterdir()) == ["good_report.json", "good_trace.csv"]
-
-
-def test_run_batch_runs_every_scenario_and_raises_the_first_failure(tmp_path):
-    docs = [
-        _example2_doc(name="bad", horizon=20, intervention={"batch": 400}),
-        _example2_doc(name="good", horizon=20),
-        _example2_doc(
-            name="worse",
-            horizon=20,
-            coefficients=[[1, 1], [1, -1], [1, 0]],
-            intervention={"free_signals_auto": {"gamma0": 1.0}},
-        ),
-    ]
-    with pytest.raises(dynamics.SearchBoundError, match="exceed the batch-allocation bound"):
-        run_batch([parse_scenario(d) for d in docs], tmp_path)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["good_report.json", "good_trace.csv"]
-    run_batch([parse_scenario(docs[1])], tmp_path / "alone")
+    # A scenario's artifacts do not depend on its neighbours.
+    path.write_text(json.dumps(docs[1:2]))
+    alone = tmp_path / "alone"
+    result = CliRunner().invoke(cli_main, ["simulate", str(path), "--out", str(alone), "--quiet"])
+    assert result.exit_code == 0, result.output
     for name in ("good_report.json", "good_trace.csv"):
-        assert (tmp_path / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
+        assert (out / name).read_bytes() == (alone / name).read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -888,7 +879,7 @@ def test_unidentified_target_reports_nulls(tmp_path):
     for name, fields in _UNIDENTIFIED.items():
         doc = scenario_to_dict(bundled_scenario("example2"))
         doc.update(fields, name=name, horizon=20)
-        report = run_batch([parse_scenario(doc)], tmp_path)[0]
+        report = _run_and_write(parse_scenario(doc), tmp_path)
         assert report["classification"] == "undetermined"
         for key in ("phi_best", "best_set", "lambda_star", "assumption_report"):
             assert report[key] is None

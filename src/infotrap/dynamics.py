@@ -9,7 +9,6 @@ sampled, only move the posterior mean and never the choices.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from typing import Union
@@ -29,6 +28,7 @@ from .gaussian import (
     _check_finite,
     _as_int,
     _check_prior,
+    _numbers,
     _per_source,
     _signal_precision,
     _solve_spd,
@@ -86,6 +86,7 @@ _ENTRY_CEILING = 8e307
 MAX_DOUBLINGS = 20
 
 MAX_HORIZON = 10_000_000  # the largest ``horizon``: a run keeps a choice and a variance per period
+MAX_SEED = 2**64 - 1  # the largest realization ``seed``, as a scenario file gives it
 
 
 # scipy's cho_factor/cho_solve, imported on first call so that importing this module
@@ -122,8 +123,6 @@ class TieBreak:
             raise ValueError(f"unknown tie-break kind {self.kind!r}")
         if self.seed is not None:
             object.__setattr__(self, "seed", _as_int("seed", self.seed))
-            if self.seed < 0:
-                raise ValueError(f"seed must be >= 0, not {self.seed}")
         elif self.kind == "random":
             raise ValueError("random tie-break needs a seed")
 
@@ -149,10 +148,8 @@ class _Batched:
     batch: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "batch", _as_int("batch", self.batch))
         # A replication count scales the precision as a float, so it must fit one.
-        if not 1 <= self.batch <= sys.float_info.max:  # an exact int-float comparison
-            raise ValueError("batch size must be >= 1 and at most the largest float")
+        object.__setattr__(self, "batch", _as_int("batch", self.batch, 1, sys.float_info.max))
 
 
 @dataclass(frozen=True)
@@ -172,9 +169,13 @@ class FreeSignals:
     vectors: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        self.vectors = tuple(np.asarray(v, dtype=float) for v in self.vectors)
-        if any(v.ndim != 1 or not np.all(np.isfinite(v)) for v in self.vectors):
-            raise ValueError("free-signal vectors must be finite 1-d arrays")
+        self.vectors = tuple(_numbers("free-signal vector", v, 1) for v in self.vectors)
+
+
+def _check_free_signals(env: Environment, vectors) -> None:
+    """Refuse free-signal vectors whose length is not the state count of ``env``."""
+    if any(v.shape != (env.num_states,) for v in vectors):
+        raise ValueError(f"free-signal vectors must match the state count {env.num_states}")
 
 
 @dataclass(frozen=True)
@@ -185,14 +186,11 @@ class AutoFreeSignals:
     gamma0: float
 
     def __post_init__(self) -> None:
-        g = self.gamma0
-        if isinstance(g, bool) or not isinstance(g, numbers.Real):
-            raise ValueError(f"gamma0 must be a non-bool real number, not {g!r}")
-        # The released signals add gamma^2 to the prior precision. An int compares exactly
-        # with a float, so float(g) cannot overflow once the bound holds (a NaN fails it).
-        if not (0 < g <= sys.float_info.max and math.isfinite(float(g) * float(g))):
-            raise ValueError("gamma0 must be positive and finite, with a finite square")
-        object.__setattr__(self, "gamma0", float(g))
+        g = float(_numbers("gamma0", self.gamma0, 0))
+        # The released signals add gamma^2 to the prior precision.
+        if not (g > 0 and math.isfinite(g * g)):
+            raise ValueError("gamma0 must be positive, with a finite square")
+        object.__setattr__(self, "gamma0", g)
 
 
 Intervention = Union[NoIntervention, PrecisionReplicate, BatchAllocate, FreeSignals]
@@ -253,9 +251,7 @@ def compositions(total: int, parts: int):
     share a block while their rows fit in it; a first part whose rows overflow a block by
     themselves is fixed, and the splits of its rest are blocked the same way.
     """
-    total, parts = _as_int("total", total), _as_int("parts", parts)
-    if total < 0 or parts < 1:
-        raise ValueError("compositions need total >= 0 and parts >= 1")
+    total, parts = _as_int("total", total), _as_int("parts", parts, 1)
     if parts == 1:
         yield np.array([[total]], dtype=np.int64)
     else:
@@ -335,8 +331,7 @@ class _Engine:
         self.env = env
         self.tie_rng = tie_rng
         self.free_signals = intervention.vectors if isinstance(intervention, FreeSignals) else ()
-        if any(v.shape != (env.num_states,) for v in self.free_signals):
-            raise ValueError("free-signal vector dimension must match the state count")
+        _check_free_signals(env, self.free_signals)
         self.precision = np.array(prior.precision)
         # An overflowing fold is refused by the first period's finiteness test.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -508,7 +503,7 @@ def greedy_step(
     # As in simulate. The counts' precision may overflow too, and the step refuses it.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         engine.precision += _signal_precision(
-            env, _per_source(env, counts, "count") * engine.replication
+            env, _per_source(env, counts, "counts") * engine.replication
         )
         choice, _ = engine.step()
     return choice
@@ -549,9 +544,7 @@ def _run(env: Environment, prior: GaussianPrior, horizon: int, rule: TieBreak, i
     """``simulate``'s run, unclassified: (engine, choices, variance path, half-mark counts).
     The engine runs the periods up to the half mark in one ``advance`` call, and the rest
     in another."""
-    horizon = _as_int("horizon", horizon)
-    if not 1 <= horizon <= MAX_HORIZON:
-        raise ValueError(f"horizon must be >= 1 and at most {MAX_HORIZON}, not {horizon}")
+    horizon = _as_int("horizon", horizon, 1, MAX_HORIZON)
     engine = _Engine(env, prior, intervention, rule.make_rng())
     variance_path = np.empty(horizon)
     half_mark = horizon // 2
@@ -579,8 +572,10 @@ def simulate(
     Classification looks at the second half of the run: a set of sources that is
     minimally spanning but slower than the best set is a trap; matching the
     optimal support and frequencies (sup-norm 0.05) is efficient; anything else
-    is left undetermined rather than forced into a bucket.
+    is left undetermined rather than forced into a bucket. ``seed`` draws the
+    realizations; it is an integer from 0 to ``MAX_SEED`` either way.
     """
+    seed = _as_int("seed", seed, 0, MAX_SEED)
     engine, choices, variance_path, counts_half = _run(env, prior, horizon, rule, intervention)
     classification, ratio, freq = _classify(env, engine.counts, counts_half)
     final_mean = None
@@ -622,10 +617,10 @@ def design_free_signals(env: Environment, gamma: float) -> list[np.ndarray]:
     Spans the best set's coefficient subspace with the target direction plus an
     orthonormal complement; the complement directions, scaled to norm ``gamma``,
     are the signals to release. Empty when the best set is a single source (its
-    subspace holds no confounder to reveal).
+    subspace holds no confounder to reveal). ``gamma`` follows the rule of
+    ``AutoFreeSignals.gamma0``.
     """
-    if not (gamma > 0):
-        raise ValueError("gamma must be positive")
+    gamma = AutoFreeSignals(gamma).gamma0
     star = _unique_best(env)[0]
     k = len(star.indices)
     if k == 1:
@@ -661,6 +656,7 @@ def escalate_gamma(
     once and returns ``gamma0``.
     """
     gamma = AutoFreeSignals(gamma0).gamma0
+    seed = _as_int("seed", seed, 0, MAX_SEED)  # refused before the first run
     # design_free_signals(env, gamma) is gamma times the unit design, bit for bit.
     unit = design_free_signals(env, 1.0)
     result = direction = None

@@ -25,13 +25,14 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy._core.multiarray import c_einsum
+from numpy._core.multiarray import c_einsum, count_nonzero
 from numpy.linalg import _umath_linalg
 from numpy.linalg._linalg import _raise_linalgerror_lstsq
 
@@ -53,8 +54,9 @@ __all__ = [
 # Relative tolerance for "this vector component is exactly zero" span decisions.
 SPAN_TOL = 1e-9
 
-_LARGEST_ROOT = math.sqrt(np.finfo(float).max)  # the largest float with a finite square
-_HALF_MAX = np.finfo(float).max / 2  # the largest float whose double is finite
+_FLOAT_MAX = sys.float_info.max
+_LARGEST_ROOT = math.sqrt(_FLOAT_MAX)  # the largest float with a finite square
+_HALF_MAX = _FLOAT_MAX / 2  # the largest float whose double is finite
 
 
 def _represent(a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -142,6 +144,60 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _as_int(name: str, value, low: int = 0, high: float = math.inf) -> int:
+    """``value`` as a Python int in ``low..high`` (numpy's ``uint8`` would wrap). A bool, a
+    non-integer or a value out of range raises ``ValueError`` naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be a non-bool integer, not {value!r}")
+    value = int(value)
+    if not low <= value <= high:  # an int compares exactly with a float bound
+        most = f" and at most {high}" if high < math.inf else ""
+        raise ValueError(f"{name} must be >= {low}{most}, not {value}")
+    return value
+
+
+def _numbers(name: str, values, ndim: int) -> np.ndarray:
+    """``values`` as a float array of finite numbers nested ``ndim`` deep (at most 2).
+
+    A bool, a string, or an entry that is not finite or is beyond float range raises
+    ``ValueError``; a wrong depth or a ragged row raises ``DimensionError``; ``name`` labels
+    both. An array of numeric dtype is checked by one vectorized test, anything else a row
+    at a time, so an array read once is not read again."""
+    shape = ("a number", "a vector", "a matrix")[ndim]
+    what = "hold finite numbers only" if ndim else "be a finite number"
+
+    def read(x, depth: int):
+        if isinstance(x, np.ndarray):
+            if x.dtype.kind in "iuf" and x.ndim == depth:
+                return x
+            x = x.tolist()  # bools, strings, objects or a wrong depth: entry by entry
+        if isinstance(x, (list, tuple)) != (depth > 0):
+            raise DimensionError(f"{name} must be {shape}")
+        if depth > 1:
+            return [read(v, depth - 1) for v in x]
+        for v in x if depth else (x,):
+            if type(v) is float:  # at once: NaN and inf are refused below
+                continue
+            if isinstance(v, (list, tuple, np.ndarray)):
+                raise DimensionError(f"{name} must be {shape}")
+            # An int compares exactly with a float, so its conversion cannot overflow.
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not abs(v) <= _FLOAT_MAX:
+                raise ValueError(f"{name} must {what}, not {v!r}")
+        return x
+
+    nested = read(values, ndim)
+    try:
+        a = np.asarray(nested, dtype=float)
+    except ValueError:  # rows of different lengths
+        a = None
+    if a is None or a.ndim != ndim:
+        raise DimensionError(f"{name} must be {shape} with rows of one length")
+    finite = np.isfinite(a)
+    if count_nonzero(finite) < a.size:
+        raise ValueError(f"{name} must {what}, not {float(a[~finite][0])!r}")
+    return a
+
+
 @dataclass(eq=False)
 class Environment:
     """Signal coefficient matrix plus the weighted target direction(s).
@@ -159,11 +215,11 @@ class Environment:
     objective: tuple[tuple[float, np.ndarray], ...] = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.coefficients, dtype=float)
-        if c.ndim != 2 or c.shape[0] < 1 or c.shape[1] < 1:
+        c = _numbers("coefficients", self.coefficients, 2)
+        if c.size == 0:
             raise DimensionError("coefficients must be a non-empty N x K matrix")
         if not np.all(np.abs(c) <= _LARGEST_ROOT):
-            raise ValueError("coefficients must be finite, with finite squares")
+            raise ValueError("coefficients must have finite squares")
         self.coefficients = _readonly(c)
         k = c.shape[1]
         if self.objective is None:
@@ -173,14 +229,15 @@ class Environment:
         else:
             pairs = []
             for w, d in self.objective:
-                d = np.asarray(d, dtype=float)
+                d = _numbers("objective direction", d, 1)
                 if d.shape != (k,):
                     raise DimensionError("objective direction has wrong length")
-                if not np.all(np.isfinite(d)) or not np.any(d):
-                    raise ValueError("objective directions must be finite and non-zero")
-                if not (w > 0 and math.isfinite(w)):
+                if not np.any(d):
+                    raise ValueError("objective directions must be non-zero")
+                w = float(_numbers("objective weight", w, 0))
+                if not w > 0:
                     raise ValueError("objective weights must be positive")
-                pairs.append((float(w), _readonly(d)))
+                pairs.append((w, _readonly(d)))
             if not pairs:
                 raise ValueError("objective must be non-empty")
             self.objective = tuple(pairs)
@@ -226,14 +283,12 @@ class GaussianPrior:
     covariance: np.ndarray
 
     def __post_init__(self) -> None:
-        cov = np.asarray(self.covariance, dtype=float)
-        mean = np.asarray(self.mean, dtype=float)
-        if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
+        cov = _numbers("covariance", self.covariance, 2)
+        mean = _numbers("mean", self.mean, 1)
+        if cov.shape[0] != cov.shape[1]:
             raise DimensionError("covariance must be square")
         if mean.shape != (cov.shape[0],):
             raise DimensionError("mean length must match covariance size")
-        if not np.all(np.isfinite(cov)) or not np.all(np.isfinite(mean)):
-            raise ValueError("prior entries must be finite")
         scale = max(1.0, float(np.max(np.abs(cov))))
         if scale > _HALF_MAX:  # cov + cov.T would overflow
             raise NotPositiveDefiniteError(f"covariance entry {scale:.3e} overflows (S + S') / 2")
@@ -268,7 +323,7 @@ class GaussianPrior:
 
     @classmethod
     def from_diagonal(cls, variances) -> "GaussianPrior":
-        v = np.asarray(variances, dtype=float)
+        v = _numbers("variances", variances, 1)
         return cls(mean=np.zeros(v.size), covariance=np.diag(v))
 
 
@@ -279,8 +334,10 @@ class DivisionVector:
     counts: np.ndarray
 
     def __post_init__(self) -> None:
-        _refuse_bool(self.counts, "count")
-        c = np.asarray(self.counts)
+        c = self.counts
+        if not (isinstance(c, np.ndarray) and c.dtype.kind in "iu"):
+            _numbers("counts", c, 1)  # the reader's refusals; a list of ints stays exact below
+            c = np.asarray(c)
         if c.ndim != 1:
             raise DimensionError("counts must be a vector")
         if c.dtype.kind == "i":
@@ -311,12 +368,9 @@ class FrequencyVector:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        _refuse_bool(self.weights, "frequency")
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1:
-            raise DimensionError("weights must be a vector")
-        if np.any(w < 0) or not np.all(np.isfinite(w)):
-            raise ValueError("weights must be non-negative and finite")
+        w = _numbers("weights", self.weights, 1)
+        if np.any(w < 0):
+            raise ValueError("weights must be non-negative")
         self.weights = _readonly(w)
 
     @property
@@ -327,30 +381,18 @@ class FrequencyVector:
         return tuple(int(i) for i in np.nonzero(self.weights > tol)[0])
 
 
-def _refuse_bool(values, name: str) -> None:
-    """Refuse a bool entry, in a bool array or mixed into a sequence (where the numbers
-    around it would make it 0 or 1); ``name`` labels the error."""
-    raw = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
-    if raw.dtype == bool or (
-        raw.dtype == object and any(isinstance(v, (bool, np.bool_)) for v in raw.flat)
-    ):
-        raise ValueError(f"{name} vector holds a bool; its entries must be numbers")
-
-
 def _per_source(env: Environment, values, name: str) -> np.ndarray:
-    """``values`` (a DivisionVector, a FrequencyVector or a sequence) as a float array of
-    one finite, non-negative entry per source; ``name`` labels the errors. A bool entry is
-    refused, not read as 0 or 1."""
+    """``values`` (a DivisionVector, a FrequencyVector or a sequence), read by ``_numbers``,
+    as a float array of one non-negative entry per source; ``name`` labels the errors."""
     if isinstance(values, DivisionVector):
         values = values.counts
     elif isinstance(values, FrequencyVector):
         values = values.weights
-    _refuse_bool(values, name)
-    q = np.asarray(values, dtype=float)
+    q = _numbers(name, values, 1)
     if q.shape != (env.num_sources,):
-        raise DimensionError(f"{name} vector has length {q.shape}, expected {env.num_sources}")
-    if not np.all(np.isfinite(q)) or np.any(q < 0):
-        raise ValueError(f"{name} entries must be finite and non-negative")
+        raise DimensionError(f"{name} have length {len(q)}, expected {env.num_sources}")
+    if np.any(q < 0):
+        raise ValueError(f"{name} must be non-negative")
     return q
 
 
@@ -365,13 +407,6 @@ def _check_prior(env: Environment, prior: GaussianPrior) -> None:
         raise DimensionError(
             f"prior has {prior.num_states} states, environment has {env.num_states}"
         )
-
-
-def _as_int(name: str, value) -> int:
-    """``value`` as a Python int (numpy's ``uint8`` would wrap); refuses a bool or a non-integer."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be a non-bool integer, not {value!r}")
-    return int(value)
 
 
 def _check_finite(precision: np.ndarray) -> None:
@@ -392,7 +427,7 @@ def _posterior_solve(env: Environment, prior: GaussianPrior, counts) -> np.ndarr
     """(K, R) posterior covariance times each target direction, ``P^-1 u_r``, with P the
     posterior precision after ``counts``. An overflowing P is refused, not warned about."""
     _check_prior(env, prior)
-    q = _per_source(env, counts, "count")
+    q = _per_source(env, counts, "counts")
     with np.errstate(over="ignore", invalid="ignore"):
         precision = prior.precision + _signal_precision(env, q)
     return _solve_spd(precision, env.directions.T)
@@ -416,7 +451,7 @@ def variance_reduction(env: Environment, prior: GaussianPrior, counts, source: i
     """
     if not 0 <= source < env.num_sources:
         raise IndexError(f"source index {source} out of range")
-    q = _per_source(env, counts, "count")
+    q = _per_source(env, counts, "counts")
     step = q.copy()
     step[source] += 1
     return posterior_variance(env, prior, q) - posterior_variance(env, prior, step)
@@ -477,7 +512,7 @@ def _limit(env: Environment, frequencies) -> tuple[float, np.ndarray | None]:
     itself, and of the K unit states, whose rows X_e give M^-1 = X_e X_e'. C and lam enter
     over their largest entries and the scales are divided out one at a time, so a result
     that overflows is +inf, one that underflows is 0, and neither warns."""
-    lam = _per_source(env, frequencies, "frequency")
+    lam = _per_source(env, frequencies, "frequencies")
     c_scale = float(np.abs(env.coefficients).max()) or 1.0  # an all-zero C spans nothing
     lam_scale = float(lam.max()) or 1.0
     c = env.coefficients / c_scale

@@ -21,6 +21,7 @@ from .gaussian import (
     SPAN_TOL,
     _as_int,
     _check_prior,
+    _numbers,
     _solve_spd,
     asymptotic_variance,
     block_variances,
@@ -91,8 +92,6 @@ def optimal_division(env: Environment, prior: GaussianPrior, t: int) -> OptimalD
     size, and ``SearchBoundError`` for more than ``MAX_COMPOSITIONS`` splits.
     """
     t = _check_search_bound(env, prior, t, every_budget=False)
-    if t < 1:
-        raise ValueError("t must be >= 1")
     # The running minimum, and the splits near it in scan (lexicographic) order, pruned.
     best = math.inf
     kept: list[tuple[np.ndarray, np.ndarray]] = []  # (values, counts)
@@ -128,9 +127,10 @@ def optimal_trajectory(
 
 
 def _check_search_bound(env: Environment, prior: GaussianPrior, t: int, every_budget: bool) -> int:
-    """``t`` as an int, after the type, prior and search-bound checks: the splits of t over
-    the sources, plus an unused part with ``every_budget`` (budgets 1..t), are bounded."""
-    t = _as_int("budget", t)
+    """``t`` as an int, after the budget, prior and search-bound checks: t is at least 1,
+    or 0 with ``every_budget`` (budgets 1..t), and the splits of t over the sources, plus
+    an unused part with ``every_budget``, are bounded."""
+    t = _as_int("budget", t, 0 if every_budget else 1)
     _check_prior(env, prior)
     n = env.num_sources
     budgets = f"every budget up to {t}" if every_budget else str(t)
@@ -164,15 +164,13 @@ def round_to_total(weights, total: int) -> np.ndarray:
     """Integer allocation of ``total`` proportional to ``weights`` (largest remainder).
 
     Raises ``ValueError`` for a ``total`` that is a bool, not an integer, or outside
-    0..2**53 (the integers that floats hold), for negative or non-finite weights, and for
-    a zero or overflowing sum.
+    0..2**53 (the integers that floats hold), for weights that are not finite,
+    non-negative numbers, and for a zero or overflowing sum.
     """
-    w = np.asarray(weights, dtype=float)
-    total = _as_int("total", total)
-    if not 0 <= total <= 2**53:
-        raise ValueError("total must be in 0..2**53")
-    if not np.all(np.isfinite(w)) or np.any(w < 0):
-        raise ValueError("weights must be finite and non-negative")
+    w = _numbers("weights", weights, 1)
+    total = _as_int("total", total, 0, 2**53)
+    if np.any(w < 0):
+        raise ValueError("weights must be non-negative")
     with np.errstate(over="ignore"):
         s = w.sum()
     if not 0 < s < np.inf:

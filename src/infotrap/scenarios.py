@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
-import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -19,6 +17,7 @@ import numpy as np
 
 from . import dynamics, oracle
 from .gaussian import Environment, GaussianPrior, NotPositiveDefiniteError
+from .gaussian import _as_int, _check_prior, _numbers
 from .spanning import (  # enumerate_minimal_spanning_sets: perfbench/tracing.py wraps it here
     SpanError,
     best_set,
@@ -27,6 +26,7 @@ from .spanning import (  # enumerate_minimal_spanning_sets: perfbench/tracing.py
 )
 from .dynamics import (
     MAX_HORIZON,
+    MAX_SEED,
     AutoFreeSignals,
     BatchAllocate,
     FreeSignals,
@@ -36,6 +36,7 @@ from .dynamics import (
     SearchBoundError,
     SimulationTrace,
     TieBreak,
+    _check_free_signals,
     _cumulative_counts,
     escalate_gamma,
     simulate,
@@ -56,9 +57,6 @@ __all__ = [
     "bundled_scenario",
     "bundled_scenario_names",
 ]
-
-_FLOAT_MAX = sys.float_info.max
-
 
 class ScenarioError(ValueError):
     """A scenario document is malformed; the message carries the offending path."""
@@ -114,38 +112,23 @@ def _require(doc: dict, key: str, path: str):
     return doc[key]
 
 
-def _numbers(doc: dict, key: str, path: str, ndim: int) -> np.ndarray:
-    """``doc[key]`` as a float array of finite numbers nested ``ndim`` lists deep; a boolean,
-    a string or a number beyond float range raises a ScenarioError naming the field."""
-    field = f"{path}.{key}"
-
-    def read(x, depth: int):
-        if depth:
-            if not isinstance(x, (list, tuple, np.ndarray)):
-                raise ScenarioError(f"{field}: expected a list, got {x!r}")
-            return [read(v, depth - 1) for v in x]
-        # An int compares exactly with a float, so float(x) cannot overflow below.
-        if isinstance(x, bool) or not isinstance(x, numbers.Real) or not abs(x) <= _FLOAT_MAX:
-            raise ScenarioError(f"{field}: expected a finite number, got {x!r}")
-        return float(x)
-
-    nested = read(_require(doc, key, path), ndim)
+def _build(field: str, make, *args):
+    """``make(*args)``, a library constructor or rule, with its refusal re-raised as a
+    ScenarioError under ``field``."""
     try:
-        return np.array(nested, dtype=float)
-    except ValueError as exc:  # rows of different lengths
+        return make(*args)
+    except ScenarioError:
+        raise
+    except (TypeError, ValueError) as exc:
         raise ScenarioError(f"{field}: {exc}") from exc
 
 
-def _integer(doc: dict, key: str, path: str, low: int, high: float = math.inf) -> int:
-    """``doc[key]`` as an int in [low, high); a boolean, a float or a string raises a
-    ScenarioError naming the field, since nothing is rounded or coerced."""
-    value = _require(doc, key, path)
-    if isinstance(value, bool) or not isinstance(value, int) or not low <= value < high:
-        raise ScenarioError(f"{path}.{key}: expected an integer in [{low}, {high}), got {value!r}")
-    return value
+def _read(doc: dict, key: str, path: str, rule, *args):
+    """``doc[key]`` read by a library rule, ``_numbers`` or ``_as_int``, under its field path."""
+    return _build(f"{path}.{key}", rule, key, _require(doc, key, path), *args)
 
 
-def _parse_intervention(raw, path: str):
+def _parse_intervention(raw, path: str, env: Environment):
     if raw == "none" or raw is None:
         return NoIntervention()
     if not isinstance(raw, dict) or len(raw) != 1:
@@ -154,19 +137,16 @@ def _parse_intervention(raw, path: str):
             'precision/batch/free_signals/free_signals_auto'
         )
     (kind, value), = raw.items()
-    if kind == "free_signals":
-        return FreeSignals(tuple(_numbers(raw, kind, path, 2)))
-    if kind in ("precision", "batch"):
-        # A replication count scales the precision as a float, so it must be one.
-        return (PrecisionReplicate if kind == "precision" else BatchAllocate)(
-            _integer(raw, kind, path, 1, _FLOAT_MAX)
-        )
-    if kind != "free_signals_auto":
+    field = f"{path}.{kind}"
+    if kind == "free_signals_auto":
+        return _build(field, lambda v: AutoFreeSignals(_require(v, "gamma0", field)), value)
+    make = {"free_signals": FreeSignals, "precision": PrecisionReplicate, "batch": BatchAllocate}
+    if kind not in make:
         raise ScenarioError(f"{path}: unknown intervention kind {kind!r}")
-    try:
-        return AutoFreeSignals(_require(value, "gamma0", f"{path}.{kind}"))
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{path}.{kind}: {exc}") from exc
+    intervention = _build(field, make[kind], value)
+    if kind == "free_signals":
+        _build(field, _check_free_signals, env, intervention.vectors)
+    return intervention
 
 
 def parse_scenario(doc, path: str = "scenario") -> Scenario:
@@ -174,7 +154,7 @@ def parse_scenario(doc, path: str = "scenario") -> Scenario:
     if isinstance(doc, (str, bytes)):
         try:
             doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer past int's digit limit
             raise ScenarioError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ScenarioError(f"{path}: expected an object")
@@ -186,52 +166,42 @@ def parse_scenario(doc, path: str = "scenario") -> Scenario:
     if "/" in name or "\\" in name or ".." in name:
         raise ScenarioError(f"{path}.name: must not contain a path separator or '..'")
 
-    coefficients = _numbers(doc, "coefficients", path, 2)
+    coefficients = _read(doc, "coefficients", path, _numbers, 2)
     objective = None
     if "objective" in doc and doc["objective"] is not None:
         objective = []
         try:
             for i, item in enumerate(doc["objective"]):
                 at = f"{path}.objective[{i}]"
-                weight = _numbers(item, "weight", at, 0)
-                objective.append((weight, _numbers(item, "direction", at, 1)))
+                weight = _read(item, "weight", at, _numbers, 0)
+                objective.append((weight, _read(item, "direction", at, _numbers, 1)))
         except TypeError as exc:
             raise ScenarioError(f"{path}.objective: {exc}") from exc
-    try:
-        environment = Environment(coefficients, objective)
-    except ValueError as exc:
-        raise ScenarioError(f"{path}.coefficients/objective: {exc}") from exc
+    environment = _build(f"{path}.coefficients/objective", Environment, coefficients, objective)
 
-    mean = _numbers(doc, "prior_mean", path, 1)
-    covariance = _numbers(doc, "prior_cov", path, 2)
-    try:
-        prior = GaussianPrior(mean=mean, covariance=covariance)
-    except NotPositiveDefiniteError as exc:
-        raise ScenarioError(f"{path}.prior_cov: {exc}") from exc
-    except ValueError as exc:
-        raise ScenarioError(f"{path}.prior: {exc}") from exc
-    if prior.num_states != environment.num_states:
-        raise ScenarioError(f"{path}.prior_cov: size does not match coefficient columns")
+    mean = _read(doc, "prior_mean", path, _numbers, 1)
+    covariance = _read(doc, "prior_cov", path, _numbers, 2)
+    prior = _build(f"{path}.prior_cov", GaussianPrior, mean, covariance)
+    _build(f"{path}.prior_cov", _check_prior, environment, prior)
 
-    horizon = _integer(doc, "horizon", path, 1, MAX_HORIZON + 1)
+    horizon = _read(doc, "horizon", path, _as_int, 1, MAX_HORIZON)
 
     raw_tb = doc.get("tie_break", "lowest_index")
     if raw_tb == "lowest_index":
         tie_break = TieBreak.lowest_index()
     elif isinstance(raw_tb, dict) and set(raw_tb) == {"random"}:
-        tie_break = TieBreak.random(_integer(raw_tb, "random", f"{path}.tie_break", 0))
+        tie_break = _build(f"{path}.tie_break.random", TieBreak.random, raw_tb["random"])
     else:
         raise ScenarioError(f'{path}.tie_break: expected "lowest_index" or {{"random": seed}}')
 
-    intervention = _parse_intervention(doc.get("intervention", "none"), f"{path}.intervention")
-    k = environment.num_states
-    if isinstance(intervention, FreeSignals) and any(v.shape != (k,) for v in intervention.vectors):
-        raise ScenarioError(f"{path}.intervention.free_signals: vector length must be {k}")
+    intervention = _parse_intervention(
+        doc.get("intervention", "none"), f"{path}.intervention", environment
+    )
 
     sample_realizations = doc.get("sample_realizations", False)
     if not isinstance(sample_realizations, bool):
         raise ScenarioError(f"{path}.sample_realizations: must be a boolean")
-    seed = _integer(doc, "seed", path, 0, 2**64) if "seed" in doc else 0
+    seed = _read(doc, "seed", path, _as_int, 0, MAX_SEED) if "seed" in doc else 0
 
     return Scenario(
         name=name,
@@ -250,7 +220,7 @@ def parse_scenario_file(path) -> list[Scenario]:
     text = Path(path).read_text(encoding="utf-8")
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ScenarioError(f"{path}: invalid JSON ({exc})") from exc
     if isinstance(doc, list):
         scenarios = [parse_scenario(item, f"scenario[{i}]") for i, item in enumerate(doc)]

@@ -26,6 +26,7 @@ from .gaussian import (
     FrequencyVector,
     GaussianPrior,
     SPAN_TOL,
+    _as_int,
     _flapack,
     _represent,
 )
@@ -252,15 +253,13 @@ def _unique_best(env: Environment) -> list[SpanningSetReport]:
 
 def _source_indices(env: Environment, indices) -> list[int]:
     """``indices`` as sorted ints, duplicates kept: SpanError unless it is a flat iterable
-    of Python or numpy integers (not bools), each a source of ``env``."""
-    flat = np.iterable(indices) and not isinstance(indices, (str, bytes))
-    items = list(indices) if flat else [None]
-    if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in items):
-        raise SpanError(f"source indices must be integers, got {indices!r}")
-    subset = sorted(map(int, items))
-    if subset and (subset[0] < 0 or subset[-1] >= env.num_sources):
-        raise SpanError("source indices out of range")
-    return subset
+    of sources of ``env``, each read by ``_as_int``."""
+    if isinstance(indices, (str, bytes)) or not np.iterable(indices):
+        raise SpanError(f"source indices must be an iterable of integers, not {indices!r}")
+    try:
+        return sorted(_as_int("source index", i, 0, env.num_sources - 1) for i in indices)
+    except ValueError as exc:
+        raise SpanError(str(exc)) from exc
 
 
 def beta_phi_lambda(env: Environment, indices) -> SpanningSetReport:

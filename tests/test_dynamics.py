@@ -548,16 +548,42 @@ _NOT_INTEGERS = {
     "string": "3",
 }
 
+_ABOVE_THE_LARGEST_FLOAT = "at most 1.7976931348623157e[+]308"
+
+# A free-signal norm that the gamma0 rule refuses.
+_NOT_GAMMAS = {"bool": True, "string": "3", "square_overflow": 1e200}
+
+# A realization seed outside the scenario file's rule, integers 0..2**64 - 1, and the refusal.
+_SEED_RANGE = "seed must be >= 0 and at most 18446744073709551615, not "
+_NOT_SEEDS = {
+    "bool": (True, "seed must be a non-bool integer"),
+    "fraction": (2.5, "seed must be a non-bool integer"),
+    "negative": (-1, _SEED_RANGE + "-1"),
+    "above_64_bits": (2**64, _SEED_RANGE + "18446744073709551616"),
+}
+_SEEDED_RUNS = {
+    "simulate": lambda env, prior, seed: simulate(
+        env, prior, 10, sample_realizations=True, seed=seed
+    ),
+    "escalate": lambda env, prior, seed: escalate_gamma(
+        env, prior, 10, 1.0, sample_realizations=True, seed=seed
+    ),
+}
+
 
 @pytest.mark.parametrize(
     "call, error, fragment",
     [
         (lambda env, prior: TieBreak("highest"), ValueError, "unknown tie-break kind 'highest'"),
         (lambda env, prior: TieBreak("random"), ValueError, "random tie-break needs a seed"),
-        (lambda env, prior: PrecisionReplicate(0), ValueError, "batch size must be >= 1"),
-        (lambda env, prior: BatchAllocate(0), ValueError, "batch size must be >= 1"),
-        (lambda env, prior: FreeSignals(([1.0, np.nan],)), ValueError, "finite 1-d arrays"),
-        (lambda env, prior: next(compositions(-1, 2)), ValueError, "total >= 0 and parts >= 1"),
+        (lambda env, prior: PrecisionReplicate(0), ValueError, "batch must be >= 1"),
+        (lambda env, prior: BatchAllocate(0), ValueError, "batch must be >= 1"),
+        (
+            lambda env, prior: FreeSignals(([1.0, np.nan],)),
+            ValueError,
+            "free-signal vector must hold finite numbers",
+        ),
+        (lambda env, prior: next(compositions(-1, 2)), ValueError, "total must be >= 0"),
         (lambda env, prior: next(compositions(True, 2)), ValueError, "total must be a non-bool"),
         (lambda env, prior: next(compositions(5, 3.0)), ValueError, "parts must be a non-bool"),
         (lambda env, prior: simulate(env, prior, horizon=0), ValueError, "horizon must be >= 1"),
@@ -566,12 +592,12 @@ _NOT_INTEGERS = {
             ValueError,
             "must match the state count",
         ),
-        (lambda env, prior: design_free_signals(env, 0), ValueError, "gamma must be positive"),
+        (lambda env, prior: design_free_signals(env, 0), ValueError, "gamma0 must be positive"),
         (lambda env, prior: escalate_gamma(env, prior, 10, gamma0=0), ValueError, "gamma0 must"),
         (lambda env, prior: escalate_gamma(env, prior, 10, True), ValueError, "gamma0 must"),
         (lambda env, prior: escalate_gamma(env, prior, 10, 1e200), ValueError, "gamma0 must"),
-        (lambda env, prior: AutoFreeSignals(True), ValueError, "gamma0 must be a non-bool real"),
-        (lambda env, prior: AutoFreeSignals("3"), ValueError, "gamma0 must be a non-bool real"),
+        (lambda env, prior: AutoFreeSignals(True), ValueError, "gamma0 must be a finite number"),
+        (lambda env, prior: AutoFreeSignals("3"), ValueError, "gamma0 must be a finite number"),
         (lambda env, prior: TieBreak.random(2.7), ValueError, "seed must be a non-bool integer"),
         (lambda env, prior: TieBreak.random(True), ValueError, "seed must be a non-bool integer"),
         (lambda env, prior: TieBreak.random(-1), ValueError, "seed must be >= 0"),
@@ -609,8 +635,17 @@ _NOT_INTEGERS = {
         for b in _NOT_INTEGERS.values()
     ]
     + [
-        (lambda env, prior, kind=kind: kind(10**400), ValueError, "at most the largest float")
+        (lambda env, prior, kind=kind: kind(10**400), ValueError, _ABOVE_THE_LARGEST_FLOAT)
         for kind in (PrecisionReplicate, BatchAllocate)
+    ]
+    + [
+        (lambda env, prior, g=g: design_free_signals(env, g), ValueError, "gamma0 must")
+        for g in _NOT_GAMMAS.values()
+    ]
+    + [
+        (lambda env, prior, run=run, s=s: run(env, prior, s), ValueError, fragment)
+        for run in _SEEDED_RUNS.values()
+        for s, fragment in _NOT_SEEDS.values()
     ],
     ids=[
         "tie_break_kind",
@@ -640,7 +675,9 @@ _NOT_INTEGERS = {
     ]
     + [f"horizon_{kind}" for kind in _NOT_INTEGERS]
     + [f"{name}_{kind}" for name in ("replicate", "batch_allocate") for kind in _NOT_INTEGERS]
-    + ["replicate_overflowing", "batch_allocate_overflowing"],
+    + ["replicate_overflowing", "batch_allocate_overflowing"]
+    + [f"design_gamma_{kind}" for kind in _NOT_GAMMAS]
+    + [f"{name}_seed_{kind}" for name in _SEEDED_RUNS for kind in _NOT_SEEDS],
 )
 def test_dynamics_refusals(call, error, fragment, example2, example2_trap_prior):
     with pytest.raises(error, match=fragment) as info:

@@ -273,7 +273,7 @@ def test_division_vector_accepts_what_the_remainder_test_accepts(values):
     # Integer dtypes skip the remainder test, which they always pass; bools are refused.
     refused = bool(np.any(values < 0) or not np.all(np.equal(np.mod(values, 1), 0)))
     if values.dtype == bool:
-        with pytest.raises(ValueError, match="^count vector holds a bool"):
+        with pytest.raises(ValueError, match="^counts must hold finite numbers only, not True"):
             DivisionVector(values)
     elif refused:
         with pytest.raises(ValueError, match="non-negative integers"):
@@ -299,7 +299,7 @@ def test_division_vector_accepts_what_the_remainder_test_accepts(values):
 def test_division_vector_refuses_counts_beyond_int64_without_a_warning(values):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="non-negative integers"):
+        with pytest.raises(ValueError, match="non-negative integers|finite numbers only"):
             DivisionVector(values)
 
 
@@ -482,7 +482,7 @@ _UNIT = GaussianPrior.from_diagonal([1.0, 1.0])
 @pytest.mark.parametrize(
     "call, error, fragment",
     [
-        (lambda: Environment([1.0, 2.0]), DimensionError, "non-empty N x K matrix"),
+        (lambda: Environment([1.0, 2.0]), DimensionError, "coefficients must be a matrix"),
         (
             lambda: Environment([[1, 0]], objective=[(1.0, [1, 0, 0])]),
             DimensionError,
@@ -497,17 +497,21 @@ _UNIT = GaussianPrior.from_diagonal([1.0, 1.0])
         (
             lambda: GaussianPrior(mean=np.zeros(2), covariance=[[1, np.inf], [np.inf, 1]]),
             ValueError,
-            "prior entries must be finite",
+            "covariance must hold finite numbers only, not inf",
         ),
         (lambda: DivisionVector([[1, 2]]), DimensionError, "counts must be a vector"),
         (lambda: FrequencyVector([[0.5, 0.5]]), DimensionError, "weights must be a vector"),
-        (lambda: FrequencyVector([-0.5, 1.5]), ValueError, "non-negative and finite"),
-        (lambda: asymptotic_variance(_PAIR, [True, False]), ValueError, "frequency vector holds"),
-        (lambda: posterior_variance(_PAIR, _UNIT, np.ones(2, bool)), ValueError, "count vector holds"),
-        (lambda: posterior_variance(_PAIR, _UNIT, [2, np.True_]), ValueError, "count vector holds"),
-        (lambda: FrequencyVector([True, False]), ValueError, "frequency vector holds"),
-        (lambda: FrequencyVector(np.ones(2, bool)), ValueError, "frequency vector holds"),
-        (lambda: DivisionVector([2, True]), ValueError, "count vector holds"),
+        (lambda: FrequencyVector([-0.5, 1.5]), ValueError, "weights must be non-negative"),
+        (lambda: asymptotic_variance(_PAIR, [True, False]), ValueError, "frequencies must hold"),
+        (
+            lambda: posterior_variance(_PAIR, _UNIT, np.ones(2, bool)),
+            ValueError,
+            "counts must hold finite numbers only, not True",
+        ),
+        (lambda: posterior_variance(_PAIR, _UNIT, [2, np.True_]), ValueError, "counts must hold"),
+        (lambda: FrequencyVector([True, False]), ValueError, "weights must hold"),
+        (lambda: FrequencyVector(np.ones(2, bool)), ValueError, "weights must hold"),
+        (lambda: DivisionVector([2, True]), ValueError, "counts must hold"),
     ],
     ids=[
         "coefficients_1d",

@@ -16,6 +16,7 @@ import infotrap
 from infotrap import (
     AutoFreeSignals,
     Environment,
+    GaussianPrior,
     Scenario,
     ScenarioError,
     SpanError,
@@ -118,6 +119,8 @@ def _example2_doc(**overrides):
     "call, fragment",
     [
         (lambda out: parse_scenario("{not json"), "scenario: invalid JSON"),
+        # Python's int refuses to read more than 4,300 digits, with a plain ValueError.
+        (lambda out: parse_scenario('{"horizon": 1' + "0" * 5000 + "}"), "scenario: invalid JSON"),
         (lambda out: parse_scenario("[1, 2]"), "scenario: expected an object"),
         (lambda out: parse_scenario(_example2_doc(name="")), "name: must be a non-empty string"),
         (lambda out: parse_scenario(_example2_doc(name=7)), "name: must be a non-empty string"),
@@ -125,7 +128,7 @@ def _example2_doc(**overrides):
             lambda out: parse_scenario(
                 _example2_doc(prior_mean=[0, 0, 0], prior_cov=np.eye(3).tolist())
             ),
-            "prior_cov: size does not match coefficient columns",
+            "prior_cov: prior has 3 states, environment has 2",
         ),
         (lambda out: parse_scenario(_example2_doc(tie_break="highest")), "tie_break: expected"),
         (
@@ -139,6 +142,7 @@ def _example2_doc(**overrides):
     ],
     ids=[
         "invalid_json",
+        "integer_past_the_digit_limit",
         "not_an_object",
         "empty_name",
         "non_string_name",
@@ -153,6 +157,16 @@ def test_scenario_refusals(call, fragment, tmp_path):
         call(tmp_path / "out")
     assert type(info.value) is ScenarioError
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_refuses_an_integer_past_the_digit_limit(tmp_path):
+    path = tmp_path / "scenario.json"
+    text = json.dumps(_example2_doc()).replace('"horizon": 1000', '"horizon": 1' + "0" * 5000)
+    path.write_text(text)
+    result = CliRunner().invoke(cli_main, ["simulate", str(path), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert "invalid JSON" in result.output and "Traceback" not in result.output
 
 
 def test_parse_rejects_bool_horizon():
@@ -908,6 +922,48 @@ def test_library_does_not_print():
         assert calls == [], f"{path.name} calls print on lines {calls}"
 
 
+def _tests_for_bool(node):
+    """Lines of the ``isinstance`` calls under ``node`` whose type argument names a bool."""
+    return [
+        call.lineno
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Name)
+        and call.func.id == "isinstance"
+        and len(call.args) == 2
+        and any(
+            (isinstance(n, ast.Name) and n.id == "bool")
+            or (isinstance(n, ast.Attribute) and n.attr in ("bool", "bool_"))
+            for n in ast.walk(call.args[1])
+        )
+    ]
+
+
+def test_bools_are_told_from_numbers_in_one_gate_and_one_reader():
+    # Every integer goes through gaussian._as_int and every number through
+    # gaussian._numbers; only a scenario's sample_realizations flag is read as a bool.
+    package = Path(infotrap.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owners = [(n.name, n) for n in tree.body if isinstance(n, ast.FunctionDef)]
+        owners += [
+            (f"{c.name}.{f.name}", f)
+            for c in tree.body
+            if isinstance(c, ast.ClassDef)
+            for f in c.body
+            if isinstance(f, ast.FunctionDef)
+        ]
+        found += [(path.name, name) for name, node in owners for _ in _tests_for_bool(node)]
+        # None outside a function or a method, where no owner above would see it.
+        assert len(_tests_for_bool(tree)) == sum(f == path.name for f, _ in found), path.name
+    assert sorted(found) == [
+        ("gaussian.py", "_as_int"),
+        ("gaussian.py", "_numbers"),
+        ("scenarios.py", "parse_scenario"),
+    ]
+
+
 # Public in their module but not re-exported by the package.
 _NOT_REEXPORTED = {"dynamics": {"Intervention", "compositions"}}
 
@@ -1030,6 +1086,106 @@ def test_parse_rejects_coerced_numbers(changes, field):
     # The same document as JSON text, where such values arrive from files.
     with pytest.raises(ScenarioError, match="^" + re.escape(f"scenario.{field}: ")):
         parse_scenario(json.dumps(doc))
+
+
+# One field of a scenario file: the text that carries a value X, the changes a value makes
+# to an example2 document, and the library call that owns the field.
+_C, _U = [[1, 0], [3, 1], [0, 1]], [1, 0]
+_PRIOR = ([0, 0], [[1, 0], [0, 10]])
+_ENV = Environment(_C)
+_X = object()
+
+
+def _simulated(arguments):
+    """A call that runs example2 with the keyword arguments ``arguments(value)``."""
+    return lambda v: dynamics.simulate(_ENV, GaussianPrior(*_PRIOR), **arguments(v))
+
+
+_FIELDS = {
+    "coefficients": ([[_X, 0], [3, 1], [0, 1]], "coefficients", Environment),
+    "objective[0].weight": (_X, "weight", lambda w: Environment(_C, [(w, _U)])),
+    "objective[0].direction": ([_X, 0], "direction", lambda d: Environment(_C, [(1.0, d)])),
+    "prior_mean": ([_X, 0], "prior_mean", lambda m: GaussianPrior(m, _PRIOR[1])),
+    "prior_cov": ([[_X, 0], [0, 10]], "prior_cov", lambda s: GaussianPrior(_PRIOR[0], s)),
+    "horizon": (_X, "horizon", _simulated(lambda h: dict(horizon=h))),
+    "seed": (_X, "seed", _simulated(lambda s: dict(horizon=2, sample_realizations=True, seed=s))),
+    "tie_break.random": (_X, "random", dynamics.TieBreak.random),
+    "intervention.precision": (_X, "precision", dynamics.PrecisionReplicate),
+    "intervention.batch": (_X, "batch", dynamics.BatchAllocate),
+    "intervention.free_signals": (
+        [[_X, 0], [0, 1]],
+        "free_signals",
+        _simulated(lambda v: dict(horizon=2, intervention=dynamics.FreeSignals(v))),
+    ),
+    "intervention.free_signals_auto": (_X, "gamma0", AutoFreeSignals),
+}
+
+
+def _fill(text, value):
+    if text is _X:
+        return value
+    return [_fill(t, value) for t in text] if isinstance(text, list) else text
+
+
+def _in_document(field, value):
+    key = _FIELDS[field][1]
+    if field.startswith("objective"):
+        entry = {"weight": 1.0, "direction": _U, key: value}
+        return {"objective": [entry]}
+    if field == "tie_break.random":
+        return {"tie_break": {"random": value}}
+    if field == "intervention.free_signals_auto":
+        return {"intervention": {"free_signals_auto": {"gamma0": value}}}
+    if field.startswith("intervention."):
+        return {"intervention": {key: value}}
+    return {key: value}
+
+
+# Raw values put in a field's place X, and two whole field values: one with a row
+# longer than the others, and one nested a level too deep.
+_RAW = {
+    "bool": True,
+    "string": "1",
+    "fraction": 2.5,
+    "negative": -1,
+    "huge": 10**400,
+    "nan": float("nan"),
+    "numpy_int": np.int64(3),
+}
+
+
+def _field_value(field, raw):
+    text = _FIELDS[field][0]
+    if raw == "depth":
+        return [_fill(text, 1)]
+    if raw == "ragged":
+        rows = _fill(text, 1)
+        if isinstance(rows, list) and isinstance(rows[0], list):
+            return [rows[0] + [0]] + rows[1:]
+        return [[1], [1, 2]]
+    return _fill(text, _RAW[raw])
+
+
+@pytest.mark.parametrize("raw", [*_RAW, "ragged", "depth"])
+@pytest.mark.parametrize("field", list(_FIELDS))
+def test_files_and_library_calls_share_one_rule(field, raw):
+    # The parser and the library call that owns a field accept and refuse the same value.
+    value = _field_value(field, raw)
+    doc = dict(scenario_to_dict(bundled_scenario("example2")), **_in_document(field, value))
+    try:
+        _FIELDS[field][2](value)
+        library_refuses = False
+    except ValueError:
+        library_refuses = True
+    # A weight the reader accepts can still be refused by Environment, on the pair's path.
+    prefix = re.escape(f"scenario.{field}: ")
+    if field.startswith("objective"):
+        prefix = f"({prefix}|{re.escape('scenario.coefficients/objective: ')})"
+    if library_refuses:
+        with pytest.raises(ScenarioError, match="^" + prefix):
+            parse_scenario(doc)
+    else:
+        parse_scenario(doc)
 
 
 def test_parse_reads_integers_as_floats():

@@ -84,27 +84,32 @@ def test_beta_phi_lambda_rejects_bad_sets(example2):
         beta_phi_lambda(example2, [0, 1])  # representation forces a zero weight
 
 
+# The refusal of an entry that is not an integer, or of indices that are not iterable.
+_NOT_INDICES = "source index must be a non-bool integer|source indices must be an iterable"
+_OUT_OF_RANGE = "source index must be >= 0 and at most 2"  # example2 has three sources
+
+
 @pytest.mark.parametrize(
     "call, error, fragment",
     [
         (lambda env: beta_phi_lambda(env, [1, 1, 2]), SpanError, "duplicate indices"),
-        (lambda env: beta_phi_lambda(env, [1, 3]), SpanError, "out of range"),
-        (lambda env: beta_phi_lambda(env, [-1, 2]), SpanError, "out of range"),
+        (lambda env: beta_phi_lambda(env, [1, 3]), SpanError, _OUT_OF_RANGE),
+        (lambda env: beta_phi_lambda(env, [-1, 2]), SpanError, _OUT_OF_RANGE),
         (lambda env: beta_phi_lambda(env, []), SpanError, "the source set is empty"),
-        (lambda env: beta_phi_lambda(env, [1.9, 2.2]), SpanError, "must be integers"),
-        (lambda env: beta_phi_lambda(env, [1.0, 2.0]), SpanError, "must be integers"),
-        (lambda env: beta_phi_lambda(env, "01"), SpanError, "must be integers"),
-        (lambda env: beta_phi_lambda(env, [True, False]), SpanError, "must be integers"),
-        (lambda env: beta_phi_lambda(env, [math.nan]), SpanError, "must be integers"),
-        (lambda env: beta_phi_lambda(env, [[1, 2]]), SpanError, "must be integers"),
-        (lambda env: beta_phi_lambda(env, np.array(1)), SpanError, "must be integers"),
-        (lambda env: subspace_closure(env, [0, 3]), SpanError, "out of range"),
-        (lambda env: subspace_closure(env, [-1]), SpanError, "out of range"),
-        (lambda env: subspace_closure(env, [0.5]), SpanError, "must be integers"),
-        (lambda env: subspace_closure(env, np.array([[0, 1]])), SpanError, "must be integers"),
-        (lambda env: subspace_closure(env, ""), SpanError, "must be integers"),
-        (lambda env: is_subspace_optimal(env, [1.9, 2.2]), SpanError, "must be integers"),
-        (lambda env: construct_trap_prior(env, [0.2], 0.01), SpanError, "must be integers"),
+        (lambda env: beta_phi_lambda(env, [1.9, 2.2]), SpanError, _NOT_INDICES),
+        (lambda env: beta_phi_lambda(env, [1.0, 2.0]), SpanError, _NOT_INDICES),
+        (lambda env: beta_phi_lambda(env, "01"), SpanError, _NOT_INDICES),
+        (lambda env: beta_phi_lambda(env, [True, False]), SpanError, _NOT_INDICES),
+        (lambda env: beta_phi_lambda(env, [math.nan]), SpanError, _NOT_INDICES),
+        (lambda env: beta_phi_lambda(env, [[1, 2]]), SpanError, _NOT_INDICES),
+        (lambda env: beta_phi_lambda(env, np.array(1)), SpanError, _NOT_INDICES),
+        (lambda env: subspace_closure(env, [0, 3]), SpanError, _OUT_OF_RANGE),
+        (lambda env: subspace_closure(env, [-1]), SpanError, _OUT_OF_RANGE),
+        (lambda env: subspace_closure(env, [0.5]), SpanError, _NOT_INDICES),
+        (lambda env: subspace_closure(env, np.array([[0, 1]])), SpanError, _NOT_INDICES),
+        (lambda env: subspace_closure(env, ""), SpanError, _NOT_INDICES),
+        (lambda env: is_subspace_optimal(env, [1.9, 2.2]), SpanError, _NOT_INDICES),
+        (lambda env: construct_trap_prior(env, [0.2], 0.01), SpanError, _NOT_INDICES),
         (lambda env: construct_trap_prior(env, [0], eps=0), ValueError, "eps must be positive"),
         (lambda env: construct_trap_prior(env, [0], math.inf), ValueError, "positive and finite"),
         (lambda env: construct_trap_prior(env, [0], math.nan), ValueError, "positive and finite"),

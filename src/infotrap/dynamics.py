@@ -525,18 +525,23 @@ def _classify(
         # No single-direction spanning benchmark; report honest indecision.
         return Classification("undetermined"), None, freq
 
-    support = star.lambda_star.support(tol=0.0)
-    if observed == support:
-        gap = float(np.max(np.abs(freq.weights - star.lambda_star.weights)))
-        if gap <= EFFICIENT_FREQ_TOL:
-            return Classification("efficient"), 1.0, freq
-
-    try:
-        report = beta_phi_lambda(env, observed) if observed else None
-    except SpanError:
-        report = None
-    if report is not None and not phi_tied([star, report]):
+    if observed == star.lambda_star.support(tol=0.0):
+        report = star
+    else:
+        try:
+            report = beta_phi_lambda(env, observed) if observed else None
+        except SpanError:
+            report = None
+    if report is None:
+        return Classification("undetermined"), None, freq
+    if not phi_tied([star, report]):
         return Classification("trap", observed), report.phi / star.phi, freq
+    # Every set whose phi ties the best set's, the best set among them, learns as fast as
+    # possible: the run is efficient when it settles on its set's own optimal frequencies,
+    # whichever tied set best_set happens to list first.
+    gap = float(np.max(np.abs(freq.weights - report.lambda_star.weights)))
+    if gap <= EFFICIENT_FREQ_TOL:
+        return Classification("efficient"), 1.0, freq
     return Classification("undetermined"), None, freq
 
 

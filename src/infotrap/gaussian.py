@@ -447,10 +447,13 @@ def posterior_variance(env: Environment, prior: GaussianPrior, counts) -> float:
 def variance_reduction(env: Environment, prior: GaussianPrior, counts, source: int) -> float:
     """Drop in posterior variance from one more observation of ``source``.
 
-    Non-negative for every source: additional observations never hurt.
+    Non-negative for every source: additional observations never hurt. A ``source`` that
+    is not a non-bool integer in 0..N-1 raises ``IndexError``.
     """
-    if not 0 <= source < env.num_sources:
-        raise IndexError(f"source index {source} out of range")
+    try:
+        source = _as_int("source", source, 0, env.num_sources - 1)
+    except ValueError as exc:
+        raise IndexError(str(exc)) from exc
     q = _per_source(env, counts, "counts")
     step = q.copy()
     step[source] += 1

@@ -87,22 +87,26 @@ class Scenario:
 
 @dataclass(eq=False)
 class SweepSpec:
-    """Vary one prior diagonal entry of a base scenario across a grid."""
+    """Vary one prior diagonal entry of a base scenario across a grid.
+
+    ``grid`` is read by ``_numbers`` and ``state_index`` by ``_as_int``, the parser's rules;
+    their refusals, and a grid that is empty, not positive or not increasing, raise
+    ScenarioError naming the field."""
 
     base: Scenario
     state_index: int
     grid: np.ndarray
 
     def __post_init__(self) -> None:
-        grid = np.asarray(self.grid, dtype=float)
-        if grid.ndim != 1 or grid.size == 0:
+        grid = _build("grid", _numbers, "grid", self.grid, 1)
+        if grid.size == 0:
             raise ScenarioError("grid: must be a non-empty list")
-        if not np.all((grid > 0) & np.isfinite(grid)):
-            raise ScenarioError("grid: variances must be positive and finite")
+        if not np.all(grid > 0):
+            raise ScenarioError("grid: variances must be positive")
         if np.any(np.diff(grid) <= 0):
             raise ScenarioError("grid: must be strictly increasing")
-        if not 0 <= self.state_index < self.base.prior.num_states:
-            raise ScenarioError("state_index: out of range")
+        last = self.base.prior.num_states - 1
+        self.state_index = _build("state_index", _as_int, "state_index", self.state_index, 0, last)
         self.grid = grid
 
 
@@ -348,12 +352,24 @@ def run_scenario(scenario: Scenario) -> tuple[SimulationTrace, dict]:
     return trace, build_report(scenario, trace, gamma_final)
 
 
+def _format_rows(row: str, columns: list) -> str:
+    """``row`` applied to each row of ``columns`` with one ``%``: the columns are laid into
+    one flat field list by slice assignment, and ``row`` repeated once per row formats it."""
+    width, rows = len(columns), len(columns[0])
+    fields = [None] * (width * rows)
+    for j, column in enumerate(columns):
+        fields[j::width] = column
+    fields = tuple(fields)  # the list is freed before the text is built
+    return (row * rows) % fields
+
+
 def write_trace_csv(path, scenario: Scenario, trace: SimulationTrace) -> None:
     """Trace CSV with per-period choice, variance, and cumulative counts.
 
     Source indices are 1-based in artifacts; batch choices are written as
     semicolon-joined per-source counts. Floats carry 17 significant digits. At most
-    ``COMPOSITION_BLOCK`` periods are formatted at a time.
+    ``COMPOSITION_BLOCK`` periods are formatted at a time, each block with one ``%``
+    (``_format_rows``).
     """
     n = scenario.environment.num_sources
     line = "%d,%s,%.17g" + ",%d" * n + "\n"
@@ -369,9 +385,9 @@ def write_trace_csv(path, scenario: Scenario, trace: SimulationTrace) -> None:
                 labels = (picks + 1).tolist()
             cumulative = _cumulative_counts(picks, counts)
             counts = cumulative[-1]
+            periods = range(start + 1, start + len(picks) + 1)
             variances = trace.variance_path[start : start + block].tolist()
-            rows = enumerate(zip(labels, variances, cumulative.tolist()), start + 1)
-            f.write("".join(line % (t, label, v, *k) for t, (label, v, k) in rows))
+            f.write(_format_rows(line, [periods, labels, variances, *cumulative.T.tolist()]))
 
 
 def write_compare_csv(path, greedy: np.ndarray, optimal: np.ndarray) -> float:
@@ -379,7 +395,8 @@ def write_compare_csv(path, greedy: np.ndarray, optimal: np.ndarray) -> float:
     minimum variance and their ratio, with 17 significant digits. Returns the last ratio.
 
     A ratio that overflows is inf, as Python's float division gives. At most
-    ``COMPOSITION_BLOCK`` budgets are formatted at a time.
+    ``COMPOSITION_BLOCK`` budgets are formatted at a time, each block with one ``%``
+    (``_format_rows``).
     """
     with np.errstate(over="ignore"):
         ratio = greedy / optimal
@@ -388,8 +405,9 @@ def write_compare_csv(path, greedy: np.ndarray, optimal: np.ndarray) -> float:
     with open(path, "w", encoding="utf-8") as f:
         f.write("t,greedy_variance,optimal_variance,ratio\n")
         for start in range(0, len(ratio), block):
-            columns = zip(*(c[start : start + block].tolist() for c in (greedy, optimal, ratio)))
-            f.write("".join(line % (t, *row) for t, row in enumerate(columns, start + 1)))
+            columns = [c[start : start + block].tolist() for c in (greedy, optimal, ratio)]
+            budgets = range(start + 1, start + len(columns[0]) + 1)
+            f.write(_format_rows(line, [budgets, *columns]))
     return float(ratio[-1])
 
 

@@ -56,6 +56,21 @@ def test_variance_reduction_index_range(example2, example2_trap_prior):
         variance_reduction(example2, example2_trap_prior, [0, 0, 0], 3)
 
 
+@pytest.mark.parametrize("source", [-1, True, False, 1.0, np.float64(1), "1", None])
+def test_variance_reduction_refuses_what_is_not_a_source(example2, example2_trap_prior, source):
+    # A bool would index numpy as a mask (True added one observation to every source) and
+    # a float would reach numpy's own IndexError; both are refused up front, naming source.
+    with pytest.raises(IndexError, match="^source must be"):
+        variance_reduction(example2, example2_trap_prior, [0, 0, 0], source)
+
+
+def test_variance_reduction_takes_numpy_integers(example2, example2_trap_prior):
+    zero = [0, 0, 0]
+    expected = variance_reduction(example2, example2_trap_prior, zero, 1)
+    for source in (np.int64(1), np.uint8(1)):
+        assert variance_reduction(example2, example2_trap_prior, zero, source) == expected
+
+
 def test_asymptotic_variance_example2(example2):
     assert asymptotic_variance(example2, [1, 0, 0]) == pytest.approx(1.0, abs=1e-12)
     assert asymptotic_variance(example2, [0, 0.5, 0.5]) == pytest.approx(4 / 9, abs=1e-12)

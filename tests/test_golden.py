@@ -11,6 +11,9 @@ objects. A change that moves any of these outputs by one bit fails here.
 Regenerate them only for a deliberate output change::
 
     PYTHONPATH=src python tests/test_golden.py > tests/data/golden.json
+
+``INTERVENTION_TRACES`` pins, inline, example2's trace CSV under ``{"batch": 2}``
+and ``{"precision": 10}``, which no bundled scenario writes.
 """
 
 import hashlib
@@ -21,11 +24,19 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
+import pytest
 from click.testing import CliRunner
 
 from infotrap import Environment, optimal_frequency_numeric
 from infotrap.cli import main as cli_main
-from infotrap.scenarios import bundled_scenario_names
+from infotrap.scenarios import (
+    bundled_scenario,
+    bundled_scenario_names,
+    parse_scenario,
+    run_scenario,
+    scenario_to_dict,
+    write_trace_csv,
+)
 
 GOLDEN = Path(__file__).parent / "data" / "golden.json"
 SWEEP_ARGS = ["--state", "2", "--grid", "6,7.9,8.1,12"]
@@ -76,6 +87,31 @@ def numeric_digests() -> dict[str, str]:
 def test_bundled_artifacts_match_golden(tmp_path):
     golden = json.loads(GOLDEN.read_text())
     assert artifact_digests(tmp_path) == golden["artifacts"]
+
+
+# sha256 of example2's trace CSV under the two paper_scenarios interventions that no golden
+# artifact covers, recorded from the per-row writer before blocks were formatted whole.
+INTERVENTION_TRACES = {
+    "batch2": (
+        {"batch": 2},
+        "0c0c33f871d64c378ddc7decbf8dc4d6498c0f32ef0a28de3cbdfdae4bec875a",
+    ),
+    "precision10": (
+        {"precision": 10},
+        "5da9e2ea6f9cf5d7e5f2d3f5b567653758ad2c89770b45c4f62deaaeb205cde7",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "intervention, digest", INTERVENTION_TRACES.values(), ids=list(INTERVENTION_TRACES)
+)
+def test_example2_intervention_traces_match_pins(tmp_path, intervention, digest):
+    doc = scenario_to_dict(bundled_scenario("example2"))
+    scenario = parse_scenario(dict(doc, intervention=intervention))
+    trace, _ = run_scenario(scenario)
+    write_trace_csv(tmp_path / "trace.csv", scenario, trace)
+    assert _sha((tmp_path / "trace.csv").read_bytes()) == digest
 
 
 def test_numeric_optimizer_matches_golden():

@@ -19,6 +19,9 @@ Three transforms, on fixed seeds:
   sees condition numbers up to 1e8 times larger. ``test_span_tests_are_not_unit_free``
   pins the two span rules.
 - a random permutation of the sources: every answer, reordered.
+
+The seeds in ``TIED_SEEDS`` have a tied best phi, and their labels are checked under
+several draws of wide units and of source order.
 """
 
 import numpy as np
@@ -141,3 +144,30 @@ def test_span_tests_are_not_unit_free():
     # measured in units a thousand times smaller ([1, 5e-7]) it is not.
     assert subspace_closure(Environment([[1.0, 0.0], [1e-3, 5e-10]]), [0]) == (0, 1)
     assert subspace_closure(Environment([[1e3, 0.0], [1.0, 5e-7]]), [0]) == (0,)
+
+
+# The seeds of _case in 0..199 whose least phi is tied: c_last = c_0 - 2 c_1 lets several
+# minimal sets reach it, and check_assumptions reports no unique minimizer. Rounding decides
+# which tied set best_set lists first, so a label read off that set alone moved on 12 of
+# these 15 seeds under the draws of wide units and source orders below.
+TIED_SEEDS = (6, 21, 30, 51, 54, 60, 72, 81, 105, 120, 138, 141, 153, 174, 198)
+
+
+def _label(env, prior):
+    label = simulate(env, prior, HORIZON).classification
+    return label.kind, set(label.trapped)
+
+
+@pytest.mark.parametrize("seed", TIED_SEEDS)
+def test_labels_under_a_phi_tie_keep_under_units_and_source_order(seed):
+    rng, env, prior = _case(seed)
+    assert not check_assumptions(env).unique_minimizer
+    want = _label(env, prior)
+    for _ in range(3):
+        wide = np.diag(10.0 ** rng.uniform(-4, 4, env.num_states))
+        moved, moved_prior = _in_units(env, prior, wide)
+        if moved_prior is not None:
+            assert _label(moved, moved_prior) == want
+        order = rng.permutation(env.num_sources)
+        kind, trapped = _label(Environment(env.coefficients[order], env.objective), prior)
+        assert (kind, {int(order[i]) for i in trapped}) == want

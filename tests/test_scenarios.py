@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import os
 import re
 import subprocess
@@ -7,10 +8,13 @@ import sys
 import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import infotrap
 from infotrap import (
@@ -435,6 +439,37 @@ def test_sweep_grid_validation():
         SweepSpec(base=base, state_index=1, grid=[2.0, 1.0])
     with pytest.raises(ScenarioError):
         SweepSpec(base=base, state_index=5, grid=[1.0])
+
+
+@pytest.mark.parametrize(
+    "state_index, grid, field",
+    [
+        (True, [6.0, 7.0, 9.0], "state_index"),
+        (1.0, [6.0], "state_index"),
+        (-1, [6.0], "state_index"),
+        (2, [6.0], "state_index"),
+        (1, ["6", 7, 9], "grid"),
+        (1, [True, 7.0], "grid"),
+        (1, [6.0, math.inf], "grid"),
+        (1, [6.0, math.nan], "grid"),
+        (1, [[6.0, 7.0]], "grid"),
+        (1, 6.0, "grid"),
+        (1, [0.0, 7.0], "grid"),
+    ],
+)
+def test_sweep_spec_reads_fields_by_the_parsers_rules(state_index, grid, field):
+    # The library sweep refuses what a scenario file's integers and numbers refuse: a bool
+    # is not state 1, a string is not a variance.
+    base = bundled_scenario("example2")
+    with pytest.raises(ScenarioError, match=f"^{field}: "):
+        SweepSpec(base=base, state_index=state_index, grid=grid)
+
+
+def test_sweep_spec_takes_numpy_integers_and_arrays():
+    base = bundled_scenario("example2")
+    spec = SweepSpec(base=base, state_index=np.int64(1), grid=np.array([6, 7, 9]))
+    assert type(spec.state_index) is int and spec.state_index == 1
+    assert spec.grid.dtype == float and spec.grid.tolist() == [6.0, 7.0, 9.0]
 
 
 def _write_scenario(tmp_path, **overrides):
@@ -1275,6 +1310,68 @@ def test_compare_csv_writes_an_overflowing_ratio_as_inf(tmp_path):
     ]
 
 
+# Any float the writers may meet, the edge cases drawn often: zero, subnormals, the
+# largest magnitudes, inf and NaN.
+_FLOATS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 2.2e-308, 1e308, 1.7976931348623157e308, math.inf, math.nan]),
+    st.floats(),
+)
+# A positive finite optimum: a greedy variance of 1e308 over a subnormal one overflows.
+_OPTIMA = st.one_of(st.sampled_from([5e-324, 1e-310, 1e308]), st.floats(1e-320, 1e308))
+
+
+@st.composite
+def _trace_columns(draw):
+    """(N, choices, variance path) of a 1..30-period run over N = 1..13 sources; the choices
+    are all source indices or all per-source count vectors."""
+    n, periods = draw(st.integers(1, 13)), draw(st.integers(1, 30))
+    if draw(st.booleans()):
+        choice = st.tuples(*[st.integers(0, 3)] * n)
+    else:
+        choice = st.integers(0, n - 1)
+    choices = draw(st.lists(choice, min_size=periods, max_size=periods))
+    return n, choices, np.array(draw(st.lists(_FLOATS, min_size=periods, max_size=periods)))
+
+
+WRITER_PROPERTY = settings(
+    derandomize=True,
+    database=None,
+    deadline=None,
+    max_examples=150,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+@WRITER_PROPERTY
+@given(columns=_trace_columns())
+def test_trace_csv_matches_the_per_row_reference(monkeypatch, tmp_path, columns):
+    # Blocks of 7 periods, so most draws span several blocks.
+    monkeypatch.setattr(dynamics, "COMPOSITION_BLOCK", 7)
+    n, choices, variances = columns
+    scenario = SimpleNamespace(environment=SimpleNamespace(num_sources=n))
+    trace = SimpleNamespace(choices=choices, variance_path=variances)
+    scenarios.write_trace_csv(tmp_path / "blocks.csv", scenario, trace)
+    one_shot_trace_csv(tmp_path / "whole.csv", scenario, trace)
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+@WRITER_PROPERTY
+@given(pairs=st.lists(st.tuples(_FLOATS, _OPTIMA), min_size=1, max_size=30))
+@example(pairs=[(2.0, 1.0)] * 7 + [(1e300, 1e-10), (1e308, 5e-324)])
+def test_compare_csv_matches_the_per_row_reference(monkeypatch, tmp_path, pairs):
+    # Blocks of 7 budgets; the explicit example overflows two ratios in the second block.
+    monkeypatch.setattr(dynamics, "COMPOSITION_BLOCK", 7)
+    greedy, optimal = (np.array(column) for column in zip(*pairs))
+    last = scenarios.write_compare_csv(tmp_path / "blocks.csv", greedy, optimal)
+    rows = [
+        SimpleNamespace(t=t, greedy_variance=g, optimal_variance=o, ratio=g / o)
+        for t, (g, o) in enumerate(pairs, 1)
+    ]
+    one_shot_compare_csv(tmp_path / "whole.csv", rows)
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    assert last == rows[-1].ratio or math.isnan(last) and math.isnan(rows[-1].ratio)
+
+
 def _traced_peak(write) -> int:
     tracemalloc.start()
     try:
@@ -1292,7 +1389,7 @@ LONG_RUN, SHORT_BLOCK = 25_000, 2_048
 
 def test_trace_csv_holds_one_block_of_periods(monkeypatch, tmp_path):
     # A synthetic trace over five sources, not a 25,000-step run. Blocks of 2,048 periods
-    # peak near 1.3 MB traced, against 12.3 MB for the whole trace at once.
+    # peak near 0.94 MB traced, against 10.9 MB for the whole trace in one block.
     monkeypatch.setattr(dynamics, "COMPOSITION_BLOCK", SHORT_BLOCK)
     rng = np.random.default_rng(3)
     choices = rng.integers(0, 5, LONG_RUN).tolist()
@@ -1313,8 +1410,8 @@ def test_trace_csv_holds_one_block_of_periods(monkeypatch, tmp_path):
 
 
 def test_compare_csv_holds_one_block_of_budgets(monkeypatch, tmp_path):
-    # Blocks of 2,048 budgets peak near 0.7 MB traced, against 11 MB for the rows and
-    # lines of every budget built at once.
+    # Blocks of 2,048 budgets peak near 0.68 MB traced, against 6.0 MB for every budget in
+    # one block.
     monkeypatch.setattr(dynamics, "COMPOSITION_BLOCK", SHORT_BLOCK)
     rng = np.random.default_rng(4)
     greedy, optimal = rng.uniform(1, 2, LONG_RUN), rng.uniform(0.5, 1, LONG_RUN)

@@ -412,18 +412,27 @@ def test_unique_best_decisions_at_phi_tie_tolerance(factor, tied):
         assert design_free_signals(env, gamma=1.0) == []  # the best set is one source
 
 
-@pytest.mark.parametrize("factor, kind", [(0.99, "undetermined"), (1.01, "trap")])
+@pytest.mark.parametrize("factor, kind", [(0.99, "efficient"), (1.01, "trap")])
 def test_classify_trap_at_phi_tie_tolerance(factor, kind):
     gap = spanning.PHI_TIE_TOL * factor
     env = _near_tie_env(gap)
-    # The second half of the run sampled only the pair {1, 2}, whose phi is 1 + gap.
+    # The second half of the run sampled only the pair {1, 2}, whose phi is 1 + gap, at
+    # that pair's own optimal frequencies (1/2, 1/2): within the tolerance it is as fast
+    # as source 1 alone.
     label, ratio, _ = dynamics._classify(env, np.array([0, 5, 5]), np.zeros(3, dtype=int))
     assert label.kind == kind
     if kind == "trap":
         assert label.trapped == (1, 2)
         assert ratio == pytest.approx(1 + gap, rel=1e-15)
     else:
-        assert ratio is None
+        assert label.trapped == () and ratio == 1.0
+
+
+def test_classify_tied_set_off_its_frequencies_is_undetermined():
+    # The tied pair {1, 2} sampled at (0.7, 0.3), off its optimum (1/2, 1/2).
+    env = _near_tie_env(spanning.PHI_TIE_TOL * 0.99)
+    label, ratio, _ = dynamics._classify(env, np.array([0, 7, 3]), np.zeros(3, dtype=int))
+    assert label.kind == "undetermined" and ratio is None
 
 
 def test_check_assumptions_tie_in_subspace_of_non_minimal_sets():

@@ -134,6 +134,9 @@ def _grid(ctx, param, grid: str) -> list[float]:
 @click.option("--grid", required=True, callback=_grid, help="Comma-separated increasing variances.")
 def sweep(scenario, out: Path, state: int, grid: list[float]) -> str:
     """Classify each scenario across a grid of one prior variance."""
+    states = scenario.prior.num_states
+    if state > states:
+        raise ScenarioError(f"--state must be >= 1 and at most {states}, not {state}")
     report = run_sweep(SweepSpec(base=scenario, state_index=state - 1, grid=grid))
     path = out / f"{scenario.name}_sweep.json"
     write_report_json(path, report)

@@ -23,11 +23,13 @@ from .gaussian import (
     FrequencyVector,
     GaussianPrior,
     NotPositiveDefiniteError,
+    SearchBoundError,
     _MINOR,
     _SINGULAR,
     _check_finite,
     _as_int,
     _check_prior,
+    _check_search,
     _numbers,
     _per_source,
     _signal_precision,
@@ -102,10 +104,6 @@ def cho_solve(*args, **kwargs):
     from scipy.linalg import cho_solve
 
     return cho_solve(*args, **kwargs)
-
-
-class SearchBoundError(ValueError):
-    """An exhaustive search would exceed its configured size bound."""
 
 
 @dataclass(frozen=True)
@@ -235,14 +233,6 @@ def _cumulative_counts(picks: np.ndarray, start: np.ndarray) -> np.ndarray:
     return start + np.cumsum(picks, axis=0)
 
 
-def _check_splits(total: int, parts: int, bound: int, splits_of: str, search: str) -> None:
-    """Raise ``SearchBoundError``, before any work, when the splits of ``total`` over ``parts``
-    parts, C(total + parts - 1, parts - 1) of them, number more than ``bound``."""
-    count = math.comb(max(total, 0) + parts - 1, parts - 1)
-    if count > bound:
-        raise SearchBoundError(f"{count} splits of {splits_of} exceed the {search} bound {bound}")
-
-
 def compositions(total: int, parts: int):
     """Yield every split of ``total`` observations over ``parts`` sources, in lexicographic
     order, as (M, parts) blocks of at most ``COMPOSITION_BLOCK`` rows.
@@ -344,8 +334,9 @@ class _Engine:
         self._bound = np.zeros(())  # the tie threshold's 0-d buffer
         if isinstance(intervention, BatchAllocate):
             batch, n = intervention.batch, env.num_sources
-            splits_of = f"a batch of {batch} observations over {n} sources"
-            _check_splits(batch, n, MAX_BATCH_CANDIDATES, splits_of, "batch-allocation")
+            what = f"splits of a batch of {batch} observations over {n} sources"
+            splits = math.comb(batch + n - 1, n - 1)
+            _check_search(splits, MAX_BATCH_CANDIDATES, what, "batch-allocation")
             self._comps = np.vstack(list(compositions(batch, n)))
             self._comps.setflags(write=False)
             # Per run: the read-only rows a period returns, the (M, K, K) increments, negated

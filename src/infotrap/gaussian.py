@@ -138,6 +138,10 @@ class NonDifferentiableError(ValueError):
     """The asymptotic variance is not differentiable at the requested frequencies."""
 
 
+class SearchBoundError(ValueError):
+    """An exhaustive search would exceed its configured size bound."""
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float, copy=True)
     out.setflags(write=False)
@@ -154,6 +158,12 @@ def _as_int(name: str, value, low: int = 0, high: float = math.inf) -> int:
         most = f" and at most {high}" if high < math.inf else ""
         raise ValueError(f"{name} must be >= {low}{most}, not {value}")
     return value
+
+
+def _check_search(count: int, bound: int, what: str, search: str) -> None:
+    """Every exhaustive search's gate, before any work: raise when ``count`` exceeds ``bound``."""
+    if count > bound:
+        raise SearchBoundError(f"{count} {what} exceed the {search} bound {bound}")
 
 
 def _numbers(name: str, values, ndim: int) -> np.ndarray:

@@ -21,13 +21,14 @@ from .gaussian import (
     SPAN_TOL,
     _as_int,
     _check_prior,
+    _check_search,
     _numbers,
     _solve_spd,
     asymptotic_variance,
     block_variances,
 )
 from .spanning import SpanError, beta_phi_lambda
-from .dynamics import NoIntervention, TieBreak, _check_splits, _run, compositions
+from .dynamics import NoIntervention, TieBreak, _run, compositions
 from .dynamics import simulate  # noqa: F401  (unused here: perfbench/tracing.py wraps it)
 
 __all__ = [
@@ -134,8 +135,9 @@ def _check_search_bound(env: Environment, prior: GaussianPrior, t: int, every_bu
     _check_prior(env, prior)
     n = env.num_sources
     budgets = f"every budget up to {t}" if every_budget else str(t)
-    splits_of = f"{budgets} observations over {n} sources"
-    _check_splits(t, n + every_budget, MAX_COMPOSITIONS, splits_of, "exhaustive-search")
+    what = f"splits of {budgets} observations over {n} sources"
+    splits = math.comb(t + n + every_budget - 1, n + every_budget - 1)
+    _check_search(splits, MAX_COMPOSITIONS, what, "exhaustive-search")
     return t
 
 

@@ -287,10 +287,9 @@ def analysis_fields(env: Environment) -> dict:
 
     Multi-target objectives have no spanning-set characterization and get the
     numeric frequency optimum. For a single target the best set comes from
-    ``best_set``. Every field is null when the optimum cannot be found (the
-    targets are not identified, a tie beyond the enumeration cap, or a numeric
-    optimum not certified within the iteration cap), and the assumption report is
-    null beyond the enumeration cap.
+    ``best_set``. Every field is null when the optimum cannot be found (the targets are
+    not identified, a tie beyond the subset-scan bound, or a numeric optimum not certified
+    within the iteration cap), and the assumption report is null beyond that bound.
     """
     try:
         if len(env.objective) > 1:
@@ -303,11 +302,11 @@ def analysis_fields(env: Environment) -> dict:
                 "assumption_report": None,
             }
         star = best_set(env)
-    except (SpanError, oracle.ConvergenceError):
+    except (SpanError, SearchBoundError, oracle.ConvergenceError):
         return dict.fromkeys(("phi_best", "best_set", "lambda_star", "assumption_report"))
     try:
         assumptions = check_assumptions(env).to_dict()
-    except SpanError:
+    except SearchBoundError:
         assumptions = None
     return {
         "phi_best": star.phi,

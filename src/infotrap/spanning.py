@@ -27,6 +27,7 @@ from .gaussian import (
     GaussianPrior,
     SPAN_TOL,
     _as_int,
+    _check_search,
     _flapack,
     _represent,
 )
@@ -48,10 +49,11 @@ __all__ = [
 # Two phi values within this relative distance count as tied.
 PHI_TIE_TOL = 1e-9
 
-MAX_SOURCES_ENUMERATION = 20
+# The most entries, N per subset, that a subset scan covers: every subset of 20 sources.
+MAX_SCAN_ENTRIES = 20 * (2**20 - 1)
 
-# Subsets of one size stacked into one SVD or least-squares call: at the 20-source
-# cap, C(20, 10) subsets would otherwise stack about 150 MB of matrices.
+# Subsets of one size stacked into one SVD or least-squares call: within the scan bound,
+# the C(20, 10) size-10 subsets of 20 sources at K=10 would otherwise stack about 150 MB.
 SCAN_CHUNK = 4096
 
 # A K-subset with smallest singular value above this fraction of its largest spans
@@ -66,7 +68,7 @@ ELFVING_DUAL_MARGIN = 1e-7
 
 
 class SpanError(ValueError):
-    """A source set is not (minimally) spanning, or enumeration is unsupported."""
+    """A source set is not (minimally) spanning, or the objective is not one target."""
 
 
 @dataclass(eq=False)
@@ -183,25 +185,23 @@ def _test_subsets(
 
 
 def _spanning_subsets(env: Environment) -> tuple[list[_Span], list[tuple[int, ...]]]:
-    """One scan of every subset of at most min(K, N) sources, batched by size.
-
-    Each chunk of at most ``SCAN_CHUNK`` same-size subsets goes through
-    ``_test_subsets`` as one stack: one SVD, one least-squares solve of its
-    independent subsets and one residual test.
+    """One scan of every subset of at most min(K, N) sources, batched by size; more than
+    ``MAX_SCAN_ENTRIES`` entries, N * sum_{s <= min(K, N)} C(N, s) (a report holds an
+    N-vector), raise ``SearchBoundError`` before any work. Each chunk of at most
+    ``SCAN_CHUNK`` same-size subsets goes through ``_test_subsets`` as one stack: one
+    SVD, one least-squares solve of its independent subsets and one residual test.
 
     Returns (spanning, dependent): a ``_Span`` for each independent subset that
     spans the target, and the linearly dependent subsets, both by size and then
     lexicographically; independent subsets that miss the target are in neither.
     """
     u = _target(env)
-    if env.num_sources > MAX_SOURCES_ENUMERATION:
-        raise SpanError(
-            f"exhaustive subset search supports at most {MAX_SOURCES_ENUMERATION} sources"
-        )
     c = env.coefficients
-    n, k = c.shape
+    n, most = len(c), min(c.shape)
+    entries = n * sum(math.comb(n, size) for size in range(1, most + 1))
+    _check_search(entries, MAX_SCAN_ENTRIES, f"entries of {n} sources' subsets", "subset-scan")
     spanning, dependent = [], []
-    for size in range(1, min(k, n) + 1):
+    for size in range(1, most + 1):
         for subsets in _subset_chunks(n, size):
             independent, spans = _test_subsets(c, subsets, u)
             dependent += map(tuple, subsets[~independent].tolist())
@@ -212,6 +212,13 @@ def _spanning_subsets(env: Environment) -> tuple[list[_Span], list[tuple[int, ..
 def _by_phi(scanned: list[_Span]) -> list[_Span]:
     """The minimal sets among ``scanned``, sorted by (phi, indices)."""
     return sorted((s for s in scanned if s.minimal), key=lambda s: (s.phi, s.indices))
+
+
+def _identified(minimal: list) -> list:
+    """The phi-sorted minimal sets (reports or ``_Span``s), or SpanError when there are none."""
+    if not minimal:
+        raise SpanError("no spanning set: the target is not identified from the sources")
+    return minimal
 
 
 def _inside(reports: list, closure) -> list:
@@ -229,10 +236,10 @@ def phi_tied(reports: list[SpanningSetReport]) -> bool:
 def enumerate_minimal_spanning_sets(env: Environment) -> list[SpanningSetReport]:
     """All minimal spanning sets, sorted by phi ascending (ties by indices).
 
-    Only single-target objectives are supported, and the exhaustive search is
-    capped at 20 sources. ``best_set`` answers the phi-minimal set alone without
-    this cap whenever its LP certificate holds; this full list, and the checks
-    built on it, stay combinatorial.
+    Only single-target objectives are supported, and a scan beyond ``MAX_SCAN_ENTRIES``
+    (every subset of 20 sources) raises ``SearchBoundError``. ``best_set`` answers the
+    phi-minimal set alone without this bound whenever its LP certificate holds; this full
+    list, and the checks built on it, stay combinatorial.
     """
     return [
         _report_from(s.indices, s.beta, env.num_sources)
@@ -243,9 +250,7 @@ def enumerate_minimal_spanning_sets(env: Environment) -> list[SpanningSetReport]
 def _unique_best(env: Environment) -> list[SpanningSetReport]:
     """``enumerate_minimal_spanning_sets``, or SpanError unless its first set is a strict
     phi-minimum."""
-    reports = enumerate_minimal_spanning_sets(env)
-    if not reports:
-        raise SpanError("no spanning set: the target is not identified from the sources")
+    reports = _identified(enumerate_minimal_spanning_sets(env))
     if phi_tied(reports):
         raise SpanError("tied phi-minimal sets: no unique best set")
     return reports
@@ -358,17 +363,15 @@ def _elfving_best(env: Environment) -> SpanningSetReport | None:
 def best_set(env: Environment) -> SpanningSetReport:
     """The phi-minimal spanning set (first under the tie ordering).
 
-    Solved as Elfving's linear program, min sum|beta_i| subject to
-    sum_i beta_i c_i = u, whose basic optimum is the phi-minimal set. A dual
-    simplex certificate (a non-degenerate, full-rank basis whose dual y has
-    |c_j' y| < 1 - 1e-7 for every outside source) proves that optimum strict
-    and unique; the answer is then the same set and phi that enumeration gives,
-    at any number of sources. Without a certificate (ties, sets smaller than
-    K, rank-deficient coefficients) the answer comes from exhaustive
-    enumeration, which keeps the (phi, indices) tie order and is capped at 20
-    sources. The answer is found once per environment and kept on it, so
-    every caller gets the same report; a ``SpanError`` is not kept, so every
-    call raises it again.
+    Solved as Elfving's linear program, min sum|beta_i| subject to sum_i beta_i c_i = u,
+    whose basic optimum is the phi-minimal set. A dual simplex certificate (a
+    non-degenerate, full-rank basis whose dual y has |c_j' y| < 1 - 1e-7 for every outside
+    source) proves that optimum strict and unique; the answer is then the same set and phi
+    that enumeration gives, at any number of sources. Without a certificate (ties, sets
+    smaller than K, rank-deficient coefficients) the answer comes from exhaustive
+    enumeration, which keeps the (phi, indices) tie order and raises ``SearchBoundError``
+    beyond its scan bound. The answer is found once per environment and kept on it, so every
+    caller gets the same report; an error is not kept, so every call raises it again.
     """
     return env._best_set
 
@@ -376,12 +379,7 @@ def best_set(env: Environment) -> SpanningSetReport:
 def _search_best_set(env: Environment) -> SpanningSetReport:
     """``best_set`` without the per-environment cache."""
     star = _elfving_best(env)
-    if star is not None:
-        return star
-    reports = enumerate_minimal_spanning_sets(env)
-    if not reports:
-        raise SpanError("no spanning set: the target is not identified from the sources")
-    return reports[0]
+    return star if star is not None else _identified(enumerate_minimal_spanning_sets(env))[0]
 
 
 def subspace_closure(env: Environment, indices) -> tuple[int, ...]:
@@ -414,11 +412,8 @@ def check_assumptions(env: Environment) -> AssumptionReport:
     sets stay the scan's (phi, indices) records; no report is built for them.
     """
     scanned, dependent = _spanning_subsets(env)
-    reports = _by_phi(scanned)
+    reports = _identified(_by_phi(scanned))
     witnesses: list[tuple[int, ...]] = []
-
-    if not reports:
-        raise SpanError("no spanning set: the target is not identified from the sources")
 
     unique_minimizer = not phi_tied(reports)
     if len(reports) == 1:

@@ -562,6 +562,7 @@ def test_cli_rejects_malformed(tmp_path):
         (["sweep", "--state", "2", "--grid", "1e-300"], "1e-300"),
         (["compare", "--t", str(MAX_HORIZON + 1)], "--t"),
         (["sweep", "--state", "2", "--grid", "1,a"], "--grid: could not convert"),
+        (["sweep", "--state", "3", "--grid", "6,12"], "--state must be >= 1 and at most 2, not 3"),
     ],
 )
 def test_cli_rejects_bad_options_without_traceback(tmp_path, args, option):
@@ -885,19 +886,29 @@ def test_parse_rejects_coerced_intervention_values(raw, field):
 
 
 def test_analysis_fields_beyond_enumeration_cap(monkeypatch):
-    # Beyond the cap the best set comes from the certified LP alone: no enumeration,
-    # and no detour through the numeric frequency optimizer.
+    # Beyond the scan bound the best set comes from the certified LP alone: no
+    # enumeration, and no detour through the numeric frequency optimizer. 30 sources at
+    # K=4 scan 30 * 31,930 entries, within the shipped bound and past the patched one.
     env = Environment(np.random.default_rng(0).standard_normal((30, 4)))
 
     def refuse(env):
-        raise AssertionError("enumerated beyond the cap")
+        raise AssertionError("enumerated beyond the bound")
 
     monkeypatch.setattr(infotrap.spanning, "enumerate_minimal_spanning_sets", refuse)
+    assert analysis_fields(env)["assumption_report"]["unique_minimizer"] is True
+    monkeypatch.setattr(infotrap.spanning, "MAX_SCAN_ENTRIES", 30 * 31_930 - 1)
     fields = analysis_fields(env)
     star = best_set(env)
     assert fields["phi_best"] == star.phi == 0.5562948950325473
     assert fields["best_set"] == [i + 1 for i in star.indices]
     assert fields["assumption_report"] is None
+
+
+def test_analysis_fields_of_a_tie_beyond_the_scan_bound_are_null(monkeypatch):
+    # Identical sources tie, so only enumeration could order them, and it is refused.
+    monkeypatch.setattr(infotrap.spanning, "MAX_SCAN_ENTRIES", 8)
+    fields = analysis_fields(Environment(np.ones((3, 1))))
+    assert fields == dict.fromkeys(["phi_best", "best_set", "lambda_star", "assumption_report"])
 
 
 _UNIDENTIFIED = {
@@ -955,6 +966,27 @@ def test_library_does_not_print():
             and node.func.id == "print"
         ]
         assert calls == [], f"{path.name} calls print on lines {calls}"
+
+
+def test_one_search_bound_gate():
+    # Every exhaustive search is refused by gaussian._check_search, and sources are not capped.
+    package = Path(infotrap.__file__).parent
+    raised, gates = [], []
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert "MAX_SOURCES_ENUMERATION" not in text, path.name
+        tree = ast.parse(text)
+        raised += [
+            (path.name, call.lineno)
+            for call in ast.walk(tree)
+            if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name)
+            and call.func.id == "SearchBoundError"
+        ]
+        gates += [(path.name, f) for f in tree.body if getattr(f, "name", "") == "_check_search"]
+    [(module, line)] = raised
+    [(gate_module, gate)] = gates
+    assert module == gate_module == "gaussian.py" and gate.lineno < line <= gate.end_lineno
 
 
 def _tests_for_bool(node):

@@ -6,6 +6,7 @@ import pytest
 from infotrap import (
     Environment,
     GaussianPrior,
+    SearchBoundError,
     SpanError,
     asymptotic_variance,
     best_set,
@@ -286,12 +287,54 @@ def test_best_set_beyond_enumeration_cap():
 
 
 def test_tied_environment_beyond_enumeration_cap_is_undetermined():
-    # Identical sources tie, so only enumeration could order them, and it is capped.
-    env = Environment(np.ones((21, 1)))
-    with pytest.raises(SpanError):
+    # Identical sources tie, so only enumeration could order them, and its scan of
+    # n * C(n, 1) entries is just past the bound.
+    n = math.isqrt(spanning.MAX_SCAN_ENTRIES) + 1
+    env = Environment(np.ones((n, 1)))
+    message = f"^{n * n} entries of {n} sources' subsets exceed the subset-scan bound 20971500$"
+    with pytest.raises(SearchBoundError, match=message):
         best_set(env)
     trace = simulate(env, GaussianPrior.from_diagonal([1.0]), 100)
     assert trace.classification.kind == "undetermined"
+
+
+@pytest.fixture
+def no_subset_tests(monkeypatch):
+    """A scan bound of 8 entries, and no subset test: a refusal must come before any work."""
+
+    def refuse(*args):
+        raise AssertionError("a subset was tested past the scan bound")
+
+    monkeypatch.setattr(spanning, "MAX_SCAN_ENTRIES", 8)
+    monkeypatch.setattr(spanning, "_test_subsets", refuse)
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        enumerate_minimal_spanning_sets,
+        check_assumptions,
+        best_set,
+        lambda env: design_free_signals(env, 1.0),
+        fit_perturbation_eta,
+    ],
+)
+def test_every_span_search_is_refused_at_the_gate(search, no_subset_tests):
+    # Three identical sources: a scan of 3 * 3 entries, and a tie the LP cannot certify,
+    # so best_set falls back to enumeration.
+    env = Environment(np.ones((3, 1)))
+    with pytest.raises(SearchBoundError, match="^9 entries of 3 sources' subsets exceed the"):
+        search(env)
+
+
+def test_every_scan_the_twenty_source_cap_admitted_passes_the_gate(monkeypatch):
+    # Count only: the gate runs and no subset is built.
+    monkeypatch.setattr(spanning, "_subset_chunks", lambda n, size: iter(()))
+    for n in range(1, 21):
+        for k in range(1, 21):
+            assert spanning._spanning_subsets(Environment(np.ones((n, k)))) == ([], [])
+    with pytest.raises(SearchBoundError, match=f"^{21 * (2**21 - 1)} entries of 21 sources'"):
+        spanning._spanning_subsets(Environment(np.ones((21, 21))))
 
 
 def test_subspace_closure():

@@ -239,6 +239,21 @@ def test_one_scan_matches_multi_scan_on_fixtures(parity_env, precise_info, examp
         _assert_same_analysis(env)
 
 
+def test_one_scan_matches_multi_scan_beyond_twenty_sources():
+    # Sources are no longer capped at 20: 24 sources at K=2 are 7,200 scan entries. Small
+    # integer coefficients repeat rows, so phi ties occur as well as a unique best set.
+    rng = np.random.default_rng(24)
+    envs = [
+        Environment(rng.standard_normal((24, 2))),
+        Environment(rng.integers(-2, 3, size=(24, 2))),
+    ]
+    reports = [_assert_same_scan(env)[0] for env in envs]
+    assert [r["unique_minimizer"] for r in reports] == [True, False]
+    for env in envs:
+        for r in _ref_enumerate(env)[:3]:
+            assert is_subspace_optimal(env, r.indices) == _ref_is_subspace_optimal(env, r.indices)
+
+
 def _near_dependent_environment(rng):
     """Random sources, K of them with singular-value ratio between 1e-9 and 1e-3."""
     k = int(rng.integers(2, 7))

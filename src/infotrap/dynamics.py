@@ -511,7 +511,7 @@ def _classify(
     observed = tuple(int(i) for i in np.nonzero(window)[0])
 
     try:
-        star = best_set(env)
+        star = best_set(env, start=observed)
     except (SpanError, ValueError):
         # No single-direction spanning benchmark; report honest indecision.
         return Classification("undetermined"), None, freq

@@ -254,6 +254,8 @@ class Environment:
         # All target directions stacked as an (R, K) array, and their weights.
         self.directions = _readonly([d for _, d in self.objective])
         self.weights = _readonly([w for w, _ in self.objective])
+        # ``spanning.best_set``'s answer, kept once found.
+        self._best_set = None
 
     @property
     def num_sources(self) -> int:
@@ -276,13 +278,6 @@ class Environment:
         outers = np.einsum("ni,nj->nij", c, c)
         outers.setflags(write=False)
         return outers
-
-    @cached_property
-    def _best_set(self):
-        """``spanning.best_set``, searched once per environment."""
-        from .spanning import _search_best_set  # spanning imports this module
-
-        return _search_best_set(self)
 
 
 @dataclass(eq=False)

@@ -56,6 +56,11 @@ MAX_SCAN_ENTRIES = 20 * (2**20 - 1)
 # the C(20, 10) size-10 subsets of 20 sources at K=10 would otherwise stack about 150 MB.
 SCAN_CHUNK = 4096
 
+# The most coefficients, rows * s * K, that one chunk of size-s subsets stacks (about
+# 13 MB), so only s * K above 400 shortens a chunk: 20 sources at K=10,000 would otherwise
+# stack 4,096 * 10 * 10,000 floats, about 3.3 GB, in one chunk of size-10 subsets.
+SCAN_FLOATS = 400 * SCAN_CHUNK
+
 # A K-subset with smallest singular value above this fraction of its largest spans
 # every state well enough that every source passes ``subspace_closure``'s residual
 # test, so the scan marks its closure as every source without a solve. A worse
@@ -142,13 +147,15 @@ class _Span(NamedTuple):
     whole: bool  # a K-subset within ``CLOSURE_MARGIN``: its closure is every source
 
 
-def _subset_chunks(n: int, size: int):
+def _subset_chunks(n: int, size: int, k: int):
     """The size-subsets of range(n) in lexicographic order, as (M, size) index arrays of
-    at most ``SCAN_CHUNK`` rows."""
+    at most ``SCAN_CHUNK`` rows, and of at most ``SCAN_FLOATS`` coefficients once each
+    index takes its source's K (but at least one row)."""
     subsets = combinations(range(n), size)
     left = math.comb(n, size)
+    rows = max(1, min(SCAN_CHUNK, SCAN_FLOATS // (size * k)))
     while left:
-        m = min(left, SCAN_CHUNK)
+        m = min(left, rows)
         left -= m
         flat = np.fromiter(chain.from_iterable(islice(subsets, m)), np.intp, m * size)
         yield flat.reshape(m, size)
@@ -187,8 +194,8 @@ def _test_subsets(
 def _spanning_subsets(env: Environment) -> tuple[list[_Span], list[tuple[int, ...]]]:
     """One scan of every subset of at most min(K, N) sources, batched by size; more than
     ``MAX_SCAN_ENTRIES`` entries, N * sum_{s <= min(K, N)} C(N, s) (a report holds an
-    N-vector), raise ``SearchBoundError`` before any work. Each chunk of at most
-    ``SCAN_CHUNK`` same-size subsets goes through ``_test_subsets`` as one stack: one
+    N-vector), raise ``SearchBoundError`` before any work. Each chunk of same-size
+    subsets (``_subset_chunks``) goes through ``_test_subsets`` as one stack: one
     SVD, one least-squares solve of its independent subsets and one residual test.
 
     Returns (spanning, dependent): a ``_Span`` for each independent subset that
@@ -202,7 +209,7 @@ def _spanning_subsets(env: Environment) -> tuple[list[_Span], list[tuple[int, ..
     _check_search(entries, MAX_SCAN_ENTRIES, f"entries of {n} sources' subsets", "subset-scan")
     spanning, dependent = [], []
     for size in range(1, most + 1):
-        for subsets in _subset_chunks(n, size):
+        for subsets in _subset_chunks(n, size, c.shape[1]):
             independent, spans = _test_subsets(c, subsets, u)
             dependent += map(tuple, subsets[~independent].tolist())
             spanning += spans
@@ -303,13 +310,54 @@ def _pivoted_qr_r(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.triu(qr), jpvt
 
 
-def _elfving_best(env: Environment) -> SpanningSetReport | None:
+def _elfving_best(env: Environment, start=()) -> SpanningSetReport | None:
     """The phi-minimal set from Elfving's LP, or None when it is not certified.
 
     Elfving's program is min sum|beta_i| subject to C' beta = u. Beta is free in
     sign, so any K independent sources are a feasible basis and no phase 1 is
-    needed: start from the column pivots of a rank-revealing QR of C'. Each
-    pivot solves beta_B from C_B' beta_B = u and the dual y from
+    needed. ``_elfving_walk`` starts from the sources ``start`` names when they are K
+    distinct ones that ``_start_inverse`` finds independent, and from the column
+    pivots of a rank-revealing QR of C' otherwise, or when that first walk ends
+    uncertified. The answer does not depend on the start: at most one basis is
+    certified.
+    """
+    u = _target(env)
+    c = env.coefficients
+    n, k = c.shape
+    if n < k:
+        return None
+    if len(set(start)) == k:
+        basis = np.array(start, dtype=np.intp)
+        inv = _start_inverse(c[basis])
+        star = None if inv is None else _elfving_walk(env, u, basis, inv)
+        if star is not None:
+            return star
+    r, pivots = _pivoted_qr_r(c.T)
+    if not abs(r[k - 1, k - 1]) > SPAN_TOL * abs(r[0, 0]):
+        return None
+    basis = pivots[:k].copy()
+    return _elfving_walk(env, u, basis, np.linalg.inv(c[basis]))
+
+
+def _start_inverse(rows: np.ndarray) -> np.ndarray | None:
+    """The inverse of a start basis's K x K rows, or None when they are dependent:
+    singular, or with a 1-norm condition number not below 1 / ``SPAN_TOL``. The walk
+    starts from this inverse, so the test needs no factorization of its own."""
+    try:
+        inv = np.linalg.inv(rows)
+    except np.linalg.LinAlgError:
+        return None
+    # In Python floats an overflowing product is inf, and numpy does not warn.
+    cond = float(np.abs(rows).sum(axis=0).max()) * float(np.abs(inv).sum(axis=0).max())
+    return inv if cond < 1.0 / SPAN_TOL else None
+
+
+def _elfving_walk(
+    env: Environment, u: np.ndarray, basis: np.ndarray, inv: np.ndarray
+) -> SpanningSetReport | None:
+    """Elfving's simplex from ``basis``, K sources whose rows have the inverse ``inv``.
+
+    Each pivot solves beta_B from C_B' beta_B = u and the dual y from
     C_B y = sign(beta_B), enters the outside source with the largest |c_j' y|
     while that exceeds 1, and leaves at the first zero crossing of beta_B.
     Every pivot from a non-degenerate basis strictly lowers sum|beta|, so the
@@ -323,17 +371,8 @@ def _elfving_best(env: Environment) -> SpanningSetReport | None:
     checks and arithmetic as enumeration, so its indices and phi are
     bit-identical to the enumerated entry.
     """
-    u = _target(env)
     c = env.coefficients
-    n, k = c.shape
-    if n < k:
-        return None
-    r, pivots = _pivoted_qr_r(c.T)
-    if not abs(r[k - 1, k - 1]) > SPAN_TOL * abs(r[0, 0]):
-        return None
-    basis = pivots[:k].copy()
-    for _ in range(10 * n + 50):
-        inv = np.linalg.inv(c[basis])
+    for _ in range(10 * len(c) + 50):
         beta = inv.T @ u
         if np.min(np.abs(beta)) <= SPAN_TOL * np.max(np.abs(beta)):
             return None
@@ -352,6 +391,7 @@ def _elfving_best(env: Environment) -> SpanningSetReport | None:
             return None
         steps = np.where(crossing, beta / np.where(crossing, d, 1.0), np.inf)
         basis[int(np.argmin(steps))] = j
+        inv = np.linalg.inv(c[basis])
     else:
         return None
     try:
@@ -360,7 +400,7 @@ def _elfving_best(env: Environment) -> SpanningSetReport | None:
         return None
 
 
-def best_set(env: Environment) -> SpanningSetReport:
+def best_set(env: Environment, start=()) -> SpanningSetReport:
     """The phi-minimal spanning set (first under the tie ordering).
 
     Solved as Elfving's linear program, min sum|beta_i| subject to sum_i beta_i c_i = u,
@@ -372,13 +412,20 @@ def best_set(env: Environment) -> SpanningSetReport:
     enumeration, which keeps the (phi, indices) tie order and raises ``SearchBoundError``
     beyond its scan bound. The answer is found once per environment and kept on it, so every
     caller gets the same report; an error is not kept, so every call raises it again.
+
+    ``start`` names sources for the simplex to start from, as a run names the sources its
+    second half observed. It saves work when they are the best set or near it; the answer
+    does not depend on it, and a start of other than K independent sources goes unused.
     """
+    start = _source_indices(env, start)
+    if env._best_set is None:
+        env._best_set = _search_best_set(env, start)
     return env._best_set
 
 
-def _search_best_set(env: Environment) -> SpanningSetReport:
+def _search_best_set(env: Environment, start=()) -> SpanningSetReport:
     """``best_set`` without the per-environment cache."""
-    star = _elfving_best(env)
+    star = _elfving_best(env, start)
     return star if star is not None else _identified(enumerate_minimal_spanning_sets(env))[0]
 
 

@@ -371,9 +371,9 @@ def elfving_calls(monkeypatch):
     calls = []
     search = spanning._elfving_best
 
-    def counting(env):
+    def counting(env, start=()):
         calls.append(env)
-        return search(env)
+        return search(env, start)
 
     monkeypatch.setattr(spanning, "_elfving_best", counting)
     return calls
@@ -391,6 +391,26 @@ def test_one_best_set_per_environment(elfving_calls, monkeypatch):
     assert sweep(spec) == swept
     assert run_scenario(bundled_scenario("example2"))[1] == report
     assert len(elfving_calls) == 2 + 6 + 2
+
+
+def test_efficient_run_certifies_its_window_without_qr(elfving_calls, monkeypatch):
+    qr_calls = []
+    qr = spanning._pivoted_qr_r
+
+    def counting(a):
+        qr_calls.append(a)
+        return qr(a)
+
+    monkeypatch.setattr(spanning, "_pivoted_qr_r", counting)
+    scenario = bundled_scenario("example2_efficient")
+    env = scenario.environment
+    trace = dynamics.simulate(env, scenario.prior, scenario.horizon)
+    assert trace.classification.kind == "efficient"
+    assert len(trace.frequency_estimate.support()) == env.num_states
+    # The window's two sources are the best set: one certified pass, no QR.
+    assert len(elfving_calls) == 1 and qr_calls == []
+    assert analysis_fields(env)["best_set"] == [2, 3]
+    assert len(elfving_calls) == 1 and qr_calls == []
 
 
 def test_unspanned_target_raises_on_every_best_set_call():

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -114,6 +115,8 @@ _OUT_OF_RANGE = "source index must be >= 0 and at most 2"  # example2 has three 
         (lambda env: construct_trap_prior(env, [0], eps=0), ValueError, "eps must be positive"),
         (lambda env: construct_trap_prior(env, [0], math.inf), ValueError, "positive and finite"),
         (lambda env: construct_trap_prior(env, [0], math.nan), ValueError, "positive and finite"),
+        (lambda env: best_set(env, [1, 3]), SpanError, _OUT_OF_RANGE),
+        (lambda env: best_set(env, [0.5, 1]), SpanError, _NOT_INDICES),
     ],
     ids=[
         "bpl_duplicate",
@@ -137,6 +140,8 @@ _OUT_OF_RANGE = "source index must be >= 0 and at most 2"  # example2 has three 
         "trap_prior_eps_zero",
         "trap_prior_eps_inf",
         "trap_prior_eps_nan",
+        "best_set_start_above_range",
+        "best_set_start_fractional",
     ],
 )
 def test_spanning_refusals(call, error, fragment, example2):
@@ -228,13 +233,13 @@ def _assert_best_set_matches_enumeration(env):
     assert star.phi == reports[0].phi
 
 
-def test_best_set_matches_enumeration_random_float():
+def _random_float_environments():
     rng = np.random.default_rng(11)
     for _ in range(250):
-        _assert_best_set_matches_enumeration(random_environment(rng))
+        yield random_environment(rng)
 
 
-def test_best_set_matches_enumeration_integer_coefficients():
+def _integer_environments():
     # Small integer coefficients and targets are full of tied and degenerate sets.
     rng = np.random.default_rng(12)
     for _ in range(250):
@@ -242,13 +247,65 @@ def test_best_set_matches_enumeration_integer_coefficients():
         target = rng.integers(-2, 3, size=k)
         if not target.any():
             target[0] = 1
-        env = Environment(rng.integers(-2, 3, size=(n, k)), objective=[(1.0, target)])
+        yield Environment(rng.integers(-2, 3, size=(n, k)), objective=[(1.0, target)])
+
+
+def test_best_set_matches_enumeration_random_float():
+    for env in _random_float_environments():
+        _assert_best_set_matches_enumeration(env)
+
+
+def test_best_set_matches_enumeration_integer_coefficients():
+    for env in _integer_environments():
         _assert_best_set_matches_enumeration(env)
 
 
 def test_best_set_matches_enumeration_fixtures(parity_env, precise_info, example2, example3):
     for env in (parity_env, precise_info, example2, example3):
         _assert_best_set_matches_enumeration(env)
+
+
+def _start_kind(env, start, best):
+    rows = env.coefficients[list(start)]
+    if np.linalg.matrix_rank(rows) < env.num_states:
+        return "dependent"
+    beta = np.abs(np.linalg.solve(rows.T, env.single_direction()))
+    if beta.min() <= spanning.SPAN_TOL * beta.max():
+        return "degenerate"
+    return "optimal" if start == best else "suboptimal"
+
+
+def _assert_every_start_gives_the_same_answer(env, kinds, enumeration_calls):
+    """best_set from every K-subset start equals the cold search and enumeration, and
+    enumerates only where the cold search does."""
+    reports = enumerate_minimal_spanning_sets(env)
+    starts = list(combinations(range(env.num_sources), env.num_states))
+    enumeration_calls.clear()
+    if not reports:
+        for start in starts:
+            with pytest.raises(SpanError):
+                best_set(Environment(env.coefficients, env.objective), start)
+        return
+    cold = spanning._search_best_set(env)
+    cold_enumerates = bool(enumeration_calls)
+    first = reports[0]
+    for start in starts:
+        kinds[_start_kind(env, start, first.indices)] += 1
+        enumeration_calls.clear()
+        star = best_set(Environment(env.coefficients, env.objective), start)
+        assert not enumeration_calls or cold_enumerates
+        for report in (cold, first):
+            assert star.indices == report.indices
+            assert star.phi == report.phi
+            assert star.beta == report.beta
+            assert (star.lambda_star.weights == report.lambda_star.weights).all()
+
+
+def test_best_set_from_every_start(parity_env, enumeration_calls):
+    kinds = dict.fromkeys(("optimal", "suboptimal", "dependent", "degenerate"), 0)
+    for env in (*_random_float_environments(), *_integer_environments(), parity_env):
+        _assert_every_start_gives_the_same_answer(env, kinds, enumeration_calls)
+    assert min(kinds.values()) >= 50, kinds
 
 
 @pytest.fixture
@@ -329,7 +386,7 @@ def test_every_span_search_is_refused_at_the_gate(search, no_subset_tests):
 
 def test_every_scan_the_twenty_source_cap_admitted_passes_the_gate(monkeypatch):
     # Count only: the gate runs and no subset is built.
-    monkeypatch.setattr(spanning, "_subset_chunks", lambda n, size: iter(()))
+    monkeypatch.setattr(spanning, "_subset_chunks", lambda n, size, k: iter(()))
     for n in range(1, 21):
         for k in range(1, 21):
             assert spanning._spanning_subsets(Environment(np.ones((n, k)))) == ([], [])

@@ -11,6 +11,7 @@ of each closure and tests the closure source by source with the same span test; 
 outputs must be equal bit for bit, not close.
 """
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -350,7 +351,8 @@ def test_check_assumptions_scans_subsets_once(name, request, monkeypatch):
 @pytest.mark.parametrize("name", ["example3", "parity_env"])
 def test_check_assumptions_stacks_each_subset_once(name, request, monkeypatch):
     """One SVD call per subset size, or per chunk of one size: the stacked rows are
-    every subset exactly once, in lexicographic order, and chunking changes nothing."""
+    every subset exactly once, in lexicographic order, and chunking, by rows or by
+    floats, changes nothing."""
     env = request.getfixturevalue(name)
     n, k = env.num_sources, env.num_states
     expected = _outcome(check_assumptions, env)
@@ -362,17 +364,31 @@ def test_check_assumptions_stacks_each_subset_once(name, request, monkeypatch):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", recording)
-    for chunk in (spanning.SCAN_CHUNK, 3):
+    shipped = (spanning.SCAN_CHUNK, spanning.SCAN_FLOATS)
+    for chunk, floats in (shipped, (3, shipped[1]), (shipped[0], 2 * k)):
         monkeypatch.setattr(spanning, "SCAN_CHUNK", chunk)
+        monkeypatch.setattr(spanning, "SCAN_FLOATS", floats)
         stacks.clear()
         assert _outcome(check_assumptions, env) == expected
         want = []
         for size in range(1, min(n, k) + 1):
             subsets = list(combinations(range(n), size))
-            for start in range(0, len(subsets), chunk):
-                want.append(np.stack([env.coefficients[list(s)] for s in subsets[start : start + chunk]]))
+            rows = max(1, min(chunk, floats // (size * k)))  # 2 * k floats: 2 subsets, then 1
+            for start in range(0, len(subsets), rows):
+                want.append(np.stack([env.coefficients[list(s)] for s in subsets[start : start + rows]]))
         assert [(a.shape, a.tobytes()) for a in stacks] == [(a.shape, a.tobytes()) for a in want]
-    assert len(want) > min(n, k)  # the small chunk split some size
+        assert (len(want) > min(n, k)) is ((chunk, floats) != shipped)  # a small bound split
+
+
+def test_scan_chunks_are_bounded_by_their_floats():
+    # Size-10 subsets of 20 sources at K=10,000: 16 rows of 100,000 floats each.
+    chunks = [len(c) for c in spanning._subset_chunks(20, 10, 10_000)]
+    assert chunks[0] == 16 and 16 * 10 * 10_000 <= spanning.SCAN_FLOATS < 17 * 10 * 10_000
+    assert max(chunks) == 16 and sum(chunks) == math.comb(20, 10)
+    # Up to s * K = 400 a chunk has SCAN_CHUNK rows; beyond it, fewer.
+    assert [len(next(spanning._subset_chunks(20, 4, k))) for k in (100, 101)] == [4096, 4055]
+    # One subset's floats above the bound still make a chunk of one row.
+    assert len(next(spanning._subset_chunks(3, 2, spanning.SCAN_FLOATS))) == 1
 
 
 @pytest.mark.parametrize("layout", ["c", "transposed"])
